@@ -55,9 +55,12 @@ def _parse_point(text: str) -> tuple[Fraction, ...]:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"{path} does not hold a JSON object")
+    return data
 
 
 def _load_matroid(args) -> mt.Matroid:
@@ -66,13 +69,19 @@ def _load_matroid(args) -> mt.Matroid:
             r, n = (int(v) for v in args.uniform.split(","))
         except ValueError as exc:
             raise UsageError(f"--uniform expects r,n: {exc}") from exc
-        return mt.uniform(r, n)
+        try:
+            return mt.uniform(r, n)
+        except mt.MatroidError as exc:
+            raise UsageError(f"--uniform: {exc}") from exc
     if getattr(args, "graphic", None):
         data = _load_json(args.graphic)
         for key in ("vertices", "edges"):
             if key not in data:
                 raise UsageError(f"graphic file misses field {key!r}")
-        return mt.graphic(int(data["vertices"]), [tuple(e) for e in data["edges"]])
+        try:
+            return mt.graphic(data["vertices"], data["edges"])
+        except mt.MatroidError as exc:
+            raise UsageError(f"invalid graph: {exc}") from exc
     if not args.file:
         raise UsageError("need a matroid file or --uniform/--graphic")
     data = _load_json(args.file)

@@ -236,9 +236,26 @@ class Matroid:
         return self._cached("coloops", build)
 
     @property
+    def cooccurrence(self) -> tuple[Mask, ...]:
+        """Entry e-1 is the union of the bases containing e (0 for a loop).
+
+        Distinct elements i and j form an independent pair exactly when j
+        lies in entry i-1; two non-loops are parallel exactly when not.
+        """
+
+        def build():
+            out = [0] * self.n
+            for b in self.bases:
+                for e in bits_of(b):
+                    out[e] |= b
+            return tuple(out)
+
+        return self._cached("cooccurrence", build)
+
+    @property
     def parallel_decomposition(self) -> ParallelDecomposition:
         def build():
-            rank = self.rank_table
+            cooc = self.cooccurrence
             loops = self.loops
             classes = []
             assigned = loops
@@ -249,7 +266,7 @@ class Matroid:
                 cls = bit
                 for f in range(e + 1, self.n + 1):
                     fbit = 1 << (f - 1)
-                    if not (assigned & fbit) and rank[bit | fbit] == 1:
+                    if not (assigned & fbit) and not (cooc[e - 1] & fbit):
                         cls |= fbit
                 assigned |= cls
                 classes.append(cls)
@@ -349,7 +366,17 @@ class Matroid:
 
 
 def check_exchange(n: int, bases: frozenset[Mask]) -> None:
-    """Raise unless `bases` is a valid basis family on {1..n}."""
+    """Raise unless `bases` is a valid basis family on {1..n}.
+
+    The exchange axiom is tested grouped by (B, x) for each basis B and
+    x in B: with S = {y not in B : B - x + y is a basis}, it holds at
+    (B, x) exactly when every basis avoiding x meets S.  One bitset per
+    element, over the indices of the sorted bases that avoid it, turns
+    that into `without[x] & AND(without[y] for y in S)`, the set of
+    bases violating the axiom at (B, x).  Cost: |B| * r * (n - r) set
+    lookups plus as many |B|-bit ANDs.  A failure names the least B, then
+    the least x, then the least violating basis, so it is deterministic.
+    """
     if n < 0:
         raise MatroidError("ground-set size must be non-negative")
     if not bases:
@@ -361,24 +388,51 @@ def check_exchange(n: int, bases: frozenset[Mask]) -> None:
     sizes = {popcount(b) for b in bases}
     if len(sizes) > 1:
         raise UnequalCardinalityError(f"basis sizes differ: {sorted(sizes)}")
-    for b1 in bases:
-        for b2 in bases:
-            if b1 == b2:
-                continue
-            only1 = b1 & ~b2
-            only2 = b2 & ~b1
-            for xb in bits_of(only1):
-                stripped = b1 ^ (1 << xb)
-                if not any(stripped | (1 << yb) in bases for yb in bits_of(only2)):
-                    raise ExchangeViolationError(b1, b2, xb + 1)
+    order = sorted(bases)
+    without = [0] * n
+    for k, b in enumerate(order):
+        for e in bits_of(ground & ~b):
+            without[e] |= 1 << k
+    for b1 in order:
+        outside = tuple(bits_of(ground & ~b1))
+        for xb in bits_of(b1):
+            stripped = b1 ^ (1 << xb)
+            violators = without[xb]
+            for yb in outside:
+                if stripped | (1 << yb) in bases:
+                    violators &= without[yb]
+                    if not violators:
+                        break
+            if violators:
+                b2 = order[(violators & -violators).bit_length() - 1]
+                raise ExchangeViolationError(b1, b2, xb + 1)
+
+
+def _require_int(value, field: str) -> int:
+    """`value` if it is an integer (bools are not), else MatroidError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MatroidError(f"field {field!r}: expected an integer, got {value!r}")
+    return value
 
 
 def validate_bases(n: int, candidate: Iterable[Iterable[int]]) -> Matroid:
-    """Build a matroid from 1-based element collections, or raise."""
+    """Build a matroid from 1-based element collections, or raise.
+
+    `n` and every element must be integers, and every element must lie
+    in 1..n; anything else is a MatroidError naming the field.
+    """
+    _require_int(n, "n")
     if n < 1:
         raise MatroidError("ground-set size must be at least 1")
-    masks = frozenset(mask_of(b) for b in candidate)
-    return Matroid(n, masks)
+    try:
+        bases = [tuple(basis) for basis in candidate]
+    except TypeError:
+        raise MatroidError("field 'bases' must be a list of element lists") from None
+    for basis in bases:
+        for e in basis:
+            if not 1 <= _require_int(e, "bases") <= n:
+                raise MatroidError(f"field 'bases': element {e} is outside 1..{n}")
+    return Matroid(n, frozenset(mask_of(b) for b in bases))
 
 
 def from_masks(n: int, masks: Iterable[Mask]) -> Matroid:
@@ -386,7 +440,7 @@ def from_masks(n: int, masks: Iterable[Mask]) -> Matroid:
 
 
 def from_json_dict(data: dict) -> Matroid:
-    return validate_bases(int(data["n"]), data["bases"])
+    return validate_bases(data["n"], data["bases"])
 
 
 # -- named constructors ----------------------------------------------------
@@ -406,11 +460,20 @@ def graphic(vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:
     Edges are numbered 1..len(edges) in input order; loops and multi-edges
     are allowed.
     """
-    if vertices < 1:
+    if _require_int(vertices, "vertices") < 1:
         raise MatroidError("need at least one vertex")
-    for u, v in edges:
-        if not (1 <= u <= vertices and 1 <= v <= vertices):
-            raise MatroidError(f"vertex out of range in edge ({u},{v})")
+    try:
+        edges = [tuple(edge) for edge in edges]
+    except TypeError:
+        raise MatroidError("field 'edges' must be a list of vertex pairs") from None
+    for edge in edges:
+        if len(edge) != 2:
+            raise MatroidError(f"field 'edges': {list(edge)} is not a vertex pair")
+        for w in edge:
+            if not 1 <= _require_int(w, "edges") <= vertices:
+                raise MatroidError(
+                    f"field 'edges': vertex {w} of edge {list(edge)} is outside 1..{vertices}"
+                )
     n = len(edges)
 
     def forest_size(edge_idxs) -> int:

@@ -33,7 +33,7 @@ from .lefschetz import (
     scaled_integer_point,
 )
 from .linalg import inertia
-from .matroids import Matroid, elems_of, mask_of, popcount
+from .matroids import Matroid, elems_of, popcount
 from .polynomials import (
     HomogPoly,
     basis_poly,
@@ -140,7 +140,8 @@ class MasonIndepReport:
 
 
 def _not_parallel(m: Matroid, i: int, j: int) -> bool:
-    return m.rank_of(mask_of((i, j))) == 2
+    """rank({i, j}) == 2 for distinct i and j, without the rank table."""
+    return bool(m.cooccurrence[i - 1] >> (j - 1) & 1)
 
 
 def mason_basis_check(
@@ -234,7 +235,11 @@ def mason_indep_check(
     else:
         lhs = normalized(k - 1) * normalized(k + 1)
         rhs = normalized(k) ** 2
-    predicted_equal = k + 1 < m.girth
+    # Below the girth the normalized slices are elementary symmetric means
+    # of the weights, and Newton's inequality between them is strict
+    # unless all weights are equal; at k + 1 > n both sides are 0.
+    equal_weights = at is None or len(set(at)) == 1
+    predicted_equal = k + 1 < m.girth and (equal_weights or k + 1 > n)
     equal = lhs == rhs
     return MasonIndepReport(
         k=k,

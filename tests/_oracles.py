@@ -56,6 +56,26 @@ def brute_circuits(n: int, bases: frozenset[int]) -> set[int]:
     return out
 
 
+def exchange_violations(bases: frozenset[int]):
+    """Every (b1, b2, x) at which the basis-exchange axiom fails.
+
+    The textbook pairwise form: for bases b1 != b2 and x in b1 - b2, some
+    y in b2 - b1 must make b1 - x + y a basis.  This compares every
+    ordered pair of bases, |B|^2 * r^2 lookups.  x is 1-based.
+    """
+    for b1 in bases:
+        for b2 in bases:
+            if b1 == b2:
+                continue
+            only2 = [y for y in range(b2.bit_length()) if (b2 & ~b1) >> y & 1]
+            for x in range(b1.bit_length()):
+                if not (b1 & ~b2) >> x & 1:
+                    continue
+                stripped = b1 & ~(1 << x)
+                if not any(stripped | (1 << y) in bases for y in only2):
+                    yield b1, b2, x + 1
+
+
 # -- matroid enumeration through the flat-family axioms ------------------------
 
 

@@ -146,3 +146,34 @@ def test_round_trip_matroid_json(capsys, u23_file):
     from mlz.matroids import from_json_dict, uniform
 
     assert from_json_dict(data["matroid"]) == uniform(2, 3)
+
+
+@pytest.mark.parametrize(
+    "name, data, flags",
+    [
+        ("bad_zero.json", {"n": 3, "bases": [[0, 1]]}, []),
+        ("bad_element.json", {"n": 3, "bases": [["a", 1]]}, []),
+        ("bad_n.json", {"n": "x", "bases": [[1, 2]]}, []),
+        ("bad_graph.json", {"vertices": 3, "edges": [[1, 2], [2, 5]]}, ["--graphic"]),
+        (None, None, ["--uniform", "5,3"]),
+    ],
+)
+def test_malformed_matroid_input_exits_2_with_one_line(tmp_path, capsys, name, data, flags):
+    argv = ["matroid-info"] + flags
+    if name is not None:
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        argv.append(str(path))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_mason_indep_weighted_below_girth_is_strict(capsys):
+    argv = ["mason", "indep", "--uniform", "3,6", "--k", "1", "--at", "1,2,3,1,1,1"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert "lhs=32/15 rhs=9/4 equal=false" in out
+    assert "predicted_equal=false consistent=true" in out

@@ -1,6 +1,9 @@
 import math
+import random
+from itertools import combinations
 
 import pytest
+from _oracles import exchange_violations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,8 +53,10 @@ def test_two_parallel_class_example():
 
 def test_exchange_violation_detected():
     with pytest.raises(ExchangeViolationError) as err:
-        validate_bases(4, [[1, 2], [3, 4]])
-    assert err.value.x in (1, 2)
+        validate_bases(4, [[3, 4], [1, 2]])
+    # the least basis, element and violating basis, whatever the input order
+    assert (err.value.b1, err.value.b2, err.value.x) == (mask_of([1, 2]), mask_of([3, 4]), 1)
+    assert str(err.value) == "exchange fails for bases [1, 2] and [3, 4] at element 1"
 
 
 def test_empty_bases_rejected():
@@ -67,6 +72,84 @@ def test_unequal_cardinality_distinct_error():
 def test_out_of_range_elements_rejected():
     with pytest.raises(MatroidError):
         validate_bases(2, [[1, 3]])
+
+
+@pytest.mark.parametrize(
+    "n, bases, field",
+    [
+        ("x", [[1, 2]], "'n'"),
+        (3.0, [[1, 2]], "'n'"),
+        (True, [[1]], "'n'"),
+        (3, [["a", 1]], "'bases'"),
+        (3, [[True, 2]], "'bases'"),
+        (3, [[0, 1]], "'bases'"),
+        (3, [1, 2], "'bases'"),
+    ],
+)
+def test_malformed_fields_rejected(n, bases, field):
+    with pytest.raises(MatroidError, match=field):
+        mt.from_json_dict({"n": n, "bases": bases})
+
+
+def _assert_exchange_matches_oracle(n, family) -> bool:
+    """check_exchange accepts `family` iff the pairwise oracle finds no
+    violation; a rejection reports the least (b1, x, b2) violation."""
+    violations = sorted((b1, x, b2) for b1, b2, x in exchange_violations(family))
+    try:
+        mt.check_exchange(n, family)
+    except ExchangeViolationError as err:
+        assert violations and (err.b1, err.x, err.b2) == violations[0], family
+        return False
+    assert not violations, family
+    return True
+
+
+def _rank_families(n, r):
+    subs = [mask_of(c) for c in combinations(range(1, n + 1), r)]
+    for fam in range(1, 1 << len(subs)):
+        yield frozenset(s for i, s in enumerate(subs) if fam >> i & 1)
+
+
+def test_check_exchange_matches_oracle_on_every_small_family():
+    families = accepted = 0
+    for n in range(1, 6):
+        for r in range(n + 1):
+            for family in _rank_families(n, r):
+                families += 1
+                accepted += _assert_exchange_matches_oracle(n, family)
+    assert families == 2228
+    assert accepted == sum(len(catalog(n)) for n in range(1, 6))
+
+
+def test_check_exchange_matches_oracle_on_sampled_six_element_families():
+    rng = random.Random(6)
+    subs = {r: [mask_of(c) for c in combinations(range(1, 7), r)] for r in range(1, 6)}
+    for r, pool in subs.items():
+        for _ in range(60):
+            family = frozenset(s for s in pool if rng.random() < 0.7)
+            if family:
+                _assert_exchange_matches_oracle(6, family)
+    for m in catalog(6)[::16]:
+        assert _assert_exchange_matches_oracle(6, m.bases)
+        pool = subs.get(m.rank, ())
+        if len(m.bases) > 1:
+            _assert_exchange_matches_oracle(6, m.bases - {rng.choice(sorted(m.bases))})
+        if len(m.bases) < len(pool):
+            extra = rng.choice(sorted(set(pool) - m.bases))
+            _assert_exchange_matches_oracle(6, m.bases | {extra})
+
+
+def test_check_exchange_matches_oracle_on_morphism_levels():
+    from mlz.morphisms import enumerate_morphisms, morphism_bases
+
+    targets = [t for tn in (1, 2) for t in catalog(tn)]
+    for n in (2, 3):
+        for m in catalog(n):
+            if not m.is_simple:
+                continue
+            for phi in enumerate_morphisms(m, targets):
+                for bucket in morphism_bases(phi).by_size.values():
+                    assert _assert_exchange_matches_oracle(m.n, bucket)
 
 
 # -- constructors ----------------------------------------------------------------
@@ -212,6 +295,26 @@ def test_parallel_decomposition_loop_only():
     pd = uniform(0, 1).parallel_decomposition
     assert elems_of(pd.loops) == (1,)
     assert pd.classes == ()
+
+
+def test_parallel_decomposition_matches_rank_table():
+    """Classes from co-occurrence masks equal the greedy rank-table ones:
+    each class is the least unassigned non-loop plus every later
+    unassigned f with rank({e, f}) == 1."""
+    for n in range(1, 7):
+        for m in catalog(n):
+            classes, assigned = [], m.loops
+            for e in range(1, n + 1):
+                if assigned >> (e - 1) & 1:
+                    continue
+                cls = mask_of([e]) | mask_of(
+                    f
+                    for f in range(e + 1, n + 1)
+                    if not assigned >> (f - 1) & 1 and m.rank_of(mask_of([e, f])) == 1
+                )
+                assigned |= cls
+                classes.append(cls)
+            assert m.parallel_decomposition.classes == tuple(classes), m
 
 
 # -- minors -----------------------------------------------------------------------

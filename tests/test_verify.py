@@ -97,7 +97,11 @@ def test_mason_indep_weighted_free_is_strict_but_unasserted():
     a = (Fraction(1, 2), 1, 2)
     rep = mason_indep_check(uniform(3, 3), 2, a)
     assert rep.lhs < rep.rhs  # Newton inequality is strict off the diagonal
-    assert rep.predicted_equal  # girth is infinite; equality only at ones
+    assert not rep.predicted_equal and rep.consistent
+    rep = mason_indep_check(uniform(3, 3), 2, (2, 2, 2))
+    assert rep.equal and rep.predicted_equal and rep.consistent
+    rep = mason_indep_check(uniform(3, 3), 3, a)
+    assert rep.lhs == rep.rhs == 0 and rep.predicted_equal and rep.consistent
 
 
 def test_mason_indep_range_checked():
