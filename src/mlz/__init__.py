@@ -51,6 +51,7 @@ from .matroids import (
 )
 from .morphisms import (
     AnnihilatorCheckFailed,
+    BasisFamily,
     ConditionMismatch,
     DegeneracyVerdict,
     EurHuhEntry,
@@ -59,6 +60,7 @@ from .morphisms import (
     MatroidMorphism,
     MorphismBases,
     MorphismError,
+    basis_family,
     degeneracy_class,
     enumerate_morphisms,
     eur_huh_profile,

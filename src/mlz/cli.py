@@ -85,9 +85,6 @@ def _load_matroid(args) -> mt.Matroid:
     if not args.file:
         raise UsageError("need a matroid file or --uniform/--graphic")
     data = _load_json(args.file)
-    for key in ("n", "bases"):
-        if key not in data:
-            raise UsageError(f"matroid file misses field {key!r}")
     try:
         return mt.from_json_dict(data)
     except mt.MatroidError as exc:

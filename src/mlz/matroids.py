@@ -418,8 +418,9 @@ def _require_int(value, field: str) -> int:
 def validate_bases(n: int, candidate: Iterable[Iterable[int]]) -> Matroid:
     """Build a matroid from 1-based element collections, or raise.
 
-    `n` and every element must be integers, and every element must lie
-    in 1..n; anything else is a MatroidError naming the field.
+    `n` and every element must be integers, every element must lie in
+    1..n, and no element may repeat within a basis; anything else is a
+    MatroidError naming the field.
     """
     _require_int(n, "n")
     if n < 1:
@@ -432,6 +433,9 @@ def validate_bases(n: int, candidate: Iterable[Iterable[int]]) -> Matroid:
         for e in basis:
             if not 1 <= _require_int(e, "bases") <= n:
                 raise MatroidError(f"field 'bases': element {e} is outside 1..{n}")
+        if len(set(basis)) < len(basis):
+            e = next(e for e in basis if basis.count(e) > 1)
+            raise MatroidError(f"field 'bases': element {e} repeats in {list(basis)}")
     return Matroid(n, frozenset(mask_of(b) for b in bases))
 
 
@@ -440,6 +444,13 @@ def from_masks(n: int, masks: Iterable[Mask]) -> Matroid:
 
 
 def from_json_dict(data: dict) -> Matroid:
+    if not isinstance(data, dict):
+        raise MatroidError(
+            f"expected an object with fields 'n' and 'bases', got {type(data).__name__}"
+        )
+    for key in ("n", "bases"):
+        if key not in data:
+            raise MatroidError(f"missing field {key!r}")
     return validate_bases(data["n"], data["bases"])
 
 

@@ -17,6 +17,11 @@ situations (equal ranks; rank drop one with a single loop-preimage
 element; loop-preimage part uniform and spanning complement), each with an
 explicit annihilating linear form that is verified exactly on
 construction.
+
+Many maps share one basis family.  Whatever depends on the bases alone
+(polynomials, gradient rank, level exchange checks, fixed-point verdicts,
+count profile, annihilator checks) lives on a BasisFamily, memoized by
+`basis_family` under the hashable MorphismBases value.
 """
 
 from __future__ import annotations
@@ -24,16 +29,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
+from .lefschetz import PointVerdicts, gradient_rank, point_verdicts
 from .matroids import (
     Mask,
     Matroid,
     MatroidError,
     ParallelDecomposition,
     bits_of,
+    check_exchange,
     elems_of,
     from_json_dict,
     popcount,
@@ -110,11 +117,21 @@ class MatroidMorphism:
 
 
 def morphism_from_json_dict(data: dict) -> MatroidMorphism:
-    return validate_morphism(
-        from_json_dict(data["source"]),
-        from_json_dict(data["target"]),
-        data["map"],
-    )
+    """Parse {"source": matroid, "target": matroid, "map": [images]}.
+
+    Malformed fields raise a MorphismError that names the field.
+    """
+    ends = []
+    for key in ("source", "target"):
+        try:
+            ends.append(from_json_dict(data[key]))
+        except MatroidError as exc:
+            raise MorphismError(f"field {key!r}: {exc}") from None
+    if not isinstance(data["map"], list):
+        raise MorphismError(
+            f"field 'map': expected a list of images, got {type(data['map']).__name__}"
+        )
+    return validate_morphism(*ends, data["map"])
 
 
 def _rank_condition_holds(m: Matroid, n: Matroid, phi_img: Sequence[Mask]) -> bool:
@@ -154,6 +171,10 @@ def validate_morphism(m: Matroid, n: Matroid, phi: Sequence[int]) -> MatroidMorp
     if len(phi) != m.n:
         raise MorphismError(f"map must list {m.n} images, got {len(phi)}")
     for i, t in enumerate(phi):
+        if isinstance(t, bool) or not isinstance(t, int):
+            raise MorphismError(
+                f"field 'map': image of element {i + 1} must be an integer, got {t!r}"
+            )
         if not 1 <= t <= n.n:
             raise MorphismError(f"image of element {i + 1} out of range: {t}")
     phi_img = _image_table(m, phi)
@@ -197,17 +218,24 @@ def phi_decomposition(phi: MatroidMorphism) -> ParallelDecomposition:
 
 @dataclass(frozen=True)
 class MorphismBases:
-    """Bases of the morphism, bucketed by size (r' .. r)."""
+    """Bases of a morphism, bucketed by size (r' .. r).
 
-    by_size: dict[int, frozenset[Mask]]
+    Hashable by value, so it keys the basis-family memo: morphisms with
+    equal n, r, r' and equal buckets share one BasisFamily.
+    """
+
+    n: int
+    r: int
+    r_prime: int
+    levels: tuple[tuple[int, frozenset[Mask]], ...]  # (size, bases), by size
+
+    @property
+    def by_size(self) -> dict[int, frozenset[Mask]]:
+        return dict(self.levels)
 
     @property
     def total(self) -> int:
-        return sum(len(v) for v in self.by_size.values())
-
-    def all_masks(self) -> Iterator[Mask]:
-        for k in sorted(self.by_size):
-            yield from sorted(self.by_size[k])
+        return sum(len(bucket) for _, bucket in self.levels)
 
 
 @lru_cache(maxsize=4096)
@@ -220,23 +248,109 @@ def morphism_bases(phi: MatroidMorphism) -> MorphismBases:
     for s in phi.source.independent_masks:
         if rank_n[img[s]] == r_prime:
             by_size.setdefault(popcount(s), set()).add(s)
-    return MorphismBases({k: frozenset(v) for k, v in sorted(by_size.items())})
+    levels = tuple((k, frozenset(v)) for k, v in sorted(by_size.items()))
+    return MorphismBases(phi.source.n, phi.r, r_prime, levels)
 
 
-@lru_cache(maxsize=4096)
+@dataclass(frozen=True)
+class EurHuhEntry:
+    k: int
+    lhs: Fraction
+    rhs: Fraction
+    equal: bool
+
+
+class BasisFamily:
+    """The facts about a morphism that depend only on its MorphismBases.
+
+    `basis_family` hands out one instance per distinct family, and each
+    fact is computed on first use.  Nothing here reads a map, a target or
+    a loop preimage, so every morphism with these bases may share it.
+    """
+
+    def __init__(self, bases: MorphismBases):
+        self.bases = bases
+        self._annihilates: dict[tuple[Fraction, ...], bool] = {}
+
+    @cached_property
+    def polys(self) -> tuple[HomogPoly, HomogPoly]:
+        """(P, reduced P): x0-padded sum over the bases and its
+        (n - r)-fold x0 derivative."""
+        n = self.bases.n
+        terms = {(n - k, s): 1 for k, bucket in self.bases.levels for s in bucket}
+        p = HomogPoly(range(0, n + 1), n, terms)
+        reduced = p
+        for _ in range(n - self.bases.r):
+            reduced = partial(reduced, 0)
+        return p, reduced
+
+    @cached_property
+    def grad_rank(self) -> int:
+        return gradient_rank(self.polys[1])
+
+    @cached_property
+    def levels_are_matroids(self) -> bool:
+        """Every size bucket satisfies the basis-exchange axiom."""
+        for _, bucket in self.bases.levels:
+            try:
+                check_exchange(self.bases.n, bucket)
+            except MatroidError:
+                return False
+        return True
+
+    @cached_property
+    def fixed_point_verdicts(self) -> tuple[tuple[tuple, PointVerdicts], ...]:
+        """(point, verdicts) of the reduced polynomial at (1,...,1) and
+        (0,1,...,1); empty when its degree is below 2."""
+        reduced = self.polys[1]
+        if reduced.degree < 2:
+            return ()
+        n = self.bases.n
+        return tuple(
+            (a, point_verdicts(reduced, a, grad_rank=self.grad_rank))
+            for a in ((1,) + (1,) * n, (0,) + (1,) * n)
+        )
+
+    @cached_property
+    def eur_huh(self) -> tuple[EurHuhEntry, ...]:
+        """Normalized log-concavity profile of the basis counts by size.
+
+        For each interior size k (r' < k < r) compares
+        (count[k-1]/C(n,k-1)) * (count[k+1]/C(n,k+1)) against (count[k]/C(n,k))^2.
+        """
+        n = self.bases.n
+        counts = {k: len(bucket) for k, bucket in self.bases.levels}
+        out = []
+        for k in range(self.bases.r_prime + 1, self.bases.r):
+            lhs = Fraction(counts.get(k - 1, 0), math.comb(n, k - 1)) * Fraction(
+                counts.get(k + 1, 0), math.comb(n, k + 1)
+            )
+            rhs = Fraction(counts.get(k, 0), math.comb(n, k)) ** 2
+            out.append(EurHuhEntry(k, lhs, rhs, lhs == rhs))
+        return tuple(out)
+
+    def annihilates(self, coeffs: tuple[Fraction, ...]) -> bool:
+        """Whether the linear derivative form with these coefficients (over
+        x0..xn) kills the reduced polynomial exactly."""
+        if coeffs not in self._annihilates:
+            self._annihilates[coeffs] = linear_apply(self.polys[1], coeffs).is_zero
+        return self._annihilates[coeffs]
+
+
+@lru_cache(maxsize=None)
+def basis_family(bases: MorphismBases) -> BasisFamily:
+    """The one BasisFamily shared by every morphism with these bases."""
+    return BasisFamily(bases)
+
+
+def _family(phi: MatroidMorphism) -> BasisFamily:
+    return basis_family(morphism_bases(phi))
+
+
 def morphism_poly(phi: MatroidMorphism) -> tuple[HomogPoly, HomogPoly]:
     """(P, reduced P): x0-padded sum over morphism bases and its
     (n - r)-fold x0 derivative."""
-    n = phi.source.n
-    terms = {}
-    for k, bucket in morphism_bases(phi).by_size.items():
-        for s in bucket:
-            terms[(n - k, s)] = 1
-    p = HomogPoly(range(0, n + 1), n, terms)
-    reduced = p
-    for _ in range(n - phi.r):
-        reduced = partial(reduced, 0)
-    return p, reduced
+    return _family(phi).polys
 
 
 @dataclass(frozen=True)
@@ -287,41 +401,18 @@ def degeneracy_class(phi: MatroidMorphism) -> DegeneracyVerdict:
         coeffs[0] = Fraction(-1)
         for e in elems_of(loops_mask):
             coeffs[e] = Fraction(1)
-    _, reduced = morphism_poly(phi)
-    if not linear_apply(reduced, coeffs).is_zero:
+    annihilator = tuple(coeffs)
+    if not _family(phi).annihilates(annihilator):
         raise AnnihilatorCheckFailed(
             f"predicted annihilator {coeffs} does not kill the reduced "
             f"polynomial of map {phi.map}"
         )
-    return DegeneracyVerdict(frozenset(classes), tuple(coeffs))
+    return DegeneracyVerdict(frozenset(classes), annihilator)
 
 
-@dataclass(frozen=True)
-class EurHuhEntry:
-    k: int
-    lhs: Fraction
-    rhs: Fraction
-    equal: bool
-
-
-@lru_cache(maxsize=4096)
 def eur_huh_profile(phi: MatroidMorphism) -> tuple[EurHuhEntry, ...]:
-    """Normalized log-concavity profile of the basis counts by size.
-
-    For each interior size k (r' < k < r) compares
-    (count[k-1]/C(n,k-1)) * (count[k+1]/C(n,k+1)) against (count[k]/C(n,k))^2.
-    """
-    n = phi.source.n
-    by_size = morphism_bases(phi).by_size
-    counts = {k: len(v) for k, v in by_size.items()}
-    out = []
-    for k in range(phi.r_prime + 1, phi.r):
-        lhs = Fraction(counts.get(k - 1, 0), math.comb(n, k - 1)) * Fraction(
-            counts.get(k + 1, 0), math.comb(n, k + 1)
-        )
-        rhs = Fraction(counts.get(k, 0), math.comb(n, k)) ** 2
-        out.append(EurHuhEntry(k, lhs, rhs, lhs == rhs))
-    return tuple(out)
+    """Normalized log-concavity profile of the basis counts (see BasisFamily.eur_huh)."""
+    return _family(phi).eur_huh
 
 
 def enumerate_morphisms(

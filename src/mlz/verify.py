@@ -631,6 +631,15 @@ def _matroid_key(m: Matroid) -> int:
 # -- per-morphism suite ----------------------------------------------------------
 
 
+def _render_point_verdicts(a: Sequence, v) -> str:
+    if not v.value_positive:
+        return f"@({_fmt_point(a)}):inapplicable"
+    return (
+        f"@({_fmt_point(a)}):slp1={v.slp1},hrr1={v.hrr1},"
+        f"inertia={v.inertia.render()}"
+    )
+
+
 def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
     m, nmat = phi.source, phi.target
     n = m.n
@@ -639,25 +648,21 @@ def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
     rng = derive(seed, n, _matroid_key(m), _matroid_key(nmat), *phi.map)
 
     bases = mo.morphism_bases(phi)
-    levels_ok = set(bases.by_size) == set(range(phi.r_prime, phi.r + 1))
-    top_ok = bases.by_size.get(phi.r, frozenset()) == m.bases
-    level_matroid_ok = True
-    for k, bucket in bases.by_size.items():
-        try:
-            mt.check_exchange(n, bucket)
-        except mt.MatroidError:
-            level_matroid_ok = False
+    family = mo.basis_family(bases)
+    by_size = bases.by_size
+    levels_ok = set(by_size) == set(range(phi.r_prime, phi.r + 1))
+    top_ok = by_size.get(phi.r, frozenset()) == m.bases
     report.check(
         "morphism-bases-levels",
-        levels_ok and top_ok and level_matroid_ok,
-        f"levels={sorted(bases.by_size)}",
+        levels_ok and top_ok and family.levels_are_matroids,
+        f"levels={sorted(by_size)}",
     )
 
     # bottom-level bases avoid the loop preimage, and extending one by
     # J inside the loop preimage stays a basis exactly when J is independent
     loops_mask = phi.phi_loops
     ext_ok = True
-    bottom = bases.by_size.get(phi.r_prime, frozenset())
+    bottom = by_size.get(phi.r_prime, frozenset())
     loop_subsets = []
     sub = loops_mask
     while True:
@@ -666,7 +671,7 @@ def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
             break
         sub = (sub - 1) & loops_mask
     indep = m.independent_masks
-    all_b = {s for bucket in bases.by_size.values() for s in bucket}
+    all_b = {s for bucket in by_size.values() for s in bucket}
     for i_mask in bottom:
         if i_mask & loops_mask:
             ext_ok = False
@@ -675,9 +680,9 @@ def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
                 ext_ok = False
     report.check("morphism-bases-extension", ext_ok, f"bottom={len(bottom)}")
 
-    p_phi, reduced = mo.morphism_poly(phi)
+    p_phi, reduced = family.polys
     verdict = mo.degeneracy_class(phi)
-    g = gradient_rank(reduced)
+    g = family.grad_rank
     deficient = g < n + 1
     if m.is_simple:
         report.check(
@@ -693,10 +698,7 @@ def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
             f"grad_rank={g} classes={''.join(sorted(verdict.classes)) or '-'}",
         )
     if verdict.annihilator is not None:
-        report.check(
-            "annihilator-exact",
-            linear_apply(reduced, verdict.annihilator).is_zero,
-        )
+        report.check("annihilator-exact", family.annihilates(verdict.annihilator))
 
     if phi.r == phi.r_prime:
         shift = n - phi.r
@@ -707,7 +709,7 @@ def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
     if nmat.rank == 0:
         report.check("rank-zero-target-shape", p_phi == _pm(m))
 
-    profile = mo.eur_huh_profile(phi)
+    profile = family.eur_huh
     viol = [e for e in profile if e.lhs > e.rhs]
     report.check(
         "eur-huh-inequality",
@@ -715,25 +717,14 @@ def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
         f"levels={len(profile)} equalities={sum(1 for e in profile if e.equal)}",
     )
 
-    pts = [
-        (1,) + (1,) * n,
-        (0,) + (1,) * n,
-        positive_point(rng, n + 1),
-        boundary_point(rng, n + 1),
-    ]
-    verdicts = []
-    for a in pts:
-        if reduced.degree < 2:
-            verdicts.append("degree<2")
-            break
-        v = point_verdicts(reduced, a, grad_rank=g)
-        if not v.value_positive:
-            verdicts.append(f"@({_fmt_point(a)}):inapplicable")
-        else:
-            verdicts.append(
-                f"@({_fmt_point(a)}):slp1={v.slp1},hrr1={v.hrr1},"
-                f"inertia={v.inertia.render()}"
-            )
+    # the fixed points are shared by the family; the seeded ones are this map's
+    if reduced.degree < 2:
+        verdicts = ["degree<2"]
+    else:
+        checked = list(family.fixed_point_verdicts)
+        for a in (positive_point(rng, n + 1), boundary_point(rng, n + 1)):
+            checked.append((a, point_verdicts(reduced, a, grad_rank=g)))
+        verdicts = [_render_point_verdicts(a, v) for a, v in checked]
     report.add("reduced-point-verdicts", "recorded", " ".join(verdicts))
     return report
 

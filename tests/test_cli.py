@@ -156,6 +156,7 @@ def test_round_trip_matroid_json(capsys, u23_file):
         ("bad_n.json", {"n": "x", "bases": [[1, 2]]}, []),
         ("bad_graph.json", {"vertices": 3, "edges": [[1, 2], [2, 5]]}, ["--graphic"]),
         (None, None, ["--uniform", "5,3"]),
+        ("bad_repeat.json", {"n": 2, "bases": [[1, 1], [2, 2]]}, []),
     ],
 )
 def test_malformed_matroid_input_exits_2_with_one_line(tmp_path, capsys, name, data, flags):
@@ -169,6 +170,34 @@ def test_malformed_matroid_input_exits_2_with_one_line(tmp_path, capsys, name, d
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+_U23 = {"n": 3, "bases": [[1, 2], [1, 3], [2, 3]]}
+_POINT = {"n": 1, "bases": [[1]]}
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"source": [1], "target": _POINT, "map": [1, 1, 1]}, "source"),
+        ({"source": _U23, "target": "U(1,1)", "map": [1, 1, 1]}, "target"),
+        ({"source": {"n": 3}, "target": _POINT, "map": [1, 1, 1]}, "source"),
+        ({"source": _U23, "target": _POINT, "map": "111"}, "map"),
+        ({"source": _U23, "target": _POINT, "map": {"1": 1}}, "map"),
+        ({"source": _U23, "target": _POINT, "map": ["a", 1, 1]}, "map"),
+        ({"source": _U23, "target": _POINT, "map": [True, 1, 1]}, "map"),
+        ({"source": _U23, "target": _POINT, "map": [1.0, 1, 1]}, "map"),
+    ],
+)
+def test_malformed_morphism_input_exits_2_with_one_line(tmp_path, capsys, data, field):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(data))
+    assert run(["morphism", "validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("error: invalid morphism: field ")
+    assert repr(field) in captured.err
 
 
 def test_mason_indep_weighted_below_girth_is_strict(capsys):

@@ -91,6 +91,18 @@ def test_malformed_fields_rejected(n, bases, field):
         mt.from_json_dict({"n": n, "bases": bases})
 
 
+def test_repeated_basis_element_rejected():
+    # used to collapse into the rank-1 matroid with bases {1} and {2}
+    with pytest.raises(MatroidError, match="field 'bases': element 1 repeats in \\[1, 1\\]"):
+        validate_bases(2, [[1, 1], [2, 2]])
+
+
+@pytest.mark.parametrize("data", [[1], "U(2,3)", {"bases": [[1]]}, {"n": 1}])
+def test_non_matroid_objects_rejected(data):
+    with pytest.raises(MatroidError):
+        mt.from_json_dict(data)
+
+
 def _assert_exchange_matches_oracle(n, family) -> bool:
     """check_exchange accepts `family` iff the pairwise oracle finds no
     violation; a rejection reports the least (b1, x, b2) violation."""

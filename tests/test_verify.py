@@ -8,7 +8,12 @@ from mlz.matroids import (
     uniform,
     validate_bases,
 )
-from mlz.morphisms import validate_morphism
+from mlz.morphisms import (
+    basis_family,
+    enumerate_morphisms,
+    morphism_bases,
+    validate_morphism,
+)
 from mlz.verify import (
     mason_basis_check,
     mason_indep_check,
@@ -188,6 +193,50 @@ def test_morphism_suite_non_simple_source_checks_sufficiency_only():
     assert "degeneracy-trichotomy" not in by_name
     assert by_name["degeneracy-sufficiency"].status == "pass"
     assert "classes=C" in by_name["degeneracy-sufficiency"].detail
+
+
+# -- basis-family memo ----------------------------------------------------------------
+
+
+def test_morphism_suite_memo_matches_cold_runs():
+    # every morphism from a simple source on <= 4 elements to a target on <= 3
+    targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
+    maps = [
+        phi
+        for n in range(1, 5)
+        for m in catalog(n)
+        if m.is_simple
+        for phi in enumerate_morphisms(m, targets)
+    ]
+    basis_family.cache_clear()
+    warm = [morphism_suite(phi, seed=5).rows for phi in maps]
+    assert basis_family.cache_info().currsize < len(maps) // 10
+    for phi, rows in zip(maps, warm):
+        basis_family.cache_clear()
+        assert morphism_suite(phi, seed=5).rows == rows, (phi.source, phi.target, phi.map)
+
+
+def test_maps_sharing_a_basis_family_share_facts_but_not_seeded_rows():
+    # both targets are all loops, so both maps have classes {C}
+    m = uniform(2, 3)
+    phi1 = validate_morphism(m, uniform(0, 1), [1, 1, 1])
+    phi2 = validate_morphism(m, uniform(0, 2), [1, 2, 1])
+    assert morphism_bases(phi1) == morphism_bases(phi2)
+    family = basis_family(morphism_bases(phi1))
+    assert basis_family(morphism_bases(phi2)) is family
+    rows1, rows2 = (
+        {r.name: r for r in morphism_suite(phi, seed=3).rows} for phi in (phi1, phi2)
+    )
+    for rows in (rows1, rows2):
+        assert rows["degeneracy-trichotomy"].detail == (
+            f"grad_rank={family.grad_rank} classes=C"
+        )
+        assert rows["annihilator-exact"].status == "pass"
+        assert rows["rank-zero-target-shape"].status == "pass"
+    # two fixed-point verdicts, then two at this map's seeded points
+    v1, v2 = (rows["reduced-point-verdicts"].detail.split() for rows in (rows1, rows2))
+    assert v1[:2] == v2[:2] and v1[0].startswith("@(1,1,1,1):")
+    assert v1[2:] != v2[2:]
 
 
 # -- survey -------------------------------------------------------------------------------
