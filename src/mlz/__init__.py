@@ -40,7 +40,6 @@ from .matroids import (
     indep_profile,
     mask_of,
     minimal_superflats,
-    minor,
     parallel_decomposition,
     rank_of,
     restrict,
@@ -76,7 +75,7 @@ from .polynomials import (
     evaluate,
     f_slice,
     gradient_matrix,
-    hessian_at,
+    hessian_matrix,
     indep_poly,
     linear_apply,
     partial,

@@ -16,16 +16,14 @@ from . import matroids as mt
 from . import morphisms as mo
 from . import verify
 from .lefschetz import (
-    InapplicablePointError,
     gradient_rank,
     hessian_inertia,
-    hrr1,
     lorentzian_witness,
-    slp1,
+    point_verdicts,
 )
 from .polynomials import (
     basis_poly,
-    hessian_at,
+    hessian_matrix,
     indep_poly,
     poly_json,
     poly_str,
@@ -115,25 +113,25 @@ def _point_for(args, p) -> tuple[Fraction, ...]:
 
 def _cmd_matroid_info(args) -> int:
     m = _load_matroid(args)
+    pd = m.parallel_decomposition
+    girth = m.girth  # before any output: it needs the 2^n circuit scan
     if args.format == "json":
-        pd = m.parallel_decomposition
         out = {
             "matroid": m.to_json_dict(),
             "rank": m.rank,
             "simple": m.is_simple,
             "loops": list(mt.elems_of(m.loops)),
             "parallel_classes": [list(mt.elems_of(c)) for c in pd.classes],
-            "girth": "inf" if m.girth == float("inf") else m.girth,
+            "girth": "inf" if girth == float("inf") else girth,
             "indep_counts": list(m.indep_profile.counts),
             "flats": [list(mt.elems_of(f)) for f in m.flats],
         }
         print(json.dumps(out, sort_keys=True))
     else:
-        pd = m.parallel_decomposition
         print(f"n={m.n} rank={m.rank} bases={len(m.bases)}")
         print(f"simple={str(m.is_simple).lower()} loops={list(mt.elems_of(m.loops))}")
         print(f"parallel classes={[list(mt.elems_of(c)) for c in pd.classes]}")
-        print(f"girth={m.girth}")
+        print(f"girth={girth}")
         print(f"independent counts={list(m.indep_profile.counts)}")
     return 0
 
@@ -154,7 +152,7 @@ def _cmd_hessian(args) -> int:
     if p.degree < 2:
         raise UsageError(f"the {args.kind} polynomial has degree {p.degree} < 2")
     point = _point_for(args, p)
-    h = hessian_at(p, point)
+    h = hessian_matrix(p, point)
     ine = hessian_inertia(p, point)
     if args.format == "json":
         print(
@@ -194,15 +192,12 @@ def _cmd_check(args) -> int:
         return 0 if rep.passed else 1
     point = _point_for(args, p)
     g = gradient_rank(p)
-    try:
-        if args.what == "slp1":
-            verdict = slp1(p, point, grad_rank=g)
-        else:
-            verdict = hrr1(p, point, grad_rank=g)
-    except InapplicablePointError:
+    v = point_verdicts(p, point, grad_rank=g)
+    if not v.value_positive:
         print(f"{args.what.upper()}: inapplicable (value not positive)")
         return 1
-    ine = hessian_inertia(p, point)
+    verdict = v.slp1 if args.what == "slp1" else v.hrr1
+    ine = v.inertia
     print(
         f"{args.what.upper()}: {str(verdict).lower()} "
         f"inertia=({ine.pos},{ine.neg},{ine.zero}) grad_rank={g}"
@@ -374,7 +369,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, mt.MatroidError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

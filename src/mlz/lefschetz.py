@@ -16,11 +16,13 @@ and "signature (+,-,...,-)".  Both checks demand p(a) > 0 and raise
 InapplicablePointError otherwise; report layers turn that into a distinct
 verdict instead of a boolean.
 
-Points are integerized before spectra are taken: every polynomial here is
-homogeneous, so a positive rescaling multiplies the Hessian by a positive
-scalar and changes neither inertia nor rank nor value signs.  The Hessian
-rank itself comes from the inertia (rank = pos + neg for symmetric
-matrices), so one characteristic polynomial serves both checks.
+Points are integerized by `linalg.clear_denominators` before spectra are
+taken: every polynomial here is homogeneous, so a positive rescaling
+multiplies the Hessian by a positive scalar and changes neither inertia
+nor rank nor value signs.  The Hessian is `polynomials.hessian_matrix`,
+assembled afresh at each point.  Its rank comes from the inertia
+(rank = pos + neg for symmetric matrices), so one characteristic
+polynomial serves both checks.
 """
 
 from __future__ import annotations
@@ -28,17 +30,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
 from typing import Optional, Sequence
 
-from .linalg import Inertia, SymMatrix, inertia, matrix_rank
+from .linalg import Inertia, clear_denominators, inertia, matrix_rank
 from .polynomials import (
     HomogPoly,
     evaluate,
     gradient_matrix,
+    hessian_matrix,
     iterated_partial,
-    partial,
 )
 
 
@@ -52,57 +52,8 @@ class PointClass(enum.Enum):
     NOT_LOG_CONCAVE = "not-log-concave"
 
 
-def scaled_integer_point(point: Sequence) -> tuple[int, ...]:
-    lcm = 1
-    for v in point:
-        den = Fraction(v).denominator
-        lcm = lcm * den // gcd(lcm, den)
-    return tuple(int(Fraction(v) * lcm) for v in point)
-
-
-@lru_cache(maxsize=8192)
-def _second_partials_impl(p: HomogPoly, active: tuple):
-    firsts = [partial(p, i) for i in active]
-    size = len(active)
-    return tuple(
-        tuple(partial(firsts[a], active[b]) for b in range(a, size))
-        for a in range(size)
-    )
-
-
-def _second_partials(p: HomogPoly):
-    """Upper triangle of second-partial polynomials, cached per polynomial.
-
-    Polynomial equality ignores the active declaration, so the cache key
-    carries it explicitly; otherwise equal-term polynomials over different
-    variable sets would collide."""
-    return _second_partials_impl(p, p.active)
-
-
-def hessian_matrix(p: HomogPoly, point: Sequence) -> SymMatrix:
-    """Hessian at the point using the cached second partials."""
-    if p.degree < 2:
-        raise ValueError("Hessian needs degree >= 2")
-    if len(point) != len(p.active):
-        raise ValueError("point length must match active variables")
-    polys = _second_partials(p)
-    size = len(p.active)
-    rows = [[0] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(a, size):
-            v = evaluate(polys[a][b - a], point)
-            rows[a][b] = v
-            rows[b][a] = v
-    return SymMatrix(rows)
-
-
 def hessian_inertia(p: HomogPoly, point: Sequence) -> Inertia:
-    return inertia(hessian_matrix(p, scaled_integer_point(point)))
-
-
-def hessian_rank(p: HomogPoly, point: Sequence) -> int:
-    ine = hessian_inertia(p, point)
-    return ine.pos + ine.neg
+    return inertia(hessian_matrix(p, clear_denominators(point)[1]))
 
 
 def gradient_rank(p: HomogPoly) -> int:
@@ -135,7 +86,7 @@ def point_verdicts(
     """
     if p.degree < 2:
         raise ValueError("point checks need degree >= 2")
-    scaled = scaled_integer_point(point)
+    _, scaled = clear_denominators(point)
     if evaluate(p, scaled) <= 0:
         return PointVerdicts(False, None, None, None)
     g = gradient_rank(p) if grad_rank is None else grad_rank
@@ -215,7 +166,7 @@ def lorentzian_witness(p: HomogPoly, points: Sequence[Sequence]) -> WitnessRepor
             raise ValueError("point length must match active variables")
         if any(Fraction(v) <= 0 for v in point):
             raise ValueError("witness points must be strictly positive")
-        scaled.append(scaled_integer_point(point))
+        scaled.append(clear_denominators(point)[1])
     report = WitnessReport(degree=p.degree)
     multilinear_from = 1 if 0 in p.active else 0
     for orders in _multi_indices(len(p.active), p.degree - 2):

@@ -7,12 +7,16 @@ number of trailing zero coefficients, and the positive count is the number
 of Descartes sign variations -- exact because symmetric matrices are
 real-rooted.  Rank uses fraction-free (Bareiss) elimination on integer
 rows after clearing denominators.
+
+`clear_denominators` is the one place where denominators are cleared:
+Hessian points, weighted evaluation points and the rows given to
+`matrix_rank` all become integers through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 
@@ -77,38 +81,25 @@ class SymMatrix:
         return SymMatrix(out)
 
 
-def _integerized(rows) -> list[list]:
-    """Rows rescaled by positive integers so all entries are ints."""
-    out = []
-    for row in rows:
-        scale = 1
-        for v in row:
-            if isinstance(v, Fraction):
-                d = v.denominator
-                scale = scale * d // _gcd(scale, d)
-        out.append([int(v * scale) if scale != 1 else _as_int(v) for v in row])
-    return out
+def clear_denominators(values: Sequence) -> tuple[int, tuple[int, ...]]:
+    """(scale, ints): the least positive integer scale that makes every
+    rational value integral, and the values multiplied by it.
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _as_int(v):
-    if isinstance(v, Fraction):
-        if v.denominator != 1:
-            raise ValueError("non-integral value")
-        return v.numerator
-    return int(v)
+    The one place in the package where denominators are cleared.  A
+    positive scale changes no sign, rank or inertia, and a homogeneous
+    polynomial of degree d at scale * a is scale**d times its value at a.
+    """
+    scale = 1
+    for v in values:
+        scale = scale * v.denominator // gcd(scale, v.denominator)
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
 def char_poly(a: SymMatrix | Sequence[Sequence]) -> tuple:
     """Coefficients of det(xI - A), leading first (degree = size).
 
     Samuelson-Berkowitz: extend the characteristic polynomial of each
-    leading principal minor by one lower-triangular Toeplitz product per
+    leading principal submatrix by one lower-triangular Toeplitz product per
     row; division-free, so integer input stays integer throughout.
     """
     rows = a.rows if isinstance(a, SymMatrix) else [list(r) for r in a]
@@ -154,7 +145,7 @@ def inertia(a: SymMatrix | Sequence[Sequence]) -> Inertia:
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
     """Exact rank by fraction-free (Bareiss) elimination."""
-    m = _integerized(rows)
+    m = [list(clear_denominators(row)[1]) for row in rows]
     if not m:
         return 0
     nrows, ncols = len(m), len(m[0])

@@ -9,7 +9,8 @@ Ground sets are deliberately tiny: the catalog builder enumerates every
 labeled matroid on up to six elements by filtering r-subset families
 through the basis-exchange axiom, which is what the verification suites
 iterate over.  Constructors (uniform, graphic, direct sums, minors) work
-at any size that fits in memory.
+at any size that fits in memory; the tables over all 2^n subsets (rank,
+closure, circuits) refuse ground sets above TABLE_MAX_GROUND elements.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 Mask = int
 
 ENUMERATION_MAX_GROUND = 6
+
+# Largest ground set for which a table over all 2^n subsets is built.
+TABLE_MAX_GROUND = 15
 
 
 class MatroidError(ValueError):
@@ -50,6 +54,16 @@ class ExchangeViolationError(MatroidError):
 
 class NotAFlatError(MatroidError):
     pass
+
+
+def check_table_size(n: int) -> None:
+    """Raise MatroidError before a table over all 2^n subsets of a ground
+    set larger than TABLE_MAX_GROUND is built."""
+    if n > TABLE_MAX_GROUND:
+        raise MatroidError(
+            f"a ground set of {n} elements is too large for a table over all "
+            f"2^{n} subsets (at most {TABLE_MAX_GROUND} elements)"
+        )
 
 
 def mask_of(elements: Iterable[int]) -> Mask:
@@ -88,13 +102,6 @@ class ParallelDecomposition:
 
     loops: Mask
     classes: tuple[Mask, ...]  # disjoint, non-empty, sorted by least element
-
-    def class_of(self, e: int) -> Optional[Mask]:
-        bit = 1 << (e - 1)
-        for c in self.classes:
-            if c & bit:
-                return c
-        return None
 
 
 @dataclass(frozen=True)
@@ -181,6 +188,7 @@ class Matroid:
         """rank(S) for every S in 0..2^n-1; rank(S) = max over bases |B & S|."""
 
         def build():
+            check_table_size(self.n)
             bases = tuple(self.bases)
             return [
                 max(popcount(b & s) for b in bases) for s in range(1 << self.n)
@@ -194,7 +202,7 @@ class Matroid:
     @property
     def closure_table(self) -> Sequence[Mask]:
         def build():
-            rank = self.rank_table
+            rank = self.rank_table  # raises first on a too-large ground set
             out = []
             for s in range(1 << self.n):
                 cl = s
@@ -323,6 +331,7 @@ class Matroid:
         """Minimal dependent sets, sorted by (size, mask)."""
 
         def build():
+            check_table_size(self.n)
             indep = self.independent_masks
             out = []
             for s in range(1, 1 << self.n):
@@ -564,16 +573,6 @@ def delete(m: Matroid, e: int) -> tuple[Matroid, tuple[int, ...]]:
     if m.n == 1:
         raise MatroidError("cannot delete the last element")
     return restrict(m, m.ground_mask & ~(1 << (e - 1)))
-
-
-def minor(m: Matroid, kind: str, arg) -> tuple[Matroid, tuple[int, ...]]:
-    if kind == "contract":
-        return contract(m, arg)
-    if kind == "delete":
-        return delete(m, arg)
-    if kind == "restrict":
-        return restrict(m, arg if isinstance(arg, int) else mask_of(arg))
-    raise MatroidError(f"unknown minor kind {kind!r}")
 
 
 def truncate(m: Matroid, steps: int = 1) -> Matroid:

@@ -41,6 +41,7 @@ from .matroids import (
     ParallelDecomposition,
     bits_of,
     check_exchange,
+    check_table_size,
     elems_of,
     from_json_dict,
     popcount,
@@ -153,6 +154,7 @@ def _rank_condition_holds(m: Matroid, n: Matroid, phi_img: Sequence[Mask]) -> bo
 
 def _image_table(m: Matroid, phi: Sequence[int]) -> list[Mask]:
     """phi(S) for every source subset S, built bottom-up."""
+    check_table_size(m.n)
     table = [0] * (1 << m.n)
     for s in range(1, 1 << m.n):
         low = s & -s
@@ -369,9 +371,12 @@ class DegeneracyVerdict:
 def degeneracy_class(phi: MatroidMorphism) -> DegeneracyVerdict:
     """Syntactic test of the three dependency conditions.
 
-    A: equal ranks.  B: rank drops by one and exactly one element maps to
-    a loop.  C: the loop-preimage restriction is uniform and the remaining
-    elements number exactly the target rank.  Every emitted annihilator is
+    A: equal ranks.  B: rank drops by one and exactly one element j maps
+    to a loop.  C: the loop-preimage restriction is uniform and the
+    remaining elements number exactly the target rank.  The annihilator
+    is d/dx0 for A; for B it is d/dx0 - (n - r + 1) d/dx_j, or d/dx_j
+    alone when j is a loop of the source; for C it is the sum of d/dx_e
+    over the loop preimage minus d/dx0.  Every emitted annihilator is
     checked against the reduced polynomial; failure is an internal error.
     """
     m = phi.source
@@ -395,8 +400,12 @@ def degeneracy_class(phi: MatroidMorphism) -> DegeneracyVerdict:
         coeffs[0] = Fraction(1)
     elif "B" in classes:
         j = elems_of(loops_mask)[0]
-        coeffs[0] = Fraction(1)
-        coeffs[j] = Fraction(-(n_elems - r + 1))
+        if m.loops & loops_mask:
+            # j is a loop of the source: no basis contains it, so d/dx_j kills P
+            coeffs[j] = Fraction(1)
+        else:
+            coeffs[0] = Fraction(1)
+            coeffs[j] = Fraction(-(n_elems - r + 1))
     else:
         coeffs[0] = Fraction(-1)
         for e in elems_of(loops_mask):

@@ -14,9 +14,11 @@ The generating polynomials:
                            degree rank.
 * f_slice(M, k)         -- the size-k layer of the independent-set sum.
 
-Calculus (partial derivatives, directional derivatives, evaluation,
-Hessians, the matrix of first-partial coefficients) is exact throughout;
-no floating point exists in this package.
+Calculus (partial derivatives, directional derivatives, evaluation, the
+matrix of first-partial coefficients) is exact throughout; no floating
+point exists in this package.  `hessian_matrix` is the package's only
+Hessian: it adds each term's second derivatives into the matrix in one
+pass over the term map, with no second-partial polynomials and no cache.
 """
 
 from __future__ import annotations
@@ -212,21 +214,50 @@ def evaluate(p: HomogPoly, point: Sequence):
     return total
 
 
-def hessian_at(p: HomogPoly, point: Sequence) -> SymMatrix:
-    """Matrix of second partials at the point, over the active variables."""
+def hessian_matrix(p: HomogPoly, point: Sequence) -> SymMatrix:
+    """Matrix of second partials at the point, over the active variables.
+
+    Built in one pass over the term map.  With P = prod of x_s over S, a
+    term c * x0^e0 * P adds c * x0^e0 * P / (x_a x_b) at (a, b) for a != b
+    in S, c * e0 * x0^(e0-1) * P / x_a at (x0, a) and
+    c * e0 * (e0-1) * x0^(e0-2) * P at (x0, x0); the products leave out
+    x_a and x_b rather than divide, so zero coordinates are exact.
+    """
     if p.degree < 2:
         raise ValueError("Hessian needs degree >= 2")
     if len(point) != len(p.active):
         raise ValueError("point length must match active variables")
-    firsts = [partial(p, i) for i in p.active]
     size = len(p.active)
-    rows = [[0] * size for _ in range(size)]
+    pos = {v: k for k, v in enumerate(p.active)}
+    coord = dict(zip(p.active, point))
+    x0 = coord.get(0, 0)
+    x = pos.get(0)
+    h = [[0] * size for _ in range(size)]  # each pair lands on one side
+    for (e0, mask), c in p.terms.items():
+        ks = [pos[b + 1] for b in bits_of(mask)]
+        vals = [coord[b + 1] for b in bits_of(mask)]
+        s = len(ks)
+        suffix = [1] * (s + 1)  # suffix[i] = prod of vals[i:]
+        for i in range(s - 1, -1, -1):
+            suffix[i] = suffix[i + 1] * vals[i]
+        head = c * x0**e0
+        d1 = c * e0 * x0 ** (e0 - 1) if e0 else 0
+        prefix = 1  # prod of vals[:i]
+        for i in range(s):
+            row = h[ks[i]]
+            if d1:
+                h[x][ks[i]] += d1 * prefix * suffix[i + 1]
+            run = head * prefix  # head * prod of vals[:j] except vals[i]
+            for j in range(i + 1, s):
+                row[ks[j]] += run * suffix[j + 1]
+                run *= vals[j]
+            prefix *= vals[i]
+        if e0 >= 2:
+            h[x][x] += c * e0 * (e0 - 1) * x0 ** (e0 - 2) * prefix
     for a in range(size):
-        for b in range(a, size):
-            v = evaluate(partial(firsts[a], p.active[b]), point)
-            rows[a][b] = v
-            rows[b][a] = v
-    return SymMatrix(rows)
+        for b in range(a):
+            h[a][b] = h[b][a] = h[a][b] + h[b][a]
+    return SymMatrix(h)
 
 
 def gradient_matrix(p: HomogPoly) -> list[list]:
@@ -256,7 +287,7 @@ def gradient_matrix(p: HomogPoly) -> list[list]:
 
 
 def rename_vars(p: HomogPoly, new_of_old: dict[int, int]) -> HomogPoly:
-    """Rename variables; x0 may only map to x0.  Used to undo minor relabelings."""
+    """Rename variables; x0 may only map to x0.  Used to undo the relabeling of a contraction."""
     new_active = []
     for i in p.active:
         j = new_of_old.get(i, i)

@@ -3,7 +3,7 @@
 Every claim the package verifies is bound to an exact computation here:
 basis-count and independent-count log-concavity with their equality
 characterizations, Hessian signatures at fixed and seeded points,
-derivative/minor identities, flat partitions, the degeneracy trichotomy
+derivative/contraction identities, flat partitions, the degeneracy trichotomy
 for morphisms, and the normalized morphism-count inequality.
 
 All decisions are exact rational comparisons; there is no tolerance
@@ -24,22 +24,17 @@ from typing import Optional, Sequence
 
 from . import matroids as mt
 from . import morphisms as mo
-from .lefschetz import (
-    gradient_rank,
-    hessian_inertia,
-    hessian_matrix,
-    hrr1,
-    point_verdicts,
-    scaled_integer_point,
-)
-from .linalg import inertia
+from .lefschetz import gradient_rank, hessian_inertia, hrr1, point_verdicts
+from .linalg import clear_denominators
 from .matroids import Matroid, elems_of, popcount
 from .polynomials import (
     HomogPoly,
+    add,
     basis_poly,
     evaluate,
     expand_class_sums,
     f_slice,
+    hessian_matrix,
     indep_poly,
     linear_apply,
     partial,
@@ -47,6 +42,7 @@ from .polynomials import (
     reduced_from_slices,
     reduced_indep_poly,
     rename_vars,
+    scale,
 )
 from .sampling import boundary_point, derive, positive_point
 
@@ -92,11 +88,7 @@ def _eval_scaled(p: HomogPoly, point: Sequence) -> Fraction:
 
     p(a) = p(lam * a) / lam^deg for the denominator-clearing factor lam.
     """
-    lam = 1
-    for v in point:
-        d = Fraction(v).denominator
-        lam = lam * d // math.gcd(lam, d)
-    scaled = tuple(int(Fraction(v) * lam) for v in point)
+    lam, scaled = clear_denominators(point)
     return Fraction(evaluate(p, scaled), lam**p.degree)
 
 
@@ -301,20 +293,6 @@ def _kernel_vector_annihilates(p: HomogPoly) -> bool:
     return linear_apply(p, coeffs).is_zero
 
 
-def _combine(p1: HomogPoly, p2: HomogPoly, t: int) -> HomogPoly:
-    """p1 + t * p2 for same-degree polynomials over the same actives."""
-    if t == 0:
-        return p1
-    terms = dict(p1.terms)
-    for k, c in p2.terms.items():
-        new = terms.get(k, 0) + t * c
-        if new == 0:
-            terms.pop(k, None)
-        else:
-            terms[k] = new
-    return HomogPoly(p1.active, p1.degree, terms)
-
-
 def _hodge_pair_rows(
     report: SuiteReport,
     name: str,
@@ -329,26 +307,29 @@ def _hodge_pair_rows(
     (l1l1 f)(a)(l2l2 f)(a) - ((l1l2 f)(a))^2 must be strictly negative.
     Both rows scale positively under point rescaling, so the sign is
     checked at the integerized point; the mixed entries use the Euler
-    identity on the degree-(d-1) first partials.
+    identity on the degree-(d-1) first partials, and the second partials
+    are read off the Hessian at the point.
     """
     d = p.degree
     firsts = {v: partial(p, v) for v in p.active}
+    pos = {v: k for k, v in enumerate(p.active)}
     bad = 0
     tested = 0
     for point in points:
-        a = scaled_integer_point(point)
+        _, a = clear_denominators(point)
         base = evaluate(p, a)
         if base <= 0:
             continue
         la_p = linear_apply(p, a)
         l1l1 = d * (d - 1) * base
         first_vals = {v: evaluate(firsts[v], a) for v in p.active}
+        h = hessian_matrix(p, a).rows
         for i, j in pairs:
-            dij = evaluate(partial(firsts[i], j), a)
-            dii = evaluate(partial(firsts[i], i), a)
-            djj = evaluate(partial(firsts[j], j), a)
+            dij = h[pos[i]][pos[j]]
+            dii = h[pos[i]][pos[i]]
+            djj = h[pos[j]][pos[j]]
             for t in (0, 1, -1):
-                if proportional(la_p, _combine(firsts[i], firsts[j], t)):
+                if proportional(la_p, add(firsts[i], scale(firsts[j], t))):
                     continue
                 l1l2 = (d - 1) * (first_vals[i] + t * first_vals[j])
                 l2l2 = dii + 2 * t * dij + t * t * djj
@@ -574,7 +555,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
                     Fraction(0) if (zero_mask >> ix) & 1 else rng.rational()
                     for ix in range(dim)
                 )
-                if inertia(hessian_matrix(poly, scaled_integer_point(a))).pos > 1:
+                if hessian_inertia(poly, a).pos > 1:
                     bound_ok = False
         report.check("closed-orthant-eigenvalue-bound", bound_ok)
 

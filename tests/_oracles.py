@@ -3,7 +3,8 @@
 Everything here deliberately avoids the production code paths: brute-force
 powerset scans instead of bitmask caches, Leibniz expansion instead of the
 Berkowitz recursion, flat-family axioms instead of basis-exchange
-filtering, plain fraction Gaussian elimination instead of Bareiss.
+filtering, plain fraction Gaussian elimination instead of Bareiss, one
+second-partial polynomial per entry instead of the one-pass Hessian.
 """
 
 from __future__ import annotations
@@ -210,6 +211,18 @@ def gauss_rank(rows) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def second_partials_hessian(p, point) -> tuple[tuple, ...]:
+    """Hessian rows at the point: each entry is its own second-partial
+    polynomial d/dx_a d/dx_b p, evaluated there (m^2 polynomials)."""
+    from mlz.polynomials import evaluate, partial
+
+    firsts = [partial(p, i) for i in p.active]
+    return tuple(
+        tuple(evaluate(partial(first, j), point) for j in p.active)
+        for first in firsts
+    )
 
 
 def sympy_inertia(rows) -> tuple[int, int, int]:

@@ -23,7 +23,7 @@ from mlz.matroids import catalog, elems_of, uniform
 from mlz.polynomials import (
     basis_poly,
     expand_class_sums,
-    hessian_at,
+    hessian_matrix,
     indep_poly,
     linear_apply,
     partial,
@@ -291,7 +291,7 @@ def test_criterion_10_final_example():
     e2 = {(1, 0b111 ^ (1 << k)): 1 for k in range(3)}
     expected = {(0, 0b111): 1, **e1, **e2}
     assert reduced.terms == expected
-    h = hessian_at(reduced, (0, 1, 1, 1))
+    h = hessian_matrix(reduced, (0, 1, 1, 1))
     ine = inertia(h)
     assert ine.zero >= 1
     assert ine.as_tuple() == (1, 2, 1)
@@ -333,7 +333,7 @@ def test_criterion_12_infrastructure():
     for m in catalog(4):
         if m.rank >= 2:
             a = positive_point(rng, m.n + 1)
-            matrices.append(hessian_at(reduced_indep_poly(m), a))
+            matrices.append(hessian_matrix(reduced_indep_poly(m), a))
         if len(matrices) == 50:
             break
     assert len(matrices) == 50

@@ -157,6 +157,9 @@ def test_round_trip_matroid_json(capsys, u23_file):
         ("bad_graph.json", {"vertices": 3, "edges": [[1, 2], [2, 5]]}, ["--graphic"]),
         (None, None, ["--uniform", "5,3"]),
         ("bad_repeat.json", {"n": 2, "bases": [[1, 1], [2, 2]]}, []),
+        # girth needs a table over all 2^40 subsets; the size guard refuses it
+        ("too_large.json", {"n": 40, "bases": [[1]]}, []),
+        ("too_large.json", {"n": 40, "bases": [[1]]}, ["--format", "json"]),
     ],
 )
 def test_malformed_matroid_input_exits_2_with_one_line(tmp_path, capsys, name, data, flags):
@@ -206,3 +209,36 @@ def test_mason_indep_weighted_below_girth_is_strict(capsys):
     out = capsys.readouterr().out
     assert "lhs=32/15 rhs=9/4 equal=false" in out
     assert "predicted_equal=false consistent=true" in out
+
+
+def test_morphism_class_with_source_loop_in_loop_preimage(tmp_path, capsys):
+    # class B whose one loop-preimage element (3) is a loop of the source
+    path = tmp_path / "phi.json"
+    path.write_text(
+        json.dumps(
+            {
+                "source": {"n": 3, "bases": [[1, 2]]},
+                "target": {"n": 2, "bases": [[1]]},
+                "map": [1, 1, 2],
+            }
+        )
+    )
+    assert run(["morphism", "class", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "classes=B annihilator=(0,0,0,1)\n"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("what", ["slp1", "hrr1"])
+def test_check_lines_and_exit_codes(capsys, u23_file, what):
+    name = what.upper()
+    assert run(["check", what, u23_file, "--at", "0,0,1"]) == 1
+    assert capsys.readouterr().out == f"{name}: inapplicable (value not positive)\n"
+    assert run(["check", what, u23_file, "--kind", "indep", "--at", "0,0,0,1"]) == 1
+    assert capsys.readouterr().out == f"{name}: inapplicable (value not positive)\n"
+    assert run(["check", what, u23_file, "--at", "1/2,2,3"]) == 0
+    assert capsys.readouterr().out == f"{name}: true inertia=(1,2,0) grad_rank=3\n"
+    # the reduced polynomial of U(2,3) has dependent partials: one zero
+    # eigenvalue, matching the gradient rank 3 of its 4 variables
+    assert run(["check", what, u23_file, "--kind", "reduced", "--at", "0,1,1,1"]) == 0
+    assert capsys.readouterr().out == f"{name}: true inertia=(1,2,1) grad_rank=3\n"

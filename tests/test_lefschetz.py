@@ -12,7 +12,6 @@ from mlz.lefschetz import (
     hrr1,
     lorentzian_witness,
     point_verdicts,
-    scaled_integer_point,
     slp1,
 )
 from mlz.matroids import catalog, direct_sum, uniform, validate_bases
@@ -22,11 +21,6 @@ from mlz.polynomials import HomogPoly, basis_poly, indep_poly, reduced_indep_pol
 # x0^2 + x1*x2: a non-negative quadratic whose Hessian has two positive
 # eigenvalues, the in-representation analogue of a sum of squares
 NOT_LOG_CONCAVE_QUADRATIC = HomogPoly((0, 1, 2), 2, {(2, 0): 1, (0, 0b11): 1})
-
-
-def test_scaled_integer_point():
-    assert scaled_integer_point((Fraction(1, 2), Fraction(2, 3), 1)) == (3, 4, 6)
-    assert scaled_integer_point((0, 1, 2)) == (0, 1, 2)
 
 
 def test_point_class_examples():
@@ -90,11 +84,14 @@ def test_point_verdicts_consistent_with_singletons():
 
 
 def test_hessian_matrix_matches_public_hessian():
-    from mlz.polynomials import hessian_at
+    from mlz import polynomials
 
+    from _oracles import second_partials_hessian
+
+    assert hessian_matrix is polynomials.hessian_matrix
     reduced = reduced_indep_poly(uniform(2, 3))
     a = (2, 1, 3, 1)
-    assert hessian_matrix(reduced, a) == hessian_at(reduced, a)
+    assert hessian_matrix(reduced, a).rows == second_partials_hessian(reduced, a)
 
 
 # -- Lorentzian witness -------------------------------------------------------------
@@ -163,8 +160,8 @@ def _verdicts_via_partial_basis(p, point):
     of the degree-1 quotient) and take the principal Hessian submatrix on
     them; the full-matrix route must agree with this reduced one.
     """
-    from mlz.linalg import inertia, matrix_rank
-    from mlz.polynomials import gradient_matrix, hessian_at, partial
+    from mlz.linalg import clear_denominators, inertia, matrix_rank
+    from mlz.polynomials import gradient_matrix
 
     rows = gradient_matrix(p)
     chosen: list[int] = []
@@ -173,7 +170,7 @@ def _verdicts_via_partial_basis(p, point):
         if matrix_rank(kept_rows + [row]) > len(chosen):
             chosen.append(ix)
             kept_rows.append(row)
-    h = hessian_at(p, scaled_integer_point(point))
+    h = hessian_matrix(p, clear_denominators(point)[1])
     sub = [[h.rows[a][b] for b in chosen] for a in chosen]
     ine = inertia(sub)
     g = len(chosen)

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlz.linalg import Inertia, SymMatrix, char_poly, inertia, matrix_rank
+from mlz.linalg import (
+    Inertia,
+    SymMatrix,
+    char_poly,
+    clear_denominators,
+    inertia,
+    matrix_rank,
+)
 from mlz.sampling import SplitMix64
 
 from _oracles import gauss_rank, leibniz_char_poly, random_unimodular, sympy_inertia
@@ -110,6 +117,51 @@ def rect_matrix(draw):
 @given(rect_matrix())
 def test_matrix_rank_matches_gauss(rows):
     assert matrix_rank(rows) == gauss_rank(rows)
+
+
+def test_clear_denominators_scales_a_point():
+    assert clear_denominators((Fraction(1, 2), Fraction(2, 3), 1)) == (6, (3, 4, 6))
+    assert clear_denominators((0, 1, 2)) == (1, (0, 1, 2))
+    # Fractions: the scale is the lcm of the denominators, not their product
+    assert clear_denominators((Fraction(1, 4), Fraction(5, 6))) == (12, (3, 10))
+    # zeros keep the scale at 1 and stay zero; Fraction(0) has denominator 1
+    assert clear_denominators((Fraction(0), 0, Fraction(1, 3))) == (3, (0, 0, 1))
+    # negatives keep their sign; the scale stays positive
+    assert clear_denominators((Fraction(-3, 4), -2, Fraction(1, -6))) == (12, (-9, -24, -2))
+    # all-int input, and Fractions that are integers, come back as plain ints
+    scale, ints = clear_denominators((7, -1, Fraction(8, 2)))
+    assert (scale, ints) == (1, (7, -1, 4))
+    assert all(type(v) is int for v in ints)
+    assert clear_denominators(()) == (1, ())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(rational, max_size=6))
+def test_clear_denominators_is_the_least_integer_scale(values):
+    scale, ints = clear_denominators(values)
+    assert scale >= 1 and all(type(v) is int for v in ints)
+    assert list(ints) == [v * scale for v in values]
+    assert all(not all((v * k).denominator == 1 for v in values) for k in range(1, scale))
+
+
+def test_matrix_rank_on_fraction_rows_matches_gauss():
+    # gradient matrices of catalog polynomials with every entry divided by a
+    # seeded integer, so each row needs its own scale
+    from mlz.matroids import catalog
+    from mlz.polynomials import gradient_matrix, reduced_indep_poly
+
+    rng = SplitMix64(5)
+    checked = 0
+    for m in catalog(4):
+        if m.rank == 0:
+            continue
+        rows = [
+            [Fraction(v, 1 + rng.next64() % 7) for v in row]
+            for row in gradient_matrix(reduced_indep_poly(m))
+        ]
+        assert matrix_rank(rows) == gauss_rank(rows), m
+        checked += 1
+    assert checked == len(catalog(4)) - 1
 
 
 def test_symmatrix_rejects_non_symmetric():

@@ -329,6 +329,29 @@ def test_parallel_decomposition_matches_rank_table():
             assert m.parallel_decomposition.classes == tuple(classes), m
 
 
+# -- size guard on the 2^n tables ---------------------------------------------------
+
+
+def test_subset_tables_refuse_large_ground_sets():
+    # 40 elements, one basis: cheap to build, but 2^40 subsets per table;
+    # each table must raise before it allocates or scans anything
+    from mlz.morphisms import _image_table
+
+    big = validate_bases(40, [[1]])
+    for table in ("rank_table", "closure_table", "circuits", "flats"):
+        with pytest.raises(MatroidError, match="2\\^40 subsets"):
+            getattr(big, table)
+    with pytest.raises(MatroidError):
+        big.girth
+    with pytest.raises(MatroidError):
+        _image_table(big, [1] * 40)
+    assert big._cache.keys().isdisjoint({"rank_table", "closure_table", "circuits"})
+    # the largest admitted ground set still passes the guard
+    mt.check_table_size(mt.TABLE_MAX_GROUND)
+    with pytest.raises(MatroidError):
+        mt.check_table_size(mt.TABLE_MAX_GROUND + 1)
+
+
 # -- minors -----------------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from mlz.matroids import (
@@ -171,12 +173,12 @@ def test_poly_of_full_rank_to_point_morphism():
 def test_full_rank_to_point_hessian_matches_reduced_uniform():
     # at the x0 = 0 boundary this Hessian coincides with the one of the
     # reduced polynomial of the rank-2 uniform matroid at the ones point
-    from mlz.polynomials import hessian_at, reduced_indep_poly
+    from mlz.polynomials import hessian_matrix, reduced_indep_poly
 
     phi = validate_morphism(uniform(3, 3), uniform(1, 1), [1, 1, 1])
     _, reduced = morphism_poly(phi)
-    h1 = hessian_at(reduced, (0, 1, 1, 1))
-    h2 = hessian_at(reduced_indep_poly(uniform(2, 3)), (1, 1, 1, 1))
+    h1 = hessian_matrix(reduced, (0, 1, 1, 1))
+    h2 = hessian_matrix(reduced_indep_poly(uniform(2, 3)), (1, 1, 1, 1))
     assert h1 == h2
 
 
@@ -261,6 +263,38 @@ def test_annihilator_always_kills_reduced_poly():
             if verdict.annihilator is not None:
                 _, reduced = morphism_poly(phi)
                 assert linear_apply(reduced, verdict.annihilator).is_zero
+
+
+def test_case_b_with_source_loop_uses_coordinate_form():
+    # element 3 is the one loop preimage and a loop of the source: no basis
+    # contains it, so d/dx3 kills the reduced polynomial
+    src = direct_sum(uniform(2, 2), uniform(0, 1))
+    phi = validate_morphism(src, LOOP_COLOOP, [2, 2, 1])
+    verdict = degeneracy_class(phi)
+    assert verdict.classes == frozenset({"B"})
+    assert verdict.annihilator == (0, 0, 0, 1)
+
+
+def test_degeneracy_class_never_raises_on_catalog_sources():
+    """Every morphism from a catalog source on <= 4 elements, loops and
+    parallel elements included, to a target on <= 3 elements.
+
+    degeneracy_class raises AnnihilatorCheckFailed when its form does not
+    kill the reduced polynomial; class B whose loop preimage is a source
+    loop must get the coordinate form of that loop."""
+    targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
+    count = loop_b = 0
+    for n in range(1, 5):
+        for m in catalog(n):
+            for phi in enumerate_morphisms(m, targets):
+                count += 1
+                verdict = degeneracy_class(phi)
+                if verdict.classes & {"A", "B"} == {"B"} and m.loops & phi.phi_loops:
+                    loop_b += 1
+                    (j,) = elems_of(phi.phi_loops)
+                    form = tuple(Fraction(int(k == j)) for k in range(n + 1))
+                    assert verdict.annihilator == form, phi
+    assert (count, loop_b) == (22354, 644)
 
 
 # -- the normalized count inequality ----------------------------------------------------

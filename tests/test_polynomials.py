@@ -21,7 +21,7 @@ from mlz.polynomials import (
     expand_class_sums,
     f_slice,
     gradient_matrix,
-    hessian_at,
+    hessian_matrix,
     indep_poly,
     linear_apply,
     partial,
@@ -32,6 +32,9 @@ from mlz.polynomials import (
     rename_vars,
 )
 from mlz.linalg import matrix_rank
+from mlz.sampling import boundary_point, derive, positive_point
+
+from _oracles import second_partials_hessian
 
 TWO_CLASS = validate_bases(4, [[1, 3], [1, 4], [2, 3], [2, 4]])
 
@@ -193,12 +196,12 @@ def test_zero_polynomial_is_first_class():
 
 
 def test_hessian_degree2_constant():
-    h = hessian_at(basis_poly(uniform(2, 3)), (5, 7, 11))
+    h = hessian_matrix(basis_poly(uniform(2, 3)), (5, 7, 11))
     assert [list(r) for r in h.rows] == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 
 def test_hessian_reduced_at_ones():
-    h = hessian_at(reduced_indep_poly(uniform(2, 3)), (1, 1, 1, 1))
+    h = hessian_matrix(reduced_indep_poly(uniform(2, 3)), (1, 1, 1, 1))
     assert [list(r) for r in h.rows] == [
         [6, 2, 2, 2],
         [2, 0, 1, 1],
@@ -209,7 +212,56 @@ def test_hessian_reduced_at_ones():
 
 def test_hessian_requires_degree_2():
     with pytest.raises(ValueError):
-        hessian_at(basis_poly(uniform(1, 2)), (1, 1))
+        hessian_matrix(basis_poly(uniform(1, 2)), (1, 1))
+
+
+def _hessian_points(rng, k):
+    """(1,...,1), (0,1,...,1), a seeded positive point, a seeded boundary
+    point and a fractional point, each with k coordinates."""
+    return [
+        (1,) * k,
+        (0,) + (1,) * (k - 1),
+        positive_point(rng, k),
+        boundary_point(rng, k),
+        tuple(Fraction(i + 1, 3) for i in range(k)),
+    ]
+
+
+def test_hessian_matches_second_partials_oracle_on_catalog():
+    checked = 0
+    for n in range(1, 6):
+        for idx, m in enumerate(catalog(n)):
+            rng = derive(11, n, idx)
+            for p in (basis_poly(m), indep_poly(m), reduced_indep_poly(m)):
+                if p.degree < 2:
+                    continue
+                for a in _hessian_points(rng, len(p.active)):
+                    assert hessian_matrix(p, a).rows == second_partials_hessian(p, a), (m, a)
+                    checked += 1
+    assert checked == 6825
+
+
+def test_hessian_matches_second_partials_oracle_on_morphism_families():
+    from mlz.morphisms import enumerate_morphisms, morphism_poly
+
+    targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
+    seen = set()
+    for n in range(1, 5):
+        for m in catalog(n):
+            if not m.is_simple:
+                continue
+            for phi in enumerate_morphisms(m, targets):
+                _, reduced = morphism_poly(phi)
+                key = (reduced.active, frozenset(reduced.terms.items()))
+                if reduced.degree < 2 or key in seen:
+                    continue
+                seen.add(key)
+                rng = derive(13, len(seen))
+                for a in _hessian_points(rng, n + 1):
+                    assert hessian_matrix(reduced, a).rows == second_partials_hessian(
+                        reduced, a
+                    ), (phi, a)
+    assert seen
 
 
 def test_gradient_ranks():
