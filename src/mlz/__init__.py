@@ -70,6 +70,7 @@ from .morphisms import (
     validate_morphism,
 )
 from .polynomials import (
+    HessianPlan,
     HomogPoly,
     basis_poly,
     evaluate,

@@ -19,10 +19,12 @@ verdict instead of a boolean.
 Points are integerized by `linalg.clear_denominators` before spectra are
 taken: every polynomial here is homogeneous, so a positive rescaling
 multiplies the Hessian by a positive scalar and changes neither inertia
-nor rank nor value signs.  The Hessian is `polynomials.hessian_matrix`,
-assembled afresh at each point.  Its rank comes from the inertia
-(rank = pos + neg for symmetric matrices), so one characteristic
-polynomial serves both checks.
+nor rank nor value signs.  The Hessian H at a comes from a
+`polynomials.HessianPlan`; a caller that checks one polynomial at many
+points passes its plan in.  The sign of p(a) is read from H by Euler's
+identity a^T H a = d (d - 1) p(a), and H's rank from its inertia
+(rank = pos + neg for symmetric matrices), so one symmetric elimination
+serves both checks.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .linalg import Inertia, clear_denominators, inertia, matrix_rank
 from .polynomials import (
+    HessianPlan,
     HomogPoly,
-    evaluate,
     gradient_matrix,
     hessian_matrix,
     iterated_partial,
@@ -77,20 +80,26 @@ class PointVerdicts:
 
 
 def point_verdicts(
-    p: HomogPoly, point: Sequence, *, grad_rank: Optional[int] = None
+    p: HomogPoly,
+    point: Sequence,
+    *,
+    grad_rank: Optional[int] = None,
+    plan: Optional[HessianPlan] = None,
 ) -> PointVerdicts:
     """slp1/hrr1 verdicts from a single Hessian spectrum at the point.
 
-    Returns verdicts None when the point value is not positive (the
-    checks are undefined there).
+    `plan`, when given, must be compiled from p.  Returns verdicts None
+    when the point value is not positive (the checks are undefined there).
     """
     if p.degree < 2:
         raise ValueError("point checks need degree >= 2")
     _, scaled = clear_denominators(point)
-    if evaluate(p, scaled) <= 0:
+    h = (plan or HessianPlan(p)).at(scaled).rows
+    # Euler: a^T H a = d (d - 1) p(a), and d (d - 1) > 0
+    if sum(a * sum(map(mul, row, scaled)) for a, row in zip(scaled, h)) <= 0:
         return PointVerdicts(False, None, None, None)
     g = gradient_rank(p) if grad_rank is None else grad_rank
-    ine = inertia(hessian_matrix(p, scaled))
+    ine = inertia(h)
     return PointVerdicts(
         True,
         ine,
@@ -185,9 +194,10 @@ def lorentzian_witness(p: HomogPoly, points: Sequence[Sequence]) -> WitnessRepor
             if pos > 1:
                 report.failures.append(WitnessFailure(orders, None, pos))
             continue
+        plan = HessianPlan(q)
         for raw, point in zip(points, scaled):
             report.sampled += 1
-            pos = inertia(hessian_matrix(q, point)).pos
+            pos = inertia(plan.at(point)).pos
             if pos != 1:
                 report.failures.append(
                     WitnessFailure(orders, tuple(raw), pos)

@@ -1,16 +1,17 @@
 """Exact symmetric-matrix spectra over the rationals.
 
 Inertia (positive/negative/zero eigenvalue counts) is computed with no
-floating point: the characteristic polynomial comes from the
-division-free Samuelson-Berkowitz recursion, the zero multiplicity is the
-number of trailing zero coefficients, and the positive count is the number
-of Descartes sign variations -- exact because symmetric matrices are
-real-rooted.  Rank uses fraction-free (Bareiss) elimination on integer
-rows after clearing denominators.
+floating point, by Sylvester's law of inertia: symmetric fraction-free
+(Bareiss) elimination turns the matrix, by congruences, into pivots whose
+signs are the eigenvalue signs and a zero block whose size is the
+nullity.  Rank uses the same fraction-free elimination on integer rows.
+Both assert that every Bareiss division is exact.  `char_poly`, the
+division-free Samuelson-Berkowitz characteristic polynomial, stays as a
+public spectrum helper; no check in the package calls it.
 
 `clear_denominators` is the one place where denominators are cleared:
-Hessian points, weighted evaluation points and the rows given to
-`matrix_rank` all become integers through it.
+Hessian points, weighted evaluation points and the entries given to
+`inertia` and `matrix_rank` all become integers through it.
 """
 
 from __future__ import annotations
@@ -65,21 +66,6 @@ class SymMatrix:
     def entry(self, i: int, j: int):
         return self.rows[i][j]
 
-    def congruence(self, t_rows: Sequence[Sequence]) -> "SymMatrix":
-        """T^t * A * T for a square transform T given by rows."""
-        n = self.size
-        if len(t_rows) != n or any(len(r) != n for r in t_rows):
-            raise ValueError("transform shape mismatch")
-        at = [
-            [sum(self.rows[i][k] * t_rows[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        out = [
-            [sum(t_rows[k][i] * at[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        return SymMatrix(out)
-
 
 def clear_denominators(values: Sequence) -> tuple[int, tuple[int, ...]]:
     """(scale, ints): the least positive integer scale that makes every
@@ -129,18 +115,62 @@ def char_poly(a: SymMatrix | Sequence[Sequence]) -> tuple:
 
 
 def inertia(a: SymMatrix | Sequence[Sequence]) -> Inertia:
-    """Exact eigenvalue sign counts of a symmetric rational matrix."""
-    coeffs = list(char_poly(a))
-    zero = 0
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-        zero += 1
-    nonzero = [c for c in coeffs if c != 0]
-    pos = sum(
-        1 for c1, c2 in zip(nonzero, nonzero[1:]) if (c1 > 0) != (c2 > 0)
-    )
-    size = a.size if isinstance(a, SymMatrix) else len(a)
-    return Inertia(pos, size - pos - zero, zero)
+    """Exact eigenvalue sign counts of a symmetric rational matrix.
+
+    Symmetric fraction-free elimination on the integer matrix left by
+    `clear_denominators` (a positive scale, which keeps every sign).  Each
+    step pivots on a nonzero diagonal entry, moved to the front by a
+    symmetric swap; when the remaining diagonal is all zero but some a_ij
+    is not, the unimodular congruence "row/col i += row/col j" puts
+    2 * a_ij on the diagonal first.  The Bareiss update
+    (p * a_ij - a_ik * a_kj) / prev keeps every entry an integer minor of
+    the transformed matrix, so the division is exact; the k-th leading
+    minor is the pivot p, and the k-th pivot of the LDL^T factorization,
+    p / prev, has the sign of p * prev.  By Sylvester's law of inertia
+    these signs count the positive and negative eigenvalues, and the zero
+    block left at the end is the nullity.
+    """
+    rows = a.rows if isinstance(a, SymMatrix) else a
+    size = len(rows)
+    _, flat = clear_denominators([v for row in rows for v in row])
+    m = [list(flat[i * size : (i + 1) * size]) for i in range(size)]
+    pos = neg = 0
+    prev = 1
+    for k in range(size):
+        piv = next((i for i in range(k, size) if m[i][i]), None)
+        if piv is None:
+            pair = next(
+                ((i, j) for i in range(k, size) for j in range(i + 1, size) if m[i][j]),
+                None,
+            )
+            if pair is None:
+                break
+            piv, j = pair
+            row_i, row_j = m[piv], m[j]
+            for t in range(k, size):
+                row_i[t] += row_j[t]
+            for t in range(k, size):
+                m[t][piv] += m[t][j]
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            for row in m[k:]:
+                row[k], row[piv] = row[piv], row[k]
+        row_k = m[k]
+        p = row_k[k]
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, size):
+            row_i = m[i]
+            a_ik = row_i[k]
+            for j in range(i, size):
+                quot, rem = divmod(p * row_i[j] - a_ik * row_k[j], prev)
+                if rem:
+                    raise ArithmeticError("fraction-free elimination lost exactness")
+                row_i[j] = m[j][i] = quot
+        prev = p
+    return Inertia(pos, neg, size - pos - neg)
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:

@@ -10,7 +10,8 @@ labeled matroid on up to six elements by filtering r-subset families
 through the basis-exchange axiom, which is what the verification suites
 iterate over.  Constructors (uniform, graphic, direct sums, minors) work
 at any size that fits in memory; the tables over all 2^n subsets (rank,
-closure, circuits) refuse ground sets above TABLE_MAX_GROUND elements.
+closure, circuits) and the list of independent sets refuse ground sets
+above TABLE_MAX_GROUND elements.
 """
 
 from __future__ import annotations
@@ -164,9 +165,13 @@ class Matroid:
 
     @property
     def independent_masks(self) -> frozenset[Mask]:
-        """All independent sets, as masks (downward closure of the bases)."""
+        """All independent sets, as masks (downward closure of the bases).
+
+        There can be 2^n of them, so ground sets above TABLE_MAX_GROUND
+        elements raise MatroidError, as for the 2^n tables."""
 
         def build():
+            check_table_size(self.n)
             seen = set(self.bases)
             frontier = list(self.bases)
             while frontier:
@@ -446,10 +451,6 @@ def validate_bases(n: int, candidate: Iterable[Iterable[int]]) -> Matroid:
             e = next(e for e in basis if basis.count(e) > 1)
             raise MatroidError(f"field 'bases': element {e} repeats in {list(basis)}")
     return Matroid(n, frozenset(mask_of(b) for b in bases))
-
-
-def from_masks(n: int, masks: Iterable[Mask]) -> Matroid:
-    return Matroid(n, frozenset(masks))
 
 
 def from_json_dict(data: dict) -> Matroid:

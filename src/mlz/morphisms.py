@@ -20,8 +20,9 @@ construction.
 
 Many maps share one basis family.  Whatever depends on the bases alone
 (polynomials, gradient rank, level exchange checks, fixed-point verdicts,
-count profile, annihilator checks) lives on a BasisFamily, memoized by
-`basis_family` under the hashable MorphismBases value.
+count profile, annihilator checks, the compiled Hessian plan of the
+reduced form) lives on a BasisFamily, memoized by `basis_family` under
+the hashable MorphismBases value.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .matroids import (
     popcount,
     restrict,
 )
-from .polynomials import HomogPoly, linear_apply, partial
+from .polynomials import HessianPlan, HomogPoly, linear_apply, partial
 
 
 MORPHISM_SOURCE_MAX = 5
@@ -301,16 +302,26 @@ class BasisFamily:
         return True
 
     @cached_property
+    def hessian_plan(self) -> HessianPlan:
+        """The reduced polynomial's Hessian, compiled once: every map of
+        the family checks it at its own seeded points."""
+        return HessianPlan(self.polys[1])
+
+    def verdicts_at(self, point: Sequence) -> PointVerdicts:
+        """slp1/hrr1 verdicts of the reduced polynomial (degree >= 2) at the point."""
+        return point_verdicts(
+            self.polys[1], point, grad_rank=self.grad_rank, plan=self.hessian_plan
+        )
+
+    @cached_property
     def fixed_point_verdicts(self) -> tuple[tuple[tuple, PointVerdicts], ...]:
         """(point, verdicts) of the reduced polynomial at (1,...,1) and
         (0,1,...,1); empty when its degree is below 2."""
-        reduced = self.polys[1]
-        if reduced.degree < 2:
+        if self.polys[1].degree < 2:
             return ()
         n = self.bases.n
         return tuple(
-            (a, point_verdicts(reduced, a, grad_rank=self.grad_rank))
-            for a in ((1,) + (1,) * n, (0,) + (1,) * n)
+            (a, self.verdicts_at(a)) for a in ((1,) + (1,) * n, (0,) + (1,) * n)
         )
 
     @cached_property

@@ -16,9 +16,12 @@ The generating polynomials:
 
 Calculus (partial derivatives, directional derivatives, evaluation, the
 matrix of first-partial coefficients) is exact throughout; no floating
-point exists in this package.  `hessian_matrix` is the package's only
-Hessian: it adds each term's second derivatives into the matrix in one
-pass over the term map, with no second-partial polynomials and no cache.
+point exists in this package.  `HessianPlan` is the package's only
+Hessian: it compiles a polynomial's second derivatives once into flat
+contributions, with no second-partial polynomials, and fills them at each
+point from a table of subset products.  `hessian_matrix` compiles a plan
+and fills it once; a caller that evaluates one polynomial at many points
+keeps the plan.
 """
 
 from __future__ import annotations
@@ -214,50 +217,90 @@ def evaluate(p: HomogPoly, point: Sequence):
     return total
 
 
-def hessian_matrix(p: HomogPoly, point: Sequence) -> SymMatrix:
-    """Matrix of second partials at the point, over the active variables.
+class HessianPlan:
+    """A polynomial's second partials, compiled once and filled at any point.
 
-    Built in one pass over the term map.  With P = prod of x_s over S, a
-    term c * x0^e0 * P adds c * x0^e0 * P / (x_a x_b) at (a, b) for a != b
-    in S, c * e0 * x0^(e0-1) * P / x_a at (x0, a) and
-    c * e0 * (e0-1) * x0^(e0-2) * P at (x0, x0); the products leave out
-    x_a and x_b rather than divide, so zero coordinates are exact.
+    Compiling walks the term map once.  With P = prod of x_s over S, a term
+    c * x0^e0 * P adds c * x0^e0 * P / (x_a x_b) at (a, b) for a != b in S,
+    c * e0 * x0^(e0-1) * P / x_a at (x0, a) and
+    c * e0 * (e0-1) * x0^(e0-2) * P at (x0, x0).  Each becomes one
+    contribution (row * size + col, coefficient, x0 power, product index),
+    where the index names the subset of S left after removing x_a and x_b
+    in a table of subset products; removing rather than dividing keeps
+    zero coordinates exact.  The table lists every subset used together
+    with the chain of subsets it is built from (drop the lowest element),
+    so a point fills it with one multiplication per subset.  Contributions
+    and chain links are stored flat, four and two values at a time, since
+    a plan kept for every morphism family costs memory per tuple.
     """
-    if p.degree < 2:
-        raise ValueError("Hessian needs degree >= 2")
-    if len(point) != len(p.active):
-        raise ValueError("point length must match active variables")
-    size = len(p.active)
-    pos = {v: k for k, v in enumerate(p.active)}
-    coord = dict(zip(p.active, point))
-    x0 = coord.get(0, 0)
-    x = pos.get(0)
-    h = [[0] * size for _ in range(size)]  # each pair lands on one side
-    for (e0, mask), c in p.terms.items():
-        ks = [pos[b + 1] for b in bits_of(mask)]
-        vals = [coord[b + 1] for b in bits_of(mask)]
-        s = len(ks)
-        suffix = [1] * (s + 1)  # suffix[i] = prod of vals[i:]
-        for i in range(s - 1, -1, -1):
-            suffix[i] = suffix[i + 1] * vals[i]
-        head = c * x0**e0
-        d1 = c * e0 * x0 ** (e0 - 1) if e0 else 0
-        prefix = 1  # prod of vals[:i]
-        for i in range(s):
-            row = h[ks[i]]
-            if d1:
-                h[x][ks[i]] += d1 * prefix * suffix[i + 1]
-            run = head * prefix  # head * prod of vals[:j] except vals[i]
-            for j in range(i + 1, s):
-                row[ks[j]] += run * suffix[j + 1]
-                run *= vals[j]
-            prefix *= vals[i]
-        if e0 >= 2:
-            h[x][x] += c * e0 * (e0 - 1) * x0 ** (e0 - 2) * prefix
-    for a in range(size):
-        for b in range(a):
-            h[a][b] = h[b][a] = h[a][b] + h[b][a]
-    return SymMatrix(h)
+
+    __slots__ = ("size", "degree", "x0", "chain", "contribs")
+
+    def __init__(self, p: HomogPoly):
+        if p.degree < 2:
+            raise ValueError("Hessian needs degree >= 2")
+        size = len(p.active)
+        pos = {v: k for k, v in enumerate(p.active)}
+        x = pos.get(0)
+        index = {0: 0}  # subset mask -> slot in the products table
+        # slot t >= 1 is chain[2t-2 : 2t]: the slot of the subset without
+        # its lowest element, and that element's position
+        chain = []
+
+        def slot(mask: Mask) -> int:
+            t = index.get(mask)
+            if t is None:
+                low = mask & -mask
+                chain.extend((slot(mask ^ low), pos[low.bit_length()]))
+                t = index[mask] = len(chain) // 2
+            return t
+
+        contribs = []
+        for (e0, mask), c in p.terms.items():
+            bits = list(bits_of(mask))
+            ks = [pos[b + 1] for b in bits]
+            for i, b in enumerate(bits):
+                rest = mask ^ (1 << b)
+                if e0:
+                    contribs.extend((x * size + ks[i], c * e0, e0 - 1, slot(rest)))
+                for j in range(i + 1, len(bits)):
+                    contribs.extend(
+                        (ks[i] * size + ks[j], c, e0, slot(rest ^ (1 << bits[j])))
+                    )
+            if e0 >= 2:
+                contribs.extend((x * size + x, c * e0 * (e0 - 1), e0 - 2, slot(mask)))
+        self.size = size
+        self.degree = p.degree
+        self.x0 = x
+        self.chain = tuple(chain)
+        self.contribs = tuple(contribs)
+
+    def at(self, point: Sequence) -> SymMatrix:
+        """The Hessian at the point, given in active-variable order."""
+        size = self.size
+        if len(point) != size:
+            raise ValueError("point length must match active variables")
+        prods = [1]
+        links = iter(self.chain)
+        for parent, k in zip(links, links):
+            prods.append(prods[parent] * point[k])
+        x0 = 0 if self.x0 is None else point[self.x0]
+        x0_pow = [x0**e for e in range(self.degree - 1)]
+        h = [0] * (size * size)  # each pair lands on one side
+        terms = iter(self.contribs)
+        for rc, c, e, t in zip(terms, terms, terms, terms):
+            h[rc] += c * x0_pow[e] * prods[t]
+        rows = [h[i * size : (i + 1) * size] for i in range(size)]
+        for a in range(size):
+            for b in range(a):
+                rows[a][b] = rows[b][a] = rows[a][b] + rows[b][a]
+        return SymMatrix(rows)
+
+
+def hessian_matrix(p: HomogPoly, point: Sequence) -> SymMatrix:
+    """Matrix of second partials at the point, over the active variables:
+    a HessianPlan compiled for p and filled once."""
+    return HessianPlan(p).at(point)
 
 
 def gradient_matrix(p: HomogPoly) -> list[list]:

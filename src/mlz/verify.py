@@ -28,6 +28,7 @@ from .lefschetz import gradient_rank, hessian_inertia, hrr1, point_verdicts
 from .linalg import clear_denominators
 from .matroids import Matroid, elems_of, popcount
 from .polynomials import (
+    HessianPlan,
     HomogPoly,
     add,
     basis_poly,
@@ -530,9 +531,10 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
             [p] if p.degree >= 2 else []
         ):
             g = gradient_rank(poly)
+            plan = HessianPlan(poly)
             pts = wit_pts if poly is f else wit_pts_p
             for a in pts:
-                v = point_verdicts(poly, a, grad_rank=g)
+                v = point_verdicts(poly, a, grad_rank=g, plan=plan)
                 if not v.value_positive or v.slp1 != v.hrr1:
                     agree_ok = False
                 if not v.hrr1:
@@ -704,7 +706,7 @@ def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
     else:
         checked = list(family.fixed_point_verdicts)
         for a in (positive_point(rng, n + 1), boundary_point(rng, n + 1)):
-            checked.append((a, point_verdicts(reduced, a, grad_rank=g)))
+            checked.append((a, family.verdicts_at(a)))
         verdicts = [_render_point_verdicts(a, v) for a, v in checked]
     report.add("reduced-point-verdicts", "recorded", " ".join(verdicts))
     return report

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the production code paths: brute-force
 powerset scans instead of bitmask caches, Leibniz expansion instead of the
-Berkowitz recursion, flat-family axioms instead of basis-exchange
-filtering, plain fraction Gaussian elimination instead of Bareiss, one
-second-partial polynomial per entry instead of the one-pass Hessian.
+Berkowitz recursion, characteristic-polynomial signs instead of symmetric
+elimination, flat-family axioms instead of basis-exchange filtering,
+plain fraction Gaussian elimination instead of Bareiss, one second-partial
+polynomial per entry instead of the compiled Hessian plan.
 """
 
 from __future__ import annotations
@@ -183,6 +184,38 @@ def leibniz_char_poly(rows) -> tuple[Fraction, ...]:
         for d, c in enumerate(poly):
             total[d] += c
     return tuple(reversed(total))
+
+
+def berkowitz_inertia(rows) -> tuple[int, int, int]:
+    """(pos, neg, zero) from the Berkowitz characteristic polynomial: the
+    zero multiplicity is the number of trailing zero coefficients and the
+    positive count the number of Descartes sign variations, exact because
+    a symmetric matrix is real-rooted."""
+    from mlz.linalg import char_poly
+
+    coeffs = list(char_poly(rows))
+    zero = 0
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+    nonzero = [c for c in coeffs if c != 0]
+    pos = sum(1 for c1, c2 in zip(nonzero, nonzero[1:]) if (c1 > 0) != (c2 > 0))
+    return (pos, len(rows) - pos - zero, zero)
+
+
+def congruence(rows, t_rows) -> list[list]:
+    """T^t * A * T for a square transform T given by rows."""
+    n = len(rows)
+    if len(t_rows) != n or any(len(r) != n for r in t_rows):
+        raise ValueError("transform shape mismatch")
+    at = [
+        [sum(rows[i][k] * t_rows[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    return [
+        [sum(t_rows[k][i] * at[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def gauss_rank(rows) -> int:

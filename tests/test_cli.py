@@ -175,6 +175,25 @@ def test_malformed_matroid_input_exits_2_with_one_line(tmp_path, capsys, name, d
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", "--kind", "indep"],
+        ["poly", "--kind", "reduced"],
+        ["hessian", "--kind", "indep", "--at", ",".join(["1"] * 41)],
+    ],
+)
+def test_independent_sets_of_a_large_free_matroid_exit_2(tmp_path, capsys, argv):
+    # 2^40 independent sets: the size guard refuses them before any is built
+    path = tmp_path / "free40.json"
+    path.write_text(json.dumps({"n": 40, "bases": [list(range(1, 41))]}))
+    assert run(argv[:1] + [str(path)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
 _U23 = {"n": 3, "bases": [[1, 2], [1, 3], [2, 3]]}
 _POINT = {"n": 1, "bases": [[1]]}
 

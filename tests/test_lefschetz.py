@@ -83,6 +83,28 @@ def test_point_verdicts_consistent_with_singletons():
     assert v.slp1 is True and v.hrr1 is True
 
 
+def test_point_value_sign_from_hessian_matches_evaluate():
+    """point_verdicts reads the sign of p(a) from a^T H a (Euler); it must
+    agree with evaluating p, also at boundary points where p(a) vanishes."""
+    from mlz.polynomials import evaluate
+    from mlz.sampling import boundary_point, derive, positive_point
+
+    inapplicable = 0
+    for idx, m in enumerate(catalog(4)):
+        rng = derive(17, idx)
+        for p in (basis_poly(m), indep_poly(m), reduced_indep_poly(m)):
+            if p.degree < 2:
+                continue
+            k = len(p.active)
+            points = [(0,) + (1,) * (k - 1), positive_point(rng, k)]
+            points += [boundary_point(rng, k) for _ in range(3)]
+            for a in points:
+                v = point_verdicts(p, a)
+                assert v.value_positive == (evaluate(p, a) > 0), (m, a)
+                inapplicable += not v.value_positive
+    assert inapplicable
+
+
 def test_hessian_matrix_matches_public_hessian():
     from mlz import polynomials
 

@@ -14,7 +14,14 @@ from mlz.linalg import (
 )
 from mlz.sampling import SplitMix64
 
-from _oracles import gauss_rank, leibniz_char_poly, random_unimodular, sympy_inertia
+from _oracles import (
+    berkowitz_inertia,
+    congruence,
+    gauss_rank,
+    leibniz_char_poly,
+    random_unimodular,
+    sympy_inertia,
+)
 
 
 def test_char_poly_fixed_cases():
@@ -73,6 +80,37 @@ def test_inertia_matches_sympy(rows):
     assert inertia(rows).as_tuple() == sympy_inertia(rows)
 
 
+@st.composite
+def structured_symmetric_matrix(draw):
+    """Symmetric matrices of int or Fraction entries: general, with an
+    all-zero diagonal (the elimination must make its own pivots), or of low
+    rank (a signed sum of fewer than n forms v v^T, so a zero block is left)."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = draw(st.sampled_from([st.integers(min_value=-5, max_value=5), rational]))
+    shape = draw(st.sampled_from(["general", "zero-diagonal", "low-rank"]))
+    rows = [[0] * n for _ in range(n)]
+    if shape == "low-rank":
+        for _ in range(draw(st.integers(min_value=0, max_value=n - 1))):
+            v = draw(st.lists(entry, min_size=n, max_size=n))
+            sign = draw(st.sampled_from([1, -1]))
+            for i in range(n):
+                for j in range(n):
+                    rows[i][j] += sign * v[i] * v[j]
+        return rows
+    for i in range(n):
+        for j in range(i, n):
+            if i < j or shape == "general":
+                rows[i][j] = rows[j][i] = draw(entry)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(structured_symmetric_matrix())
+def test_inertia_matches_berkowitz(rows):
+    assert inertia(rows).as_tuple() == berkowitz_inertia(rows)
+    assert inertia(SymMatrix(rows)) == inertia(rows)
+
+
 def test_inertia_congruence_invariance_sample():
     rng = SplitMix64(2024)
     for trial in range(50):
@@ -83,10 +121,9 @@ def test_inertia_congruence_invariance_sample():
                 v = (rng.next64() % 11) - 5
                 rows[i][j] = rows[j][i] = v
         base = inertia(rows)
-        mat = SymMatrix(rows)
         for _ in range(10):
             t = random_unimodular(rng, size)
-            assert inertia(mat.congruence(t)) == base
+            assert inertia(congruence(rows, t)) == base
 
 
 def test_matrix_rank_fixed():

@@ -182,6 +182,33 @@ def test_full_rank_to_point_hessian_matches_reduced_uniform():
     assert h1 == h2
 
 
+def test_family_keeps_one_plan_that_matches_fresh_hessians():
+    from mlz.lefschetz import point_verdicts
+    from mlz.morphisms import basis_family
+    from mlz.polynomials import hessian_matrix
+    from mlz.sampling import boundary_point, derive, positive_point
+
+    targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
+    families = {}
+    for m in catalog(4):
+        if m.is_simple:
+            for phi in enumerate_morphisms(m, targets):
+                family = basis_family(morphism_bases(phi))
+                if family.polys[1].degree >= 2:
+                    families[id(family)] = family
+    assert len(families) > 50
+    for ix, family in enumerate(families.values()):
+        reduced = family.polys[1]
+        plan = family.hessian_plan
+        assert family.hessian_plan is plan
+        rng = derive(19, ix)
+        k = len(reduced.active)
+        points = [(0,) + (1,) * (k - 1), positive_point(rng, k), boundary_point(rng, k)]
+        for a in points:
+            assert plan.at(a) == hessian_matrix(reduced, a), (family.bases, a)
+            assert family.verdicts_at(a) == point_verdicts(reduced, a), family.bases
+
+
 def test_poly_equal_rank_shape():
     m = uniform(2, 4)
     phi = validate_morphism(m, m, [1, 2, 3, 4])

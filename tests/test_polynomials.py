@@ -15,6 +15,7 @@ from mlz.matroids import (
     validate_bases,
 )
 from mlz.polynomials import (
+    HessianPlan,
     HomogPoly,
     basis_poly,
     evaluate,
@@ -31,10 +32,10 @@ from mlz.polynomials import (
     reduced_indep_poly,
     rename_vars,
 )
-from mlz.linalg import matrix_rank
+from mlz.linalg import inertia, matrix_rank
 from mlz.sampling import boundary_point, derive, positive_point
 
-from _oracles import second_partials_hessian
+from _oracles import berkowitz_inertia, second_partials_hessian
 
 TWO_CLASS = validate_bases(4, [[1, 3], [1, 4], [2, 3], [2, 4]])
 
@@ -227,21 +228,21 @@ def _hessian_points(rng, k):
     ]
 
 
-def test_hessian_matches_second_partials_oracle_on_catalog():
-    checked = 0
+def _catalog_hessian_cases():
+    """(matroid, polynomial, points) for the basis, independent-set and
+    reduced polynomials of degree >= 2 of every catalog matroid with n <= 5."""
     for n in range(1, 6):
         for idx, m in enumerate(catalog(n)):
             rng = derive(11, n, idx)
             for p in (basis_poly(m), indep_poly(m), reduced_indep_poly(m)):
-                if p.degree < 2:
-                    continue
-                for a in _hessian_points(rng, len(p.active)):
-                    assert hessian_matrix(p, a).rows == second_partials_hessian(p, a), (m, a)
-                    checked += 1
-    assert checked == 6825
+                if p.degree >= 2:
+                    yield m, p, _hessian_points(rng, len(p.active))
 
 
-def test_hessian_matches_second_partials_oracle_on_morphism_families():
+def _family_hessian_cases():
+    """(map, reduced polynomial, points) for each distinct reduced
+    polynomial of degree >= 2 of a morphism from a simple source on <= 4
+    elements to a target on <= 3."""
     from mlz.morphisms import enumerate_morphisms, morphism_poly
 
     targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
@@ -256,12 +257,48 @@ def test_hessian_matches_second_partials_oracle_on_morphism_families():
                 if reduced.degree < 2 or key in seen:
                     continue
                 seen.add(key)
-                rng = derive(13, len(seen))
-                for a in _hessian_points(rng, n + 1):
-                    assert hessian_matrix(reduced, a).rows == second_partials_hessian(
-                        reduced, a
-                    ), (phi, a)
-    assert seen
+                yield phi, reduced, _hessian_points(derive(13, len(seen)), n + 1)
+
+
+def test_hessian_matches_second_partials_oracle_on_catalog():
+    # one plan per polynomial, filled at every point in turn
+    checked = 0
+    for m, p, points in _catalog_hessian_cases():
+        plan = HessianPlan(p)
+        for a in points:
+            assert plan.at(a).rows == second_partials_hessian(p, a), (m, a)
+            checked += 1
+    assert checked == 6825
+
+
+def test_hessian_matches_second_partials_oracle_on_morphism_families():
+    checked = 0
+    for phi, reduced, points in _family_hessian_cases():
+        plan = HessianPlan(reduced)
+        for a in points:
+            assert plan.at(a).rows == second_partials_hessian(reduced, a), (phi, a)
+            checked += 1
+    assert checked
+
+
+def test_inertia_matches_berkowitz_on_catalog_hessians():
+    checked = 0
+    for m, p, points in _catalog_hessian_cases():
+        for a in points:
+            h = hessian_matrix(p, a)
+            assert inertia(h).as_tuple() == berkowitz_inertia(h.rows), (m, a)
+            checked += 1
+    assert checked == 6825
+
+
+def test_inertia_matches_berkowitz_on_morphism_family_hessians():
+    checked = 0
+    for phi, reduced, points in _family_hessian_cases():
+        for a in points:
+            h = hessian_matrix(reduced, a)
+            assert inertia(h).as_tuple() == berkowitz_inertia(h.rows), (phi, a)
+            checked += 1
+    assert checked
 
 
 def test_gradient_ranks():
