@@ -27,21 +27,14 @@ from .matroids import (
     ParallelDecomposition,
     UnequalCardinalityError,
     catalog,
-    circuits_and_girth,
-    closure,
     contract,
     delete,
     direct_sum,
     elems_of,
     enumerate_matroids,
-    flats,
     from_json_dict,
     graphic,
-    indep_profile,
     mask_of,
-    minimal_superflats,
-    parallel_decomposition,
-    rank_of,
     restrict,
     simplify,
     truncate,

@@ -605,37 +605,6 @@ def simplify(m: Matroid) -> tuple[Matroid, tuple[int, ...]]:
     return sub, reps
 
 
-# -- public wrappers matching the functional surface -------------------------
-
-
-def rank_of(m: Matroid, subset) -> int:
-    return m.rank_of(subset if isinstance(subset, int) else mask_of(subset))
-
-
-def closure(m: Matroid, subset) -> Mask:
-    return m.closure(subset if isinstance(subset, int) else mask_of(subset))
-
-
-def flats(m: Matroid) -> tuple[Mask, ...]:
-    return m.flats
-
-
-def minimal_superflats(m: Matroid, flat) -> tuple[Mask, ...]:
-    return m.minimal_superflats(flat if isinstance(flat, int) else mask_of(flat))
-
-
-def circuits_and_girth(m: Matroid):
-    return m.circuits, m.girth
-
-
-def parallel_decomposition(m: Matroid) -> ParallelDecomposition:
-    return m.parallel_decomposition
-
-
-def indep_profile(m: Matroid) -> IndepProfile:
-    return m.indep_profile
-
-
 # -- exhaustive enumeration ---------------------------------------------------
 
 

@@ -26,7 +26,6 @@ keeps the plan.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -369,38 +368,6 @@ def expand_class_sums(
             terms[key] = terms.get(key, 0) + c
     active = range(0, nvars + 1) if 0 in p.active else range(1, nvars + 1)
     return HomogPoly(active, p.degree, {k: v for k, v in terms.items() if v != 0})
-
-
-def scale(p: HomogPoly, factor) -> HomogPoly:
-    if factor == 0:
-        return HomogPoly(p.active, p.degree, {})
-    return HomogPoly(p.active, p.degree, {k: factor * c for k, c in p.terms.items()})
-
-
-def add(p: HomogPoly, q: HomogPoly) -> HomogPoly:
-    if p.degree != q.degree:
-        raise ValueError("degree mismatch")
-    if p.active != q.active:
-        raise ValueError("active variable mismatch")
-    terms = dict(p.terms)
-    for k, c in q.terms.items():
-        new = terms.get(k, 0) + c
-        if new == 0:
-            terms.pop(k, None)
-        else:
-            terms[k] = new
-    return HomogPoly(p.active, p.degree, terms)
-
-
-def proportional(p: HomogPoly, q: HomogPoly) -> bool:
-    """True when one polynomial is a scalar multiple of the other."""
-    if p.is_zero or q.is_zero:
-        return True
-    if set(p.terms) != set(q.terms) or p.degree != q.degree:
-        return False
-    key = next(iter(p.terms))
-    cp, cq = p.terms[key], q.terms[key]
-    return all(Fraction(c) * cq == Fraction(q.terms[k]) * cp for k, c in p.terms.items())
 
 
 def reduced_from_slices(m: Matroid) -> HomogPoly:

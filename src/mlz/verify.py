@@ -6,6 +6,18 @@ characterizations, Hessian signatures at fixed and seeded points,
 derivative/contraction identities, flat partitions, the degeneracy trichotomy
 for morphisms, and the normalized morphism-count inequality.
 
+The basis-count inequalities and the Hodge pair determinants read the
+second-order jet of a polynomial p of degree d >= 2 at a point a: its
+value, gradient and Hessian there.  One `HessianPlan` per polynomial gives
+all three.  With (lam, A) = clear_denominators(a), H is the Hessian at the
+integer point A, and Euler's identity gives the rest: g = H A is
+(d - 1) grad p(A) and s = A^T g is d (d - 1) p(A).  For the basis
+polynomial of rank r, the Mason pair (i, j) at a is lhs = s H_ij / D
+against rhs = 2 g_i g_j / D with D = r (r - 1) lam^(2r - 2), and the jet at
+(1, ..., 1) holds the counts |B_ij| = H_ij, |B_i| = g_i / (r - 1) and
+|B| = s / (r (r - 1)).  The independent-count levels f_k(a) come from one
+pass over the independent sets.
+
 All decisions are exact rational comparisons; there is no tolerance
 anywhere.  Suites emit CheckRow records (pass / fail / skip / recorded);
 `survey` aggregates them over the full catalog of labeled matroids and
@@ -20,30 +32,26 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from operator import mul
+from typing import NamedTuple, Optional, Sequence
 
 from . import matroids as mt
 from . import morphisms as mo
-from .lefschetz import gradient_rank, hessian_inertia, hrr1, point_verdicts
-from .linalg import clear_denominators
+from .lefschetz import gradient_rank, lorentzian_witness, point_verdicts
+from .linalg import Inertia, clear_denominators, inertia
 from .matroids import Matroid, elems_of, popcount
 from .polynomials import (
     HessianPlan,
     HomogPoly,
-    add,
     basis_poly,
-    evaluate,
     expand_class_sums,
-    f_slice,
-    hessian_matrix,
+    gradient_matrix,
     indep_poly,
     linear_apply,
     partial,
-    proportional,
     reduced_from_slices,
     reduced_indep_poly,
     rename_vars,
-    scale,
 )
 from .sampling import boundary_point, derive, positive_point
 
@@ -69,28 +77,28 @@ def _pm_reduced(m: Matroid) -> HomogPoly:
     return reduced_indep_poly(m)
 
 
-@lru_cache(maxsize=None)
-def _fm_partial(m: Matroid, i: int) -> HomogPoly:
-    return partial(_fm(m), i)
+# -- second-order jets ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _fm_partial2(m: Matroid, i: int, j: int) -> HomogPoly:
-    return partial(_fm_partial(m, i), j)
+class _Jet(NamedTuple):
+    """A polynomial's jet at a / lam, taken at the integer point a."""
+
+    lam: int
+    a: tuple[int, ...]
+    h: list[list[int]]  # the Hessian at a
+    g: list[int]  # h a = (d - 1) * gradient at a
+    s: int  # a^T h a = d (d - 1) * value at a
 
 
-@lru_cache(maxsize=None)
-def _slice(m: Matroid, k: int) -> HomogPoly:
-    return f_slice(m, k)
+def _jet(plan: HessianPlan, point: Sequence) -> _Jet:
+    lam, a = clear_denominators(point)
+    h = plan.at(a).rows
+    g = [sum(map(mul, row, a)) for row in h]
+    return _Jet(lam, a, h, g, sum(map(mul, a, g)))
 
 
-def _eval_scaled(p: HomogPoly, point: Sequence) -> Fraction:
-    """Exact value at a rational point via one integer evaluation.
-
-    p(a) = p(lam * a) / lam^deg for the denominator-clearing factor lam.
-    """
-    lam, scaled = clear_denominators(point)
-    return Fraction(evaluate(p, scaled), lam**p.degree)
+def _inertia_at(plan: HessianPlan, point: Sequence) -> Inertia:
+    return inertia(plan.at(clear_denominators(point)[1]))
 
 
 # -- combinatorial inequality checks ------------------------------------------
@@ -137,42 +145,35 @@ def _not_parallel(m: Matroid, i: int, j: int) -> bool:
     return bool(m.cooccurrence[i - 1] >> (j - 1) & 1)
 
 
-def mason_basis_check(
-    m: Matroid, i: int, j: int, point: Optional[Sequence] = None
-) -> MasonBasisReport:
-    if m.rank < 2:
-        raise mt.MatroidError("basis-count check needs rank >= 2")
-    if i == j:
-        raise ValueError("the two elements must be distinct")
-    if not (1 <= i <= m.n and 1 <= j <= m.n):
-        raise ValueError("element out of range")
-    if point is not None and any(Fraction(v) <= 0 for v in point):
-        raise ValueError("weights must be strictly positive")
-
-    f = _fm(m)
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
-    count_bases = len(m.bases)
-    count_i = sum(1 for b in m.bases if b & bi)
-    count_j = sum(1 for b in m.bases if b & bj)
-    count_ij = sum(1 for b in m.bases if b & bi and b & bj)
-
+def _weights(m: Matroid, point: Optional[Sequence]) -> Optional[tuple]:
     if point is None:
-        fv = Fraction(count_bases)
-        fiv = Fraction(count_i)
-        fjv = Fraction(count_j)
-        fijv = Fraction(count_ij)
-        at = None
-    else:
-        at = tuple(Fraction(v) for v in point)
-        fv = _eval_scaled(f, at)
-        fiv = _eval_scaled(_fm_partial(m, i), at)
-        fjv = _eval_scaled(_fm_partial(m, j), at)
-        fijv = _eval_scaled(_fm_partial2(m, *sorted((i, j))), at)
+        return None
+    at = tuple(Fraction(v) for v in point)
+    if any(v <= 0 for v in at):
+        raise ValueError("weights must be strictly positive")
+    if len(at) != m.n:
+        raise ValueError("point length must match active variables")
+    return at
 
-    lhs = fv * fijv
-    rhs = 2 * (1 - Fraction(1, m.rank)) * fiv * fjv
+
+def _basis_jets(m: Matroid, point: Optional[Sequence], plan: Optional[HessianPlan]):
+    """(weights, jet at (1, ..., 1), jet at the point) of f_M, from one plan."""
+    at = _weights(m, point)
+    plan = plan or HessianPlan(_fm(m))
+    ones = _jet(plan, (1,) * m.n)
+    return at, ones, ones if at is None else _jet(plan, at)
+
+
+def _basis_report(
+    m: Matroid, i: int, j: int, at: Optional[tuple], ones: _Jet, jet: _Jet
+) -> MasonBasisReport:
+    r = m.rank
+    x, y = i - 1, j - 1
+    den = r * (r - 1) * jet.lam ** (2 * r - 2)
+    lhs = Fraction(jet.s * jet.h[x][y], den)
+    rhs = Fraction(2 * jet.g[x] * jet.g[y], den)
     loops = m.loops
-    applicable = not (loops & bi or loops & bj)
+    applicable = not (loops >> x & 1 or loops >> y & 1)
     predicted_equal = (
         applicable
         and _not_parallel(m, i, j)
@@ -182,10 +183,10 @@ def mason_basis_check(
     return MasonBasisReport(
         i=i,
         j=j,
-        count_bases=count_bases,
-        count_i=count_i,
-        count_j=count_j,
-        count_ij=count_ij,
+        count_bases=ones.s // (r * (r - 1)),
+        count_i=ones.g[x] // (r - 1),
+        count_j=ones.g[y] // (r - 1),
+        count_ij=ones.h[x][y],
         lhs=lhs,
         rhs=rhs,
         equal=equal,
@@ -194,6 +195,89 @@ def mason_basis_check(
         applicable=applicable,
         point=at,
     )
+
+
+def mason_basis_rows(
+    m: Matroid, point: Optional[Sequence] = None, *, plan: Optional[HessianPlan] = None
+) -> list[MasonBasisReport]:
+    """The basis-count report of every pair i < j at the point, or at
+    (1, ..., 1) when there is none; `plan`, when given, is f_M's."""
+    if m.rank < 2:
+        raise mt.MatroidError("basis-count check needs rank >= 2")
+    at, ones, jet = _basis_jets(m, point, plan)
+    return [
+        _basis_report(m, i, j, at, ones, jet)
+        for i in range(1, m.n + 1)
+        for j in range(i + 1, m.n + 1)
+    ]
+
+
+def mason_basis_check(
+    m: Matroid, i: int, j: int, point: Optional[Sequence] = None
+) -> MasonBasisReport:
+    if m.rank < 2:
+        raise mt.MatroidError("basis-count check needs rank >= 2")
+    if i == j:
+        raise ValueError("the two elements must be distinct")
+    if not (1 <= i <= m.n and 1 <= j <= m.n):
+        raise ValueError("element out of range")
+    return _basis_report(m, i, j, *_basis_jets(m, point, None))
+
+
+def _levels(m: Matroid, at: Optional[tuple]) -> list[Fraction]:
+    """f_k(a) / C(n, k) for k = 0..r + 1 (the last is 0), at a = (1, ..., 1)
+    when `at` is None.
+
+    One pass over the independent sets in increasing mask order: the set
+    minus its lowest element is independent and comes first, so each
+    subset product extends an earlier one.
+    """
+    n, r = m.n, m.rank
+    lam, a = clear_denominators(at or (1,) * n)
+    sums = [0] * (r + 1)
+    prods = {0: 1}
+    for s in sorted(m.independent_masks):
+        if s:
+            low = s & -s
+            prods[s] = prods[s ^ low] * a[low.bit_length() - 1]
+        sums[popcount(s)] += prods[s]
+    levels = [Fraction(sums[k], lam**k * math.comb(n, k)) for k in range(r + 1)]
+    return levels + [Fraction(0)]
+
+
+def _indep_report(
+    m: Matroid, k: int, at: Optional[tuple], levels: list[Fraction]
+) -> MasonIndepReport:
+    n = m.n
+    if k + 1 > n:
+        lhs = rhs = Fraction(0)
+    else:
+        lhs = levels[k - 1] * levels[k + 1]
+        rhs = levels[k] ** 2
+    # Below the girth the normalized slices are elementary symmetric means
+    # of the weights, and Newton's inequality between them is strict
+    # unless all weights are equal; at k + 1 > n both sides are 0.
+    equal_weights = at is None or len(set(at)) == 1
+    predicted_equal = k + 1 < m.girth and (equal_weights or k + 1 > n)
+    equal = lhs == rhs
+    return MasonIndepReport(
+        k=k,
+        lhs=lhs,
+        rhs=rhs,
+        equal=equal,
+        predicted_equal=predicted_equal,
+        consistent=equal == predicted_equal,
+        point=at,
+    )
+
+
+def mason_indep_rows(
+    m: Matroid, point: Optional[Sequence] = None
+) -> list[MasonIndepReport]:
+    """The independent-count report of every level 1..r at the point."""
+    at = _weights(m, point)
+    levels = _levels(m, at)
+    return [_indep_report(m, k, at, levels) for k in range(1, m.rank + 1)]
 
 
 def mason_indep_check(
@@ -211,38 +295,8 @@ def mason_indep_check(
     """
     if not 1 <= k <= m.rank:
         raise ValueError(f"level {k} out of range 1..{m.rank}")
-    if point is not None and any(Fraction(v) <= 0 for v in point):
-        raise ValueError("weights must be strictly positive")
-    n, r = m.n, m.rank
-    at = None if point is None else tuple(Fraction(v) for v in point)
-
-    def normalized(level: int) -> Fraction:
-        if level > r:
-            return Fraction(0)
-        if at is None:
-            return Fraction(m.indep_profile.counts[level], math.comb(n, level))
-        return _eval_scaled(_slice(m, level), at) / math.comb(n, level)
-
-    if k + 1 > n:
-        lhs = rhs = Fraction(0)
-    else:
-        lhs = normalized(k - 1) * normalized(k + 1)
-        rhs = normalized(k) ** 2
-    # Below the girth the normalized slices are elementary symmetric means
-    # of the weights, and Newton's inequality between them is strict
-    # unless all weights are equal; at k + 1 > n both sides are 0.
-    equal_weights = at is None or len(set(at)) == 1
-    predicted_equal = k + 1 < m.girth and (equal_weights or k + 1 > n)
-    equal = lhs == rhs
-    return MasonIndepReport(
-        k=k,
-        lhs=lhs,
-        rhs=rhs,
-        equal=equal,
-        predicted_equal=predicted_equal,
-        consistent=equal == predicted_equal,
-        point=at,
-    )
+    at = _weights(m, point)
+    return _indep_report(m, k, at, _levels(m, at))
 
 
 # -- suite plumbing ------------------------------------------------------------
@@ -294,48 +348,53 @@ def _kernel_vector_annihilates(p: HomogPoly) -> bool:
     return linear_apply(p, coeffs).is_zero
 
 
+def _proportional(u: Sequence, v: Sequence) -> bool:
+    """One vector is a multiple of the other (either may be zero)."""
+    k = next((ix for ix, x in enumerate(u) if x), None)
+    if k is None or not any(v):
+        return True
+    return all(x * v[k] == y * u[k] for x, y in zip(u, v))
+
+
 def _hodge_pair_rows(
     report: SuiteReport,
     name: str,
     p: HomogPoly,
+    plan: HessianPlan,
     points: Sequence[Sequence],
     pairs: Sequence[tuple[int, int]],
 ):
     """Exact 2x2 Hodge determinant check against each (point, pair, t).
 
-    With l1 the directional form of the point itself and l2 = di + t*dj,
-    whenever l1 f and l2 f are not proportional the determinant
-    (l1l1 f)(a)(l2l2 f)(a) - ((l1l2 f)(a))^2 must be strictly negative.
-    Both rows scale positively under point rescaling, so the sign is
-    checked at the integerized point; the mixed entries use the Euler
-    identity on the degree-(d-1) first partials, and the second partials
-    are read off the Hessian at the point.
+    With l1 the directional derivative along the point a itself and
+    l2 = di + t*dj, whenever l1 p and l2 p are not proportional the
+    determinant (l1l1 p)(a)(l2l2 p)(a) - ((l1l2 p)(a))^2 must be strictly
+    negative.  Every entry is read off the jet of p at a, taken at the
+    integer point A (a positive rescaling keeps the sign): l1l1 p = s,
+    l1l2 p = g_i + t g_j and l2l2 p = H_ii + 2t H_ij + t^2 H_jj.  The rows
+    of the gradient matrix G are the first partials of p, so l1 p and l2 p
+    are the vectors G^T A and G_i + t G_j, and proportionality is decided
+    on them.  `plan` is p's.
     """
-    d = p.degree
-    firsts = {v: partial(p, v) for v in p.active}
+    grad = gradient_matrix(p)
     pos = {v: k for k, v in enumerate(p.active)}
     bad = 0
     tested = 0
     for point in points:
-        _, a = clear_denominators(point)
-        base = evaluate(p, a)
-        if base <= 0:
+        jet = _jet(plan, point)
+        if jet.s <= 0:  # p(a) <= 0
             continue
-        la_p = linear_apply(p, a)
-        l1l1 = d * (d - 1) * base
-        first_vals = {v: evaluate(firsts[v], a) for v in p.active}
-        h = hessian_matrix(p, a).rows
+        h, g = jet.h, jet.g
+        l1 = [sum(map(mul, col, jet.a)) for col in zip(*grad)]
         for i, j in pairs:
-            dij = h[pos[i]][pos[j]]
-            dii = h[pos[i]][pos[i]]
-            djj = h[pos[j]][pos[j]]
+            x, y = pos[i], pos[j]
             for t in (0, 1, -1):
-                if proportional(la_p, add(firsts[i], scale(firsts[j], t))):
+                if _proportional(l1, [u + t * v for u, v in zip(grad[x], grad[y])]):
                     continue
-                l1l2 = (d - 1) * (first_vals[i] + t * first_vals[j])
-                l2l2 = dii + 2 * t * dij + t * t * djj
+                l1l2 = g[x] + t * g[y]
+                l2l2 = h[x][x] + 2 * t * h[x][y] + t * t * h[y][y]
                 tested += 1
-                if l1l1 * l2l2 - l1l2 * l1l2 >= 0:
+                if jet.s * l2l2 - l1l2 * l1l2 >= 0:
                     bad += 1
     report.check(name, bad == 0, f"tested={tested} nonneg={bad}")
 
@@ -350,6 +409,10 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
     f = _fm(m)
     p = _pm(m)
     reduced = _pm_reduced(m)
+    # one Hessian plan per polynomial, filled at every point below
+    plan_f = HessianPlan(f) if r >= 2 else None
+    plan_p = HessianPlan(p) if 2 <= n <= 5 else None
+    plan_red = HessianPlan(reduced) if r >= 2 else None
 
     # linear independence of the first partials
     if simple:
@@ -375,7 +438,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
         ]
         bad = []
         for a in pts:
-            got = hessian_inertia(f, a).as_tuple()
+            got = _inertia_at(plan_f, a).as_tuple()
             if got != (1, n - 1, 0):
                 bad.append((a, got))
         report.check(
@@ -397,7 +460,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
         ]
         bad = []
         for a in pts:
-            got = hessian_inertia(reduced, a).as_tuple()
+            got = _inertia_at(plan_red, a).as_tuple()
             if got != (1, n, 0):
                 bad.append((a, got))
         report.check(
@@ -420,7 +483,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
         g_red = gradient_rank(reduced)
         bad = []
         for a in pts:
-            if not hrr1(reduced, a, grad_rank=g_red):
+            if not point_verdicts(reduced, a, grad_rank=g_red, plan=plan_red).hrr1:
                 bad.append(a)
         report.check(
             "hrr1-reduced-quotient",
@@ -507,7 +570,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
         wit_pts = [positive_point(rng, n) for _ in range(3)]
         wit_pts_p = [positive_point(rng, n + 1) for _ in range(3)]
         if f.degree >= 2:
-            w = lorentzian_witness_cached(m, "basis", tuple(wit_pts))
+            w = lorentzian_witness(f, wit_pts)
             report.check(
                 "lorentzian-witness-basis",
                 w.passed,
@@ -516,7 +579,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
         else:
             report.add("lorentzian-witness-basis", "skip", "degree < 2")
         if p.degree >= 2:
-            w = lorentzian_witness_cached(m, "indep", tuple(wit_pts_p))
+            w = lorentzian_witness(p, wit_pts_p)
             report.check(
                 "lorentzian-witness-indep",
                 w.passed,
@@ -527,12 +590,10 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
 
         agree_ok = True
         hrr_ok = True
-        for poly in ([f] if f.degree >= 2 else []) + (
-            [p] if p.degree >= 2 else []
-        ):
+        for poly, plan, pts in ((f, plan_f, wit_pts), (p, plan_p, wit_pts_p)):
+            if plan is None:
+                continue
             g = gradient_rank(poly)
-            plan = HessianPlan(poly)
-            pts = wit_pts if poly is f else wit_pts_p
             for a in pts:
                 v = point_verdicts(poly, a, grad_rank=g, plan=plan)
                 if not v.value_positive or v.slp1 != v.hrr1:
@@ -548,8 +609,8 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
     # pointwise eigenvalue bound on the closed orthant (sampled)
     if n <= 5:
         bound_ok = True
-        for poly, dim in ((f, n), (p, n + 1)):
-            if poly.degree < 2:
+        for plan, dim in ((plan_f, n), (plan_p, n + 1)):
+            if plan is None:
                 continue
             for _ in range(2):
                 zero_mask = rng.next64()
@@ -557,7 +618,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
                     Fraction(0) if (zero_mask >> ix) & 1 else rng.rational()
                     for ix in range(dim)
                 )
-                if hessian_inertia(poly, a).pos > 1:
+                if _inertia_at(plan, a).pos > 1:
                     bound_ok = False
         report.check("closed-orthant-eigenvalue-bound", bound_ok)
 
@@ -575,6 +636,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
                 report,
                 "hodge-pair-det-basis",
                 f,
+                plan_f,
                 [(1,) * n, positive_point(rng, n)],
                 pairs,
             )
@@ -588,18 +650,11 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
             report,
             "hodge-pair-det-reduced",
             reduced,
+            plan_red,
             [(1,) + (1,) * n, (0,) + (1,) * n],
             pairs_red,
         )
     return report
-
-
-@lru_cache(maxsize=None)
-def lorentzian_witness_cached(m: Matroid, kind: str, points: tuple):
-    from .lefschetz import lorentzian_witness
-
-    poly = _fm(m) if kind == "basis" else _pm(m)
-    return lorentzian_witness(poly, points)
 
 
 @lru_cache(maxsize=None)
@@ -881,37 +936,33 @@ def _mason_rows(
     n = m.n
     rng = derive(seed, 0xBA5E5, n, _matroid_key(m))
     out: list[CheckRow] = []
-    pd = m.parallel_decomposition
-    at_least_three = len(pd.classes) >= 3
+    at_least_three = len(m.parallel_decomposition.classes) >= 3
+    plan = HessianPlan(_fm(m))
 
     ones_bad = 0
-    ones_rows = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rep = mason_basis_check(m, i, j)
-            ones_rows += 1
-            if rep.lhs > rep.rhs or (rep.applicable and not rep.consistent):
-                ones_bad += 1
-            if rep.applicable and rep.equal:
-                equality_star.append(
-                    {"scope": scope, "i": i, "j": j, "value": str(rep.lhs)}
-                )
+    ones = mason_basis_rows(m, plan=plan)
+    for rep in ones:
+        if rep.lhs > rep.rhs or (rep.applicable and not rep.consistent):
+            ones_bad += 1
+        if rep.applicable and rep.equal:
+            equality_star.append(
+                {"scope": scope, "i": rep.i, "j": rep.j, "value": str(rep.lhs)}
+            )
     out.append(
         CheckRow(
             scope,
             "basis-counts-equality-iff",
             "pass" if ones_bad == 0 else "fail",
-            f"pairs={ones_rows}",
+            f"pairs={len(ones)}",
         )
     )
 
     indep_bad = 0
-    for k in range(1, m.rank + 1):
-        rep = mason_indep_check(m, k)
+    for rep in mason_indep_rows(m):
         if rep.lhs > rep.rhs or not rep.consistent:
             indep_bad += 1
         if rep.equal:
-            equality_star2.append({"scope": scope, "k": k, "value": str(rep.lhs)})
+            equality_star2.append({"scope": scope, "k": rep.k, "value": str(rep.lhs)})
     out.append(
         CheckRow(
             scope,
@@ -925,25 +976,22 @@ def _mason_rows(
     weighted_rows = 0
     for _ in range(SEEDED_MASON_POINTS):
         a = positive_point(rng, n)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                rep = mason_basis_check(m, i, j, a)
-                weighted_rows += 1
-                if rep.lhs > rep.rhs:
-                    weighted_bad += 1
-                if (
-                    rep.applicable
-                    and at_least_three
-                    and _not_parallel(m, i, j)
-                    and rep.equal
-                ):
-                    weighted_bad += 1
-        for k in range(1, m.rank + 1):
-            rep = mason_indep_check(m, k, a)
+        for rep in mason_basis_rows(m, a, plan=plan):
             weighted_rows += 1
             if rep.lhs > rep.rhs:
                 weighted_bad += 1
-            if k + 1 >= m.girth and rep.equal:
+            if (
+                rep.applicable
+                and at_least_three
+                and _not_parallel(m, rep.i, rep.j)
+                and rep.equal
+            ):
+                weighted_bad += 1
+        for rep in mason_indep_rows(m, a):
+            weighted_rows += 1
+            if rep.lhs > rep.rhs:
+                weighted_bad += 1
+            if rep.k + 1 >= m.girth and rep.equal:
                 weighted_bad += 1
     out.append(
         CheckRow(

@@ -5,7 +5,9 @@ powerset scans instead of bitmask caches, Leibniz expansion instead of the
 Berkowitz recursion, characteristic-polynomial signs instead of symmetric
 elimination, flat-family axioms instead of basis-exchange filtering,
 plain fraction Gaussian elimination instead of Bareiss, one second-partial
-polynomial per entry instead of the compiled Hessian plan.
+polynomial per entry instead of the compiled Hessian plan, and one
+polynomial per derivative or level, evaluated on its own, instead of the
+second-order jet behind the count inequalities and Hodge determinants.
 """
 
 from __future__ import annotations
@@ -315,3 +317,165 @@ def sympy_poly_from_terms(terms, var_names):
             rest ^= low
         expr += term
     return expr, symbols
+
+
+# -- count inequalities and Hodge determinants, one polynomial per quantity ---
+
+
+def scale(p, factor):
+    from mlz.polynomials import HomogPoly
+
+    if factor == 0:
+        return HomogPoly(p.active, p.degree, {})
+    return HomogPoly(p.active, p.degree, {k: factor * c for k, c in p.terms.items()})
+
+
+def add(p, q):
+    from mlz.polynomials import HomogPoly
+
+    if p.degree != q.degree:
+        raise ValueError("degree mismatch")
+    if p.active != q.active:
+        raise ValueError("active variable mismatch")
+    terms = dict(p.terms)
+    for k, c in q.terms.items():
+        new = terms.get(k, 0) + c
+        if new == 0:
+            terms.pop(k, None)
+        else:
+            terms[k] = new
+    return HomogPoly(p.active, p.degree, terms)
+
+
+def proportional(p, q) -> bool:
+    """True when one polynomial is a scalar multiple of the other."""
+    if p.is_zero or q.is_zero:
+        return True
+    if set(p.terms) != set(q.terms) or p.degree != q.degree:
+        return False
+    key = next(iter(p.terms))
+    cp, cq = p.terms[key], q.terms[key]
+    return all(Fraction(c) * cq == Fraction(q.terms[k]) * cp for k, c in p.terms.items())
+
+
+def _eval_scaled(p, point) -> Fraction:
+    """p(a) = p(lam * a) / lam^deg, with lam * a integral."""
+    from mlz.linalg import clear_denominators
+    from mlz.polynomials import evaluate
+
+    lam, scaled = clear_denominators(point)
+    return Fraction(evaluate(p, scaled), lam**p.degree)
+
+
+def mason_basis_report(m, i: int, j: int, point=None):
+    """The basis-count report from f, di f, dj f and di dj f, each its own
+    polynomial evaluated at the point; counts by scanning the bases."""
+    from mlz.polynomials import basis_poly, partial
+    from mlz.verify import MasonBasisReport
+
+    f = basis_poly(m)
+    bi, bj = 1 << (i - 1), 1 << (j - 1)
+    count_bases = len(m.bases)
+    count_i = sum(1 for b in m.bases if b & bi)
+    count_j = sum(1 for b in m.bases if b & bj)
+    count_ij = sum(1 for b in m.bases if b & bi and b & bj)
+    if point is None:
+        at = None
+        fv, fiv, fjv, fijv = map(Fraction, (count_bases, count_i, count_j, count_ij))
+    else:
+        at = tuple(Fraction(v) for v in point)
+        fi, fj = partial(f, i), partial(f, j)
+        fv, fiv, fjv, fijv = (
+            _eval_scaled(q, at) for q in (f, fi, fj, partial(fi, j))
+        )
+    lhs = fv * fijv
+    rhs = 2 * (1 - Fraction(1, m.rank)) * fiv * fjv
+    applicable = not (m.loops & (bi | bj))
+    classes = len(m.parallel_decomposition.classes)
+    predicted_equal = (
+        applicable and brute_rank(m.n, m.bases, bi | bj) == 2 and classes == 2
+    )
+    return MasonBasisReport(
+        i=i,
+        j=j,
+        count_bases=count_bases,
+        count_i=count_i,
+        count_j=count_j,
+        count_ij=count_ij,
+        lhs=lhs,
+        rhs=rhs,
+        equal=lhs == rhs,
+        predicted_equal=predicted_equal,
+        consistent=(lhs == rhs) == predicted_equal,
+        applicable=applicable,
+        point=at,
+    )
+
+
+def mason_indep_report(m, k: int, point=None):
+    """The level-k independent-count report from the slices f_(k-1), f_k
+    and f_(k+1), each its own polynomial evaluated at the point."""
+    from math import comb
+
+    from mlz.polynomials import f_slice
+    from mlz.verify import MasonIndepReport
+
+    n, r = m.n, m.rank
+    at = None if point is None else tuple(Fraction(v) for v in point)
+
+    def normalized(level: int) -> Fraction:
+        if level > r:
+            return Fraction(0)
+        return _eval_scaled(f_slice(m, level), at or (1,) * n) / comb(n, level)
+
+    if k + 1 > n:
+        lhs = rhs = Fraction(0)
+    else:
+        lhs = normalized(k - 1) * normalized(k + 1)
+        rhs = normalized(k) ** 2
+    equal_weights = at is None or len(set(at)) == 1
+    predicted_equal = k + 1 < m.girth and (equal_weights or k + 1 > n)
+    return MasonIndepReport(
+        k=k,
+        lhs=lhs,
+        rhs=rhs,
+        equal=lhs == rhs,
+        predicted_equal=predicted_equal,
+        consistent=(lhs == rhs) == predicted_equal,
+        point=at,
+    )
+
+
+def hodge_pair_counts(p, points, pairs) -> tuple[int, int]:
+    """(tested, nonneg) of the 2x2 Hodge determinants, with l1 p and l2 p
+    built as polynomials and compared by `proportional`, the first
+    partials evaluated one by one and the Hessian entry by entry."""
+    from mlz.linalg import clear_denominators
+    from mlz.polynomials import evaluate, linear_apply, partial
+
+    d = p.degree
+    firsts = {v: partial(p, v) for v in p.active}
+    pos = {v: k for k, v in enumerate(p.active)}
+    bad = tested = 0
+    for point in points:
+        _, a = clear_denominators(point)
+        base = evaluate(p, a)
+        if base <= 0:
+            continue
+        la_p = linear_apply(p, a)
+        l1l1 = d * (d - 1) * base
+        first_vals = {v: evaluate(firsts[v], a) for v in p.active}
+        h = second_partials_hessian(p, a)
+        for i, j in pairs:
+            dij = h[pos[i]][pos[j]]
+            dii = h[pos[i]][pos[i]]
+            djj = h[pos[j]][pos[j]]
+            for t in (0, 1, -1):
+                if proportional(la_p, add(firsts[i], scale(firsts[j], t))):
+                    continue
+                l1l2 = (d - 1) * (first_vals[i] + t * first_vals[j])
+                l2l2 = dii + 2 * t * dij + t * t * djj
+                tested += 1
+                if l1l1 * l2l2 - l1l2 * l1l2 >= 0:
+                    bad += 1
+    return tested, bad

@@ -263,9 +263,9 @@ def test_minimal_superflats_partition():
 
 
 def test_circuits_uniform():
-    circuits, girth = mt.circuits_and_girth(uniform(2, 3))
-    assert [elems_of(c) for c in circuits] == [(1, 2, 3)]
-    assert girth == 3
+    m = uniform(2, 3)
+    assert [elems_of(c) for c in m.circuits] == [(1, 2, 3)]
+    assert m.girth == 3
 
 
 def test_girth_with_loop():
@@ -274,9 +274,9 @@ def test_girth_with_loop():
 
 
 def test_free_matroid_has_no_circuits():
-    circuits, girth = mt.circuits_and_girth(uniform(4, 4))
-    assert circuits == ()
-    assert girth == math.inf
+    m = uniform(4, 4)
+    assert m.circuits == ()
+    assert m.girth == math.inf
 
 
 def test_girth_matches_count_characterization():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from _oracles import hodge_pair_counts, mason_basis_report, mason_indep_report
 
 from mlz.matroids import (
     catalog,
@@ -14,9 +15,15 @@ from mlz.morphisms import (
     morphism_bases,
     validate_morphism,
 )
+from mlz.polynomials import HessianPlan, basis_poly, reduced_indep_poly
+from mlz.sampling import derive, positive_point
 from mlz.verify import (
+    SuiteReport,
+    _hodge_pair_rows,
     mason_basis_check,
+    mason_basis_rows,
     mason_indep_check,
+    mason_indep_rows,
     morphism_suite,
     survey,
     theorem_suite,
@@ -114,6 +121,85 @@ def test_mason_indep_range_checked():
         mason_indep_check(uniform(2, 3), 0)
     with pytest.raises(ValueError):
         mason_indep_check(uniform(2, 3), 3)
+
+
+# -- jets against one polynomial per quantity ----------------------------------------
+
+
+SMALL_CATALOG = [m for n in range(1, 6) for m in catalog(n)]
+
+
+def _points(m, dim):
+    """No point, (1, ..., 1) and two seeded rational points of dim coordinates."""
+    rng = derive(17, dim, len(m.bases), min(m.bases))
+    return [None, (1,) * dim, positive_point(rng, dim), positive_point(rng, dim)]
+
+
+def test_mason_basis_reports_match_per_pair_partials():
+    reports = 0
+    for m in SMALL_CATALOG:
+        if m.rank < 2:
+            continue
+        plan = HessianPlan(basis_poly(m))
+        for a in _points(m, m.n):
+            rows = mason_basis_rows(m, a, plan=plan)
+            by_pair = {(rep.i, rep.j): rep for rep in rows}
+            assert len(rows) == m.n * (m.n - 1) // 2
+            for i in range(1, m.n + 1):
+                for j in range(1, m.n + 1):
+                    if i == j:
+                        continue
+                    want = mason_basis_report(m, i, j, a)
+                    assert mason_basis_check(m, i, j, a) == want, (m, i, j, a)
+                    if i < j:
+                        assert by_pair[i, j] == want, (m, i, j, a)
+                    reports += 1
+    assert reports == 4 * 8154
+
+
+def test_mason_indep_reports_match_slices():
+    reports = 0
+    for m in SMALL_CATALOG:
+        for a in _points(m, m.n):
+            rows = mason_indep_rows(m, a)
+            assert [rep.k for rep in rows] == list(range(1, m.rank + 1))
+            for rep in rows:
+                want = mason_indep_report(m, rep.k, a)
+                assert rep == want, (m, rep.k, a)
+                assert mason_indep_check(m, rep.k, a) == want
+                reports += 1
+    assert reports == 4 * 1181
+
+
+def test_hodge_pair_rows_match_polynomial_proportionality():
+    tested = 0
+    for m in SMALL_CATALOG:
+        if m.rank < 2:
+            continue
+        n = m.n
+        f, reduced = basis_poly(m), reduced_indep_poly(m)
+        for p, points in (
+            (f, _points(m, n)[1:]),
+            (reduced, _points(m, n + 1)[1:] + [(0,) + (1,) * n]),
+        ):
+            plan = HessianPlan(p)
+            pairs = [(i, j) for i in p.active for j in p.active if i < j]
+            for a in points:
+                report = SuiteReport("test", 0)
+                _hodge_pair_rows(report, "hodge", p, plan, [a], pairs)
+                want = hodge_pair_counts(p, [a], pairs)
+                assert report.rows[0].detail == "tested={} nonneg={}".format(*want)
+                assert report.rows[0].status == "pass"
+                tested += want[0]
+    assert tested == 102004
+
+
+def test_mason_point_length_is_checked():
+    with pytest.raises(ValueError, match="point length"):
+        mason_basis_check(uniform(2, 3), 1, 2, (1, 2))
+    # the free matroid's top level compares 0 with 0 but still reads the point
+    with pytest.raises(ValueError, match="point length"):
+        mason_indep_check(uniform(3, 3), 3, (1, 2))
 
 
 # -- suites ------------------------------------------------------------------------------
