@@ -44,7 +44,6 @@ from .matroids import (
 from .morphisms import (
     AnnihilatorCheckFailed,
     BasisFamily,
-    ConditionMismatch,
     DegeneracyVerdict,
     EurHuhEntry,
     FlatPreimageViolation,

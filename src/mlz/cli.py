@@ -15,12 +15,8 @@ from fractions import Fraction
 from . import matroids as mt
 from . import morphisms as mo
 from . import verify
-from .lefschetz import (
-    gradient_rank,
-    hessian_inertia,
-    lorentzian_witness,
-    point_verdicts,
-)
+from .lefschetz import gradient_rank, lorentzian_witness, point_verdicts
+from .linalg import inertia
 from .polynomials import (
     basis_poly,
     hessian_matrix,
@@ -153,7 +149,7 @@ def _cmd_hessian(args) -> int:
         raise UsageError(f"the {args.kind} polynomial has degree {p.degree} < 2")
     point = _point_for(args, p)
     h = hessian_matrix(p, point)
-    ine = hessian_inertia(p, point)
+    ine = inertia(h)
     if args.format == "json":
         print(
             json.dumps(
@@ -182,7 +178,10 @@ def _cmd_check(args) -> int:
         else:
             rng = derive(args.seed, len(p.active))
             points = [positive_point(rng, len(p.active)) for _ in range(3)]
-        rep = lorentzian_witness(p, points)
+        try:
+            rep = lorentzian_witness(p, points)
+        except ValueError as exc:
+            raise UsageError(f"--at: {exc}") from exc
         status = "pass" if rep.passed else "fail"
         print(
             f"LORENTZ-WITNESS: {status} checked={rep.checked} "

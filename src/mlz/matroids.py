@@ -185,9 +185,6 @@ class Matroid:
 
         return self._cached("indep", build)
 
-    def is_independent(self, subset: Mask) -> bool:
-        return subset in self.independent_masks
-
     @property
     def rank_table(self) -> Sequence[int]:
         """rank(S) for every S in 0..2^n-1; rank(S) = max over bases |B & S|."""

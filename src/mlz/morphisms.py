@@ -3,10 +3,9 @@
 A map phi from the ground set of M (rank r) to the ground set of N
 (rank r') is a matroid morphism when the preimage of every flat of N is a
 flat of M; equivalently, nested subsets never gain more rank in the image
-than they gain in the source.  Validation checks the flat-preimage form
-and, on small ground sets, cross-checks the rank-difference form on all
-nested pairs -- the two must agree, so a mismatch signals a bug here, not
-bad input.
+than they gain in the source.  Validation decides by the flat-preimage
+form alone; the rank-difference form over all nested pairs is kept as an
+independent oracle in the test suite.
 
 A basis of phi is an independent set of M whose image spans N.  Collecting
 them by size gives one matroid per level; summing x0-padded monomials over
@@ -20,9 +19,11 @@ construction.
 
 Many maps share one basis family.  Whatever depends on the bases alone
 (polynomials, gradient rank, level exchange checks, fixed-point verdicts,
-count profile, annihilator checks, the compiled Hessian plan of the
-reduced form) lives on a BasisFamily, memoized by `basis_family` under
-the hashable MorphismBases value.
+count profile, the degeneracy verdict with its checked annihilator, the
+compiled Hessian plan of the reduced form) lives on a BasisFamily,
+memoized by `basis_family` under the hashable MorphismBases value.  The
+source's bases and the loop preimage are read off the levels, so the
+degeneracy verdict needs no map.
 """
 
 from __future__ import annotations
@@ -40,13 +41,11 @@ from .matroids import (
     Matroid,
     MatroidError,
     ParallelDecomposition,
-    bits_of,
     check_exchange,
     check_table_size,
     elems_of,
     from_json_dict,
     popcount,
-    restrict,
 )
 from .polynomials import HessianPlan, HomogPoly, linear_apply, partial
 
@@ -72,10 +71,6 @@ class ImageRankDeficient(MorphismError):
     pass
 
 
-class ConditionMismatch(RuntimeError):
-    """The two validation routes disagreed -- an internal bug, not bad input."""
-
-
 class AnnihilatorCheckFailed(RuntimeError):
     """A predicted annihilating form did not kill the polynomial exactly."""
 
@@ -93,12 +88,6 @@ class MatroidMorphism:
     @property
     def r_prime(self) -> int:
         return self.target.rank
-
-    def image_mask(self, subset: Mask) -> Mask:
-        out = 0
-        for b in bits_of(subset):
-            out |= 1 << (self.map[b] - 1)
-        return out
 
     @property
     def phi_loops(self) -> Mask:
@@ -136,23 +125,6 @@ def morphism_from_json_dict(data: dict) -> MatroidMorphism:
     return validate_morphism(*ends, data["map"])
 
 
-def _rank_condition_holds(m: Matroid, n: Matroid, phi_img: Sequence[Mask]) -> bool:
-    """Rank-difference form over all nested pairs S1 <= S2 of source subsets."""
-    rank_m = m.rank_table
-    rank_n = n.rank_table
-    for s2 in range(1 << m.n):
-        r2m = rank_m[s2]
-        r2n = rank_n[phi_img[s2]]
-        s1 = s2
-        while True:
-            if r2n - rank_n[phi_img[s1]] > r2m - rank_m[s1]:
-                return False
-            if s1 == 0:
-                break
-            s1 = (s1 - 1) & s2
-    return True
-
-
 def _image_table(m: Matroid, phi: Sequence[int]) -> list[Mask]:
     """phi(S) for every source subset S, built bottom-up."""
     check_table_size(m.n)
@@ -164,7 +136,7 @@ def _image_table(m: Matroid, phi: Sequence[int]) -> list[Mask]:
 
 
 def validate_morphism(m: Matroid, n: Matroid, phi: Sequence[int]) -> MatroidMorphism:
-    """Check the flat-preimage condition (and cross-check the rank form).
+    """Check the flat-preimage condition on every flat of the target.
 
     The image of the full ground set must also span the target; otherwise
     the generating polynomial would be empty and nothing downstream is
@@ -173,6 +145,7 @@ def validate_morphism(m: Matroid, n: Matroid, phi: Sequence[int]) -> MatroidMorp
     phi = tuple(phi)
     if len(phi) != m.n:
         raise MorphismError(f"map must list {m.n} images, got {len(phi)}")
+    image = 0
     for i, t in enumerate(phi):
         if isinstance(t, bool) or not isinstance(t, int):
             raise MorphismError(
@@ -180,25 +153,15 @@ def validate_morphism(m: Matroid, n: Matroid, phi: Sequence[int]) -> MatroidMorp
             )
         if not 1 <= t <= n.n:
             raise MorphismError(f"image of element {i + 1} out of range: {t}")
-    phi_img = _image_table(m, phi)
-    violation: Optional[FlatPreimageViolation] = None
+        image |= 1 << (t - 1)
     for flat in n.flats:
         pre = 0
         for i, t in enumerate(phi):
             if flat & (1 << (t - 1)):
                 pre |= 1 << i
         if not m.is_flat(pre):
-            violation = FlatPreimageViolation(flat, pre)
-            break
-    if m.n <= MORPHISM_SOURCE_MAX:
-        if _rank_condition_holds(m, n, phi_img) != (violation is None):
-            raise ConditionMismatch(
-                "flat-preimage and rank-difference validation disagree "
-                f"for map {phi}"
-            )
-    if violation is not None:
-        raise violation
-    if n.rank_table[phi_img[m.ground_mask]] != n.rank:
+            raise FlatPreimageViolation(flat, pre)
+    if n.rank_table[image] != n.rank:
         raise ImageRankDeficient(
             "the image of the ground set does not span the target"
         )
@@ -263,17 +226,29 @@ class EurHuhEntry:
     equal: bool
 
 
+@dataclass(frozen=True)
+class DegeneracyVerdict:
+    """Which of the three dependency conditions hold, with a verified witness.
+
+    classes is a subset of {"A", "B", "C"}; annihilator, present exactly
+    when classes is non-empty, lists coefficients (over x0..xn) of a linear
+    derivative form that kills the reduced polynomial exactly.
+    """
+
+    classes: frozenset[str]
+    annihilator: Optional[tuple[Fraction, ...]]
+
+
 class BasisFamily:
     """The facts about a morphism that depend only on its MorphismBases.
 
     `basis_family` hands out one instance per distinct family, and each
-    fact is computed on first use.  Nothing here reads a map, a target or
-    a loop preimage, so every morphism with these bases may share it.
+    fact is computed on first use.  Nothing here reads a map or a target,
+    so every morphism with these bases may share it.
     """
 
     def __init__(self, bases: MorphismBases):
         self.bases = bases
-        self._annihilates: dict[tuple[Fraction, ...], bool] = {}
 
     @cached_property
     def polys(self) -> tuple[HomogPoly, HomogPoly]:
@@ -342,12 +317,58 @@ class BasisFamily:
             out.append(EurHuhEntry(k, lhs, rhs, lhs == rhs))
         return tuple(out)
 
-    def annihilates(self, coeffs: tuple[Fraction, ...]) -> bool:
-        """Whether the linear derivative form with these coefficients (over
-        x0..xn) kills the reduced polynomial exactly."""
-        if coeffs not in self._annihilates:
-            self._annihilates[coeffs] = linear_apply(self.polys[1], coeffs).is_zero
-        return self._annihilates[coeffs]
+    @cached_property
+    def degeneracy(self) -> DegeneracyVerdict:
+        """The degeneracy verdict shared by every morphism with these bases
+        (see `degeneracy_class`); its annihilator is checked here, once.
+
+        The source's bases are the top level, and the loop preimage is the
+        ground set minus the union of the bottom-level bases.
+        """
+        n, r, r_prime = self.bases.n, self.bases.r, self.bases.r_prime
+        levels = self.bases.by_size
+        source_bases = levels[r]
+        loops_mask = (1 << n) - 1
+        for s in levels[r_prime]:
+            loops_mask &= ~s
+        nloops = popcount(loops_mask)
+        classes = set()
+        if r == r_prime:
+            classes.add("A")
+        if r - r_prime == 1 and nloops == 1:
+            classes.add("B")
+        if n - nloops == r_prime:
+            # the restriction to the loop preimage is uniform when its bases,
+            # the largest traces of source bases, are all subsets of that size
+            traces = {s & loops_mask for s in source_bases}
+            k = max(map(popcount, traces))
+            if sum(1 for t in traces if popcount(t) == k) == math.comb(nloops, k):
+                classes.add("C")
+        if not classes:
+            return DegeneracyVerdict(frozenset(), None)
+
+        coeffs = [Fraction(0)] * (n + 1)
+        if "A" in classes:
+            coeffs[0] = Fraction(1)
+        elif "B" in classes:
+            j = elems_of(loops_mask)[0]
+            if not any(s & loops_mask for s in source_bases):
+                # j is a loop of the source: no basis contains it, so d/dx_j kills P
+                coeffs[j] = Fraction(1)
+            else:
+                coeffs[0] = Fraction(1)
+                coeffs[j] = Fraction(-(n - r + 1))
+        else:
+            coeffs[0] = Fraction(-1)
+            for e in elems_of(loops_mask):
+                coeffs[e] = Fraction(1)
+        annihilator = tuple(coeffs)
+        if not linear_apply(self.polys[1], annihilator).is_zero:
+            raise AnnihilatorCheckFailed(
+                f"predicted annihilator {coeffs} does not kill the reduced "
+                f"polynomial of bases {self.bases}"
+            )
+        return DegeneracyVerdict(frozenset(classes), annihilator)
 
 
 @lru_cache(maxsize=None)
@@ -366,19 +387,6 @@ def morphism_poly(phi: MatroidMorphism) -> tuple[HomogPoly, HomogPoly]:
     return _family(phi).polys
 
 
-@dataclass(frozen=True)
-class DegeneracyVerdict:
-    """Which of the three dependency conditions hold, with a verified witness.
-
-    classes is a subset of {"A", "B", "C"}; annihilator, present exactly
-    when classes is non-empty, lists coefficients (over x0..xn) of a linear
-    derivative form that kills the reduced polynomial exactly.
-    """
-
-    classes: frozenset[str]
-    annihilator: Optional[tuple[Fraction, ...]]
-
-
 def degeneracy_class(phi: MatroidMorphism) -> DegeneracyVerdict:
     """Syntactic test of the three dependency conditions.
 
@@ -389,45 +397,20 @@ def degeneracy_class(phi: MatroidMorphism) -> DegeneracyVerdict:
     alone when j is a loop of the source; for C it is the sum of d/dx_e
     over the loop preimage minus d/dx0.  Every emitted annihilator is
     checked against the reduced polynomial; failure is an internal error.
-    """
-    m = phi.source
-    n_elems = m.n
-    r, r_prime = phi.r, phi.r_prime
-    loops_mask = phi.phi_loops
-    nloops = popcount(loops_mask)
-    classes = set()
-    if r == r_prime:
-        classes.add("A")
-    if r - r_prime == 1 and nloops == 1:
-        classes.add("B")
-    restricted, _ = restrict(m, loops_mask)
-    if restricted.is_uniform and n_elems - nloops == r_prime:
-        classes.add("C")
-    if not classes:
-        return DegeneracyVerdict(frozenset(), None)
 
-    coeffs = [Fraction(0)] * (n_elems + 1)
-    if "A" in classes:
-        coeffs[0] = Fraction(1)
-    elif "B" in classes:
-        j = elems_of(loops_mask)[0]
-        if m.loops & loops_mask:
-            # j is a loop of the source: no basis contains it, so d/dx_j kills P
-            coeffs[j] = Fraction(1)
-        else:
-            coeffs[0] = Fraction(1)
-            coeffs[j] = Fraction(-(n_elems - r + 1))
-    else:
-        coeffs[0] = Fraction(-1)
-        for e in elems_of(loops_mask):
-            coeffs[e] = Fraction(1)
-    annihilator = tuple(coeffs)
-    if not _family(phi).annihilates(annihilator):
-        raise AnnihilatorCheckFailed(
-            f"predicted annihilator {coeffs} does not kill the reduced "
-            f"polynomial of map {phi.map}"
-        )
-    return DegeneracyVerdict(frozenset(classes), annihilator)
+    The verdict depends on the bases of phi alone, so it is computed once
+    per BasisFamily.  Both facts it reads off the bases follow from the
+    rank-difference form rk_N phi(S2) - rk_N phi(S1) <= rk_M S2 - rk_M S1
+    for S1 <= S2.  First, every basis B of M spans N (take S1 = B, S2 = E),
+    so the size-r level is the set of bases of M.  Second, e lies in a
+    bottom-level basis (size r') exactly when phi(e) is not a loop.  If it
+    is a loop and e lies in such a basis I, phi(I - e) spans N with r' - 1
+    elements.  If it is not, {e} is independent (S1 empty, S2 = {e}); grow
+    I = {e} by any f with rk_N phi(I + f) = |I| + 1, which exists while
+    |I| < r' because phi(E) spans N.  S1 = I, S2 = I + f keeps I
+    independent, and the growth ends at |I| = r' with phi(I) spanning N.
+    """
+    return _family(phi).degeneracy
 
 
 def eur_huh_profile(phi: MatroidMorphism) -> tuple[EurHuhEntry, ...]:

@@ -5,9 +5,12 @@ powerset scans instead of bitmask caches, Leibniz expansion instead of the
 Berkowitz recursion, characteristic-polynomial signs instead of symmetric
 elimination, flat-family axioms instead of basis-exchange filtering,
 plain fraction Gaussian elimination instead of Bareiss, one second-partial
-polynomial per entry instead of the compiled Hessian plan, and one
+polynomial per entry instead of the compiled Hessian plan, one
 polynomial per derivative or level, evaluated on its own, instead of the
-second-order jet behind the count inequalities and Hodge determinants.
+second-order jet behind the count inequalities and Hodge determinants,
+the rank-difference form over all nested pairs instead of flat preimages,
+and each map's own loop preimage and restriction instead of the
+degeneracy verdict of its basis family.
 """
 
 from __future__ import annotations
@@ -152,6 +155,67 @@ def closure_axiom_matroids(n: int) -> set[tuple[int, frozenset[int]]]:
         bases = frozenset(s for s in indep if popcount(s) == rank)
         found.add((n, bases))
     return found
+
+
+# -- morphisms, one map at a time ------------------------------------------------
+
+
+def rank_condition_holds(m, n, phi) -> bool:
+    """Rank-difference form of a map phi (1-based images) from m to n: no
+    nested pair S1 <= S2 of source subsets gains more rank in the image
+    than in the source.  Scans all 3^|E| pairs over a table of phi(S)."""
+    img = [0] * (1 << m.n)
+    for s in range(1, 1 << m.n):
+        low = s & -s
+        img[s] = img[s ^ low] | (1 << (phi[low.bit_length() - 1] - 1))
+    rank_m, rank_n = m.rank_table, n.rank_table
+    for s2 in range(1 << m.n):
+        r2m = rank_m[s2]
+        r2n = rank_n[img[s2]]
+        s1 = s2
+        while True:
+            if r2n - rank_n[img[s1]] > r2m - rank_m[s1]:
+                return False
+            if s1 == 0:
+                break
+            s1 = (s1 - 1) & s2
+    return True
+
+
+def per_map_degeneracy(phi):
+    """(classes, annihilator) of a morphism from its own loop preimage
+    phi.phi_loops and the restriction of the source to it."""
+    from mlz.matroids import restrict
+
+    m = phi.source
+    n, r, r_prime = m.n, phi.r, phi.r_prime
+    loops_mask = phi.phi_loops
+    loop_elems = [e for e in range(1, n + 1) if (loops_mask >> (e - 1)) & 1]
+    classes = set()
+    if r == r_prime:
+        classes.add("A")
+    if r - r_prime == 1 and len(loop_elems) == 1:
+        classes.add("B")
+    restricted, _ = restrict(m, loops_mask)
+    if restricted.is_uniform and n - len(loop_elems) == r_prime:
+        classes.add("C")
+    if not classes:
+        return frozenset(), None
+    coeffs = [Fraction(0)] * (n + 1)
+    if "A" in classes:
+        coeffs[0] = Fraction(1)
+    elif "B" in classes:
+        (j,) = loop_elems
+        if m.loops & loops_mask:
+            coeffs[j] = Fraction(1)
+        else:
+            coeffs[0] = Fraction(1)
+            coeffs[j] = Fraction(-(n - r + 1))
+    else:
+        coeffs[0] = Fraction(-1)
+        for e in loop_elems:
+            coeffs[e] = Fraction(1)
+    return frozenset(classes), tuple(coeffs)
 
 
 # -- exact linear algebra oracles ----------------------------------------------

@@ -6,6 +6,7 @@ labeled matroids on up to six elements and all matroid morphisms from
 simple sources on up to five elements to targets on up to three.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -303,7 +304,9 @@ def test_criterion_10_final_example():
 
 def test_criterion_11_eur_huh_inequality(morphism_sweep):
     """The normalized count inequality holds exactly for every enumerated
-    morphism, and the survey emits its equality catalog deterministically."""
+    morphism, and the survey emits its equality catalog deterministically.
+    The sha256 pins the JSONL bytes, as `mlz survey --n 4 --seed 1
+    --format json` prints them."""
     equalities = []
     for phi in morphism_sweep:
         for entry in mo.eur_huh_profile(phi):
@@ -315,6 +318,12 @@ def test_criterion_11_eur_huh_inequality(morphism_sweep):
     assert rep_a.ok and rep_b.ok
     assert rep_a.equality_eur_huh == rep_b.equality_eur_huh
     assert "\n".join(rep_a.to_jsonl_lines()) == "\n".join(rep_b.to_jsonl_lines())
+    digest = hashlib.sha256()
+    for line in rep_a.to_jsonl_lines():
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "a338ae756cb677c0a1e5cb83b231acd4f1ccbd0db55b2b4c2152992a722eb792"
+    )
     print(
         f"criterion 11: PASS ({len(equalities)} equality cases; "
         f"survey catalog of {len(rep_a.equality_eur_huh)} entries is stable)"

@@ -54,6 +54,14 @@ def test_check_lorentz_witness(capsys, u23_file):
     assert "seed=1" in out
 
 
+@pytest.mark.parametrize("at", [["--at", "0,1,1"], ["--at=-1,1,1"]])
+def test_lorentz_witness_at_non_positive_point_exits_2(capsys, u23_file, at):
+    assert run(["check", "lorentz-witness", u23_file] + at) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --at: witness points must be strictly positive\n"
+
+
 def test_matroid_info_text(capsys, u23_file):
     assert run(["matroid-info", u23_file]) == 0
     out = capsys.readouterr().out

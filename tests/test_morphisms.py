@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -24,6 +25,8 @@ from mlz.morphisms import (
     validate_morphism,
 )
 from mlz.polynomials import linear_apply, partial, poly_str
+
+from _oracles import per_map_degeneracy, rank_condition_holds
 
 LOOP_COLOOP = direct_sum(uniform(0, 1), uniform(1, 1))  # one loop, one coloop
 
@@ -62,24 +65,33 @@ def test_map_length_and_range_checked():
 
 
 def test_validation_routes_agree_exhaustively():
-    """The flat-preimage route must accept exactly the rank-difference maps.
-
-    validate_morphism raises an internal error if its two routes ever
-    disagree, so sweeping every candidate map is the agreement assertion.
-    """
-    targets = [t for tn in (1, 2) for t in catalog(tn)]
-    for n in (1, 2, 3):
+    """The flat-preimage route rejects exactly the maps that break the
+    rank-difference form, on every map to a target on <= 3 elements from a
+    catalog source on <= 4 elements (loops and parallel elements included)
+    or a simple one on 5: every candidate map of the survey among them."""
+    targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
+    count = rejected = 0
+    for n in range(1, 6):
         for m in catalog(n):
-            if not m.is_simple:
+            if n == 5 and not m.is_simple:
                 continue
             for target in targets:
-                from itertools import product
-
                 for phi in product(range(1, target.n + 1), repeat=m.n):
+                    count += 1
                     try:
                         validate_morphism(m, target, phi)
-                    except MorphismError:
-                        pass
+                        violation = False
+                    except FlatPreimageViolation:
+                        violation = True
+                        rejected += 1
+                    except ImageRankDeficient:
+                        violation = False
+                    assert rank_condition_holds(m, target, phi) != violation, (
+                        m,
+                        target,
+                        phi,
+                    )
+    assert (count, rejected) == (300688, 179544)
 
 
 # -- pulled-back structure ----------------------------------------------------------
@@ -306,16 +318,29 @@ def test_degeneracy_class_never_raises_on_catalog_sources():
     """Every morphism from a catalog source on <= 4 elements, loops and
     parallel elements included, to a target on <= 3 elements.
 
-    degeneracy_class raises AnnihilatorCheckFailed when its form does not
-    kill the reduced polynomial; class B whose loop preimage is a source
-    loop must get the coordinate form of that loop."""
+    The two facts the basis family reads its verdict from hold: the top
+    level is the source's bases, and the loop preimage is the ground set
+    minus the union of the bottom-level bases.  Each verdict equals the one
+    from the map's own loop preimage.  degeneracy_class raises
+    AnnihilatorCheckFailed when its form does not kill the reduced
+    polynomial; class B whose loop preimage is a source loop must get the
+    coordinate form of that loop."""
     targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
     count = loop_b = 0
     for n in range(1, 5):
         for m in catalog(n):
             for phi in enumerate_morphisms(m, targets):
                 count += 1
+                levels = morphism_bases(phi).by_size
+                assert levels[phi.r] == m.bases, phi
+                bottom_union = 0
+                for s in levels[phi.r_prime]:
+                    bottom_union |= s
+                assert bottom_union == m.ground_mask & ~phi.phi_loops, phi
                 verdict = degeneracy_class(phi)
+                assert (verdict.classes, verdict.annihilator) == per_map_degeneracy(
+                    phi
+                ), phi
                 if verdict.classes & {"A", "B"} == {"B"} and m.loops & phi.phi_loops:
                     loop_b += 1
                     (j,) = elems_of(phi.phi_loops)

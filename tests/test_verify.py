@@ -15,7 +15,12 @@ from mlz.morphisms import (
     morphism_bases,
     validate_morphism,
 )
-from mlz.polynomials import HessianPlan, basis_poly, reduced_indep_poly
+from mlz.polynomials import (
+    HessianPlan,
+    basis_poly,
+    gradient_matrix,
+    reduced_indep_poly,
+)
 from mlz.sampling import derive, positive_point
 from mlz.verify import (
     SuiteReport,
@@ -182,11 +187,11 @@ def test_hodge_pair_rows_match_polynomial_proportionality():
             (f, _points(m, n)[1:]),
             (reduced, _points(m, n + 1)[1:] + [(0,) + (1,) * n]),
         ):
-            plan = HessianPlan(p)
+            plan, grad = HessianPlan(p), gradient_matrix(p)
             pairs = [(i, j) for i in p.active for j in p.active if i < j]
             for a in points:
                 report = SuiteReport("test", 0)
-                _hodge_pair_rows(report, "hodge", p, plan, [a], pairs)
+                _hodge_pair_rows(report, "hodge", p, plan, grad, [a], pairs)
                 want = hodge_pair_counts(p, [a], pairs)
                 assert report.rows[0].detail == "tested={} nonneg={}".format(*want)
                 assert report.rows[0].status == "pass"
