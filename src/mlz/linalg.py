@@ -11,7 +11,10 @@ public spectrum helper; no check in the package calls it.
 
 `clear_denominators` is the one place where denominators are cleared:
 Hessian points, weighted evaluation points and the entries given to
-`inertia` and `matrix_rank` all become integers through it.
+`inertia` and `matrix_rank` all become integers through it.  Integer
+input takes a fast path: when every value is an `int` it returns
+(1, values) after one type scan, with no gcd per entry, so a Hessian
+filled at an integer point reaches the elimination as it is.
 """
 
 from __future__ import annotations
@@ -74,7 +77,10 @@ def clear_denominators(values: Sequence) -> tuple[int, tuple[int, ...]]:
     The one place in the package where denominators are cleared.  A
     positive scale changes no sign, rank or inertia, and a homogeneous
     polynomial of degree d at scale * a is scale**d times its value at a.
+    Values that are all `int` come back as they are, after one type scan.
     """
+    if set(map(type, values)) <= {int}:
+        return 1, tuple(values)
     scale = 1
     for v in values:
         scale = scale * v.denominator // gcd(scale, v.denominator)

@@ -172,16 +172,6 @@ def partial(p: HomogPoly, i: int) -> HomogPoly:
     return HomogPoly(p.active, p.degree - 1, terms)
 
 
-def iterated_partial(p: HomogPoly, orders: Sequence[int]) -> HomogPoly:
-    """Apply d/dx_i orders[pos] times for each active variable (by position)."""
-    for i, k in zip(p.active, orders):
-        for _ in range(k):
-            p = partial(p, i)
-            if p.is_zero:
-                return p
-    return p
-
-
 def linear_apply(p: HomogPoly, coeffs: Sequence) -> HomogPoly:
     """(sum_i coeffs[pos] * d/dx_i) p, coefficients aligned with p.active."""
     if len(coeffs) != len(p.active):

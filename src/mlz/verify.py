@@ -173,10 +173,16 @@ def _weights(m: Matroid, point: Optional[Sequence]) -> Optional[tuple]:
 
 
 def _basis_jets(m: Matroid, point: Optional[Sequence], plan: Optional[HessianPlan]):
-    """(weights, jet at (1, ..., 1), jet at the point) of f_M, from one plan."""
+    """(weights, jet at (1, ..., 1), jet at the point) of f_M, from one plan.
+
+    Without a plan, f_M's plan and its jet at (1, ..., 1) are kept on the
+    matroid, so repeated single checks fill only the jet at their point."""
     at = _weights(m, point)
-    plan = plan or HessianPlan(_fm(m))
-    ones = _jet(plan, (1,) * m.n)
+    if plan is None:
+        plan = m._cached("basis_plan", lambda: HessianPlan(_fm(m)))
+        ones = m._cached("basis_ones_jet", lambda: _jet(plan, (1,) * m.n))
+    else:
+        ones = _jet(plan, (1,) * m.n)
     return at, ones, ones if at is None else _jet(plan, at)
 
 
@@ -352,7 +358,7 @@ class SuiteReport:
 
 
 def _fmt_point(point: Sequence) -> str:
-    return ",".join(str(Fraction(v)) for v in point)
+    return ",".join(map(str, point))
 
 
 # -- per-matroid theorem suite --------------------------------------------------

@@ -8,6 +8,8 @@ plain fraction Gaussian elimination instead of Bareiss, one second-partial
 polynomial per entry instead of the compiled Hessian plan, one
 polynomial per derivative or level, evaluated on its own, instead of the
 second-order jet behind the count inequalities and Hodge determinants,
+one derivative polynomial and Hessian plan per multi-index instead of the
+Lorentzian witness's table of derivative values,
 the rank-difference form over all nested pairs instead of flat preimages,
 and each map's own loop preimage and restriction instead of the
 degeneracy verdict of its basis family.
@@ -322,6 +324,72 @@ def second_partials_hessian(p, point) -> tuple[tuple, ...]:
         tuple(evaluate(partial(first, j), point) for j in p.active)
         for first in firsts
     )
+
+
+def iterated_partial(p, orders):
+    """Apply d/dx_i orders[pos] times for each active variable (by position)."""
+    from mlz.polynomials import partial
+
+    for i, k in zip(p.active, orders):
+        for _ in range(k):
+            p = partial(p, i)
+            if p.is_zero:
+                return p
+    return p
+
+
+def _multi_indices(nvars: int, budget: int):
+    """All exponent vectors of length nvars with sum <= budget."""
+    if nvars == 0:
+        yield ()
+        return
+    for head in range(budget + 1):
+        for tail in _multi_indices(nvars - 1, budget - head):
+            yield (head,) + tail
+
+
+def derivative_witness(p, points):
+    """The Lorentzian witness with one derivative polynomial per multi-index:
+    every d^alpha p of order <= deg - 2 is built by repeated `partial`, and
+    its Hessian comes from its own plan, over all active variables."""
+    from mlz.lefschetz import WitnessFailure, WitnessReport
+    from mlz.linalg import clear_denominators, inertia
+    from mlz.polynomials import HessianPlan, hessian_matrix
+
+    if p.degree < 2:
+        raise ValueError("the Lorentzian condition needs degree >= 2")
+    scaled = []
+    for point in points:
+        if len(point) != len(p.active):
+            raise ValueError("point length must match active variables")
+        if any(Fraction(v) <= 0 for v in point):
+            raise ValueError("witness points must be strictly positive")
+        scaled.append(clear_denominators(point)[1])
+    report = WitnessReport(degree=p.degree)
+    multilinear_from = 1 if 0 in p.active else 0
+    for orders in _multi_indices(len(p.active), p.degree - 2):
+        report.checked += 1
+        if any(k >= 2 for k in orders[multilinear_from:]):
+            # second derivative in a multilinear variable: identically zero
+            report.identically_zero += 1
+            continue
+        q = iterated_partial(p, orders)
+        if q.is_zero:
+            report.identically_zero += 1
+            continue
+        if q.degree == 2:
+            report.exact_degree2 += 1
+            pos = inertia(hessian_matrix(q, (1,) * len(q.active))).pos
+            if pos > 1:
+                report.failures.append(WitnessFailure(orders, None, pos))
+            continue
+        plan = HessianPlan(q)
+        for raw, point in zip(points, scaled):
+            report.sampled += 1
+            pos = inertia(plan.at(point)).pos
+            if pos != 1:
+                report.failures.append(WitnessFailure(orders, tuple(raw), pos))
+    return report
 
 
 def sympy_inertia(rows) -> tuple[int, int, int]:

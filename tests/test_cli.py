@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -52,6 +53,22 @@ def test_check_lorentz_witness(capsys, u23_file):
     out = capsys.readouterr().out
     assert out.startswith("LORENTZ-WITNESS: pass")
     assert "seed=1" in out
+
+
+@pytest.mark.parametrize(
+    "kind, counts",
+    [
+        ("basis", "checked=55 zero=9 degree2=36 sampled=30"),
+        ("indep", "checked=19448 zero=18237 degree2=256 sampled=2865"),
+    ],
+)
+def test_lorentz_witness_counts_on_u49(capsys, tmp_path, kind, counts):
+    # beyond the survey's n <= 5: U(4,9), with its degree-9 indep polynomial
+    path = tmp_path / "U4_9.json"
+    bases = [list(b) for b in itertools.combinations(range(1, 10), 4)]
+    path.write_text(json.dumps({"n": 9, "bases": bases}))
+    assert run(["check", "lorentz-witness", str(path), "--kind", kind]) == 0
+    assert capsys.readouterr().out == f"LORENTZ-WITNESS: pass {counts} seed=1\n"
 
 
 @pytest.mark.parametrize("at", [["--at", "0,1,1"], ["--at=-1,1,1"]])

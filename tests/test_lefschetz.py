@@ -162,6 +162,69 @@ def test_witness_counts_zero_derivatives():
     assert rep2.checked == 1 + 4  # order 0 plus four first derivatives
 
 
+def test_witness_matches_derivative_oracle_on_catalog():
+    from mlz.sampling import derive, positive_point
+
+    from _oracles import derivative_witness
+
+    calls = 0
+    for n in range(1, 6):
+        for ix, m in enumerate(catalog(n)):
+            rng = derive(1, n, ix)
+            for p in (basis_poly(m), indep_poly(m)):
+                if p.degree < 2:
+                    continue
+                pts = [positive_point(rng, len(p.active)) for _ in range(3)]
+                assert lorentzian_witness(p, pts) == derivative_witness(p, pts), (m, p)
+                calls += 1
+    assert calls == 930
+
+
+def _random_poly(rng):
+    """A random polynomial in the package's form: x0 present or absent,
+    degree 2-4, up to four multilinear variables, coefficients of both
+    signs and non-integer ones; a few have no terms at all."""
+    nvars = rng.randint(1, 4)
+    with_x0 = rng.random() < 0.5
+    degree = rng.randint(2, 4)
+    sizes = range(0 if with_x0 else degree, min(degree, nvars) + 1)
+    terms = {}
+    for _ in range(rng.randint(1, 6) if sizes else 0):
+        k = rng.choice(sizes)
+        mask = sum(1 << b for b in rng.sample(range(nvars), k))
+        terms[(degree - k, mask)] = rng.choice((1, 2, 3, -1, -2, Fraction(1, 2)))
+    return HomogPoly(range(0 if with_x0 else 1, nvars + 1), degree, terms)
+
+
+def test_witness_matches_derivative_oracle_on_random_polys():
+    import random
+
+    from _oracles import derivative_witness
+
+    rng = random.Random(2020)
+    coords = (1, 2, 3, Fraction(1, 3), Fraction(5, 2))
+    failing = 0
+    for _ in range(2400):
+        p = _random_poly(rng)
+        pts = [
+            tuple(rng.choice(coords) for _ in p.active)
+            for _ in range(rng.randint(0, 3))
+        ]
+        rep = lorentzian_witness(p, pts)
+        assert rep == derivative_witness(p, pts), (p, pts)
+        failing += not rep.passed
+    # both outcomes are well represented
+    assert 500 < failing < 1900
+
+
+def test_witness_matches_derivative_oracle_on_sum_of_squares():
+    from _oracles import derivative_witness
+
+    for pts in ([], [(1, 1, 1)], [(Fraction(1, 2), 3, 1), (2, 2, 2)]):
+        rep = lorentzian_witness(NOT_LOG_CONCAVE_QUADRATIC, pts)
+        assert rep == derivative_witness(NOT_LOG_CONCAVE_QUADRATIC, pts)
+
+
 def test_witness_catalog_sample():
     for m in catalog(3):
         if m.rank >= 2:

@@ -169,6 +169,10 @@ def test_clear_denominators_scales_a_point():
     scale, ints = clear_denominators((7, -1, Fraction(8, 2)))
     assert (scale, ints) == (1, (7, -1, 4))
     assert all(type(v) is int for v in ints)
+    # a list of ints comes back as a tuple; bool is converted, not passed on
+    assert clear_denominators([5, 0, -12]) == (1, (5, 0, -12))
+    scale, ints = clear_denominators((True, 2))
+    assert (scale, ints) == (1, (1, 2)) and type(ints[0]) is int
     assert clear_denominators(()) == (1, ())
 
 

@@ -199,6 +199,21 @@ def test_hodge_pair_rows_match_polynomial_proportionality():
     assert tested == 102004
 
 
+def test_single_basis_checks_compile_one_plan(monkeypatch):
+    import mlz.verify as verify
+
+    compiled = []
+    plan_class = verify.HessianPlan
+    monkeypatch.setattr(
+        verify, "HessianPlan", lambda p: compiled.append(p) or plan_class(p)
+    )
+    m = direct_sum(uniform(2, 3), uniform(1, 2))
+    for a in (None, (1, 2, 3, 4, 5), (Fraction(1, 2), 1, 1, 3, 2)):
+        for i, j in ((1, 2), (2, 5), (4, 3)):
+            assert mason_basis_check(m, i, j, a) == mason_basis_report(m, i, j, a)
+    assert compiled == [basis_poly(m)]
+
+
 def test_mason_point_length_is_checked():
     with pytest.raises(ValueError, match="point length"):
         mason_basis_check(uniform(2, 3), 1, 2, (1, 2))
