@@ -13,6 +13,7 @@ from .lefschetz import (
     gradient_rank,
     hessian_inertia,
     hrr1,
+    lorentzian_decide,
     lorentzian_witness,
     slp1,
 )

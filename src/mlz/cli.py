@@ -15,7 +15,12 @@ from fractions import Fraction
 from . import matroids as mt
 from . import morphisms as mo
 from . import verify
-from .lefschetz import gradient_rank, lorentzian_witness, point_verdicts
+from .lefschetz import (
+    gradient_rank,
+    lorentzian_decide,
+    lorentzian_witness,
+    point_verdicts,
+)
 from .linalg import inertia
 from .polynomials import (
     basis_poly,
@@ -30,6 +35,14 @@ from .sampling import derive, positive_point
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors become a UsageError, so they
+    end as one `error: ...` line and exit 2 like every malformed input."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -96,7 +109,7 @@ def _pick_poly(m: mt.Matroid, kind: str):
 
 
 def _point_for(args, p) -> tuple[Fraction, ...]:
-    if args.at:
+    if args.at is not None:
         point = _parse_point(args.at)
         if len(point) != len(p.active):
             raise UsageError(
@@ -172,8 +185,14 @@ def _cmd_check(args) -> int:
     p = _pick_poly(m, args.kind)
     if p.degree < 2:
         raise UsageError(f"the {args.kind} polynomial has degree {p.degree} < 2")
+    if args.what == "lorentz-exact":
+        if args.at is not None:
+            raise UsageError("lorentz-exact is point-free and takes no --at")
+        decided = lorentzian_decide(p)
+        print(f"LORENTZ-EXACT: {str(decided).lower()}")
+        return 0 if decided else 1
     if args.what == "lorentz-witness":
-        if args.at:
+        if args.at is not None:
             points = [_point_for(args, p)]
         else:
             rng = derive(args.seed, len(p.active))
@@ -206,7 +225,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_mason(args) -> int:
     m = _load_matroid(args)
-    point = _parse_point(args.at) if args.at else None
+    point = _parse_point(args.at) if args.at is not None else None
     if args.what == "basis":
         if args.i is None or args.j is None:
             raise UsageError("mason basis needs --i and --j")
@@ -298,7 +317,7 @@ def _cmd_survey(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mlz",
         description="exact matroid log-concavity checks and surveys",
     )
@@ -328,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_hessian)
 
     sp = sub.add_parser("check", help="degree-1 Lefschetz/Hodge-Riemann checks")
-    sp.add_argument("what", choices=("slp1", "hrr1", "lorentz-witness"))
+    sp.add_argument(
+        "what", choices=("slp1", "hrr1", "lorentz-witness", "lorentz-exact")
+    )
     add_matroid_source(sp)
     sp.add_argument("--kind", choices=("basis", "indep", "reduced"), default="basis")
     sp.add_argument("--at", help="evaluation point (comma-separated rationals)")
@@ -361,11 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (UsageError, mt.MatroidError) as exc:

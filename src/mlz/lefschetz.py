@@ -35,6 +35,13 @@ are point-free constants.  The Hessian of d^alpha p at a is then
 depends on.  Differentiation maps the monomials that survive d^alpha
 injectively, so nothing cancels and the non-zero derivatives are read
 off the term masks alone.
+
+`lorentzian_decide` is the exact test of Brändén and Huh: positive
+coefficients, an M-convex term support (`matroids.exchange_violation`,
+the basis-exchange routine, with the x0 power as one more coordinate)
+and the point-free degree-2 layer of the witness.  When it holds, every
+sampled check of the witness is bound to pass, and the witness counts
+them without taking them; only inputs that fail it are sampled.
 """
 
 from __future__ import annotations
@@ -42,12 +49,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial, perm
-from operator import mul
+from operator import mul, or_
 from typing import Optional, Sequence
 
 from .linalg import Inertia, clear_denominators, inertia, matrix_rank
-from .matroids import popcount
+from .matroids import exchange_violation, popcount
 from .polynomials import HessianPlan, HomogPoly, gradient_matrix, hessian_matrix
 
 
@@ -137,10 +145,13 @@ class WitnessFailure:
 
 @dataclass
 class WitnessReport:
-    """Sampled log-concavity evidence for every derivative order <= d-2.
+    """Log-concavity evidence for every derivative order <= d-2.
 
-    This is evidence at the supplied points, not a proof over the whole
-    orthant; `passed` means no sampled failure was found.
+    `passed` means no failure was found.  When the exact decision holds
+    (`lorentzian_decide`), that is a proof and `sampled` counts the checks
+    it implies; otherwise the checks above degree 2 were taken at the
+    supplied points, which is evidence there, not a proof over the whole
+    orthant.
     """
 
     degree: int
@@ -225,6 +236,68 @@ def _hessian_of(table, b0: int, s: int, units) -> list[list]:
     ]
 
 
+def _exact_layer(p: HomogPoly):
+    """The point-free part of the witness: the terms with integer
+    coefficients, their `_top_x0_powers`, the non-zero derivatives
+    (orders, b0, S) in the order of their multi-indices, and the failures
+    of the degree-2 layer keyed by their position in that list."""
+    d = p.degree
+    _, coeffs = clear_denominators(list(p.terms.values()))
+    terms = [(e0, mask, c) for (e0, mask), c in zip(p.terms, coeffs)]
+    top = _top_x0_powers(terms)
+    alphas = sorted(
+        (tuple(b0 if v == 0 else s >> (v - 1) & 1 for v in p.active), b0, s)
+        for s, e in top.items()
+        for b0 in range(min(e, d - 2 - popcount(s)) + 1)
+    )
+    constants = {(e0, mask): c * factorial(e0) for e0, mask, c in terms}
+    layer2 = {}
+    for k, (orders, b0, s) in enumerate(alphas):
+        if b0 + popcount(s) == d - 2:
+            units = _depends_on(p.active, top, b0, s)
+            pos = inertia(_hessian_of(constants, b0, s, units)).pos
+            if pos > 1:
+                layer2[k] = WitnessFailure(orders, None, pos)
+    return terms, top, alphas, layer2
+
+
+def _depends_on(active, top, b0: int, s: int) -> list[tuple[int, int]]:
+    """The units, (1, 0) for x0 and (0, bit) for x_v, of the variables
+    d^alpha p depends on for alpha = (b0, s): those with d_v d^alpha p != 0."""
+    units = [(1, 0) if v == 0 else (0, 1 << (v - 1)) for v in active]
+    return [
+        (e, bit) for e, bit in units if not bit & s and top.get(s | bit, -1) >= b0 + e
+    ]
+
+
+def _decided(terms, layer2) -> bool:
+    """The exact Lorentzian test on the output of `_exact_layer`: positive
+    coefficients, an M-convex support and no degree-2 failure."""
+    if layer2 or any(c <= 0 for _, _, c in terms):
+        return False
+    width = reduce(or_, (mask for _, mask, _ in terms), 0).bit_length()
+    support = {e0 << width | mask for e0, mask, _ in terms}
+    return exchange_violation(width, support) is None
+
+
+def lorentzian_decide(p: HomogPoly) -> bool:
+    """Whether p is Lorentzian, decided exactly.
+
+    Brändén and Huh (Lorentzian polynomials, Ann. of Math. 2020, §2): a
+    homogeneous p of degree d >= 2 with non-negative coefficients is
+    Lorentzian if and only if its support is M-convex and every d^alpha p
+    with |alpha| = d - 2 is a quadratic form with at most one positive
+    eigenvalue.  Here: every stored coefficient is positive, the term
+    support passes `matroids.exchange_violation` (the x0 power is the
+    first coordinate), and the point-free degree-2 layer of
+    `lorentzian_witness` has no failure.  The zero polynomial is Lorentzian.
+    """
+    if p.degree < 2:
+        raise ValueError("the Lorentzian condition needs degree >= 2")
+    terms, _, _, layer2 = _exact_layer(p)
+    return _decided(terms, layer2)
+
+
 def lorentzian_witness(p: HomogPoly, points: Sequence[Sequence]) -> WitnessReport:
     """Check every derivative of order <= deg-2 for log-concavity.
 
@@ -232,6 +305,20 @@ def lorentzian_witness(p: HomogPoly, points: Sequence[Sequence]) -> WitnessRepor
     have constant Hessians and are checked once, exactly (at most one
     positive eigenvalue).  Higher-degree derivatives are checked at each
     supplied point (exactly one positive eigenvalue there).
+
+    The degree-2 layer runs first.  When it has no failure, every
+    coefficient is positive and the support is M-convex, p is Lorentzian
+    (`lorentzian_decide`) and every sampled check passes, so the report
+    counts them without taking one.  Proof: each non-zero d^alpha p of
+    degree k >= 3 is Lorentzian too (the class is closed under
+    differentiation), so it is log-concave on the open orthant, and at a
+    point a > 0 with q = d^alpha p, q(a) > 0 and the Hessian of log q is
+    H/q - g g^T/q^2 <= 0, with H and g the Hessian and gradient of q at a.
+    So H <= g g^T / q(a): on the kernel of g^T, a subspace of codimension
+    at most 1, x^T H x <= 0, and H has at most one positive eigenvalue.
+    Euler's identity gives a^T H a = k (k - 1) q(a) > 0, so it has at least
+    one.  Every other input (a negative coefficient, a support that is not
+    M-convex, a degree-2 failure) takes the sampled route.
 
     No derivative is built as a polynomial.  Write alpha = (b0, S) for
     d0^b0 d_S; a second derivative in a multilinear variable vanishes, so
@@ -263,32 +350,19 @@ def lorentzian_witness(p: HomogPoly, points: Sequence[Sequence]) -> WitnessRepor
     d = p.degree
     active = p.active
     report = WitnessReport(degree=d, checked=comb(len(active) + d - 2, d - 2))
-    _, coeffs = clear_denominators(list(p.terms.values()))
-    terms = [(e0, mask, c) for (e0, mask), c in zip(p.terms, coeffs)]
-    top = _top_x0_powers(terms)
-    # the non-zero derivatives, in the order of their multi-indices
-    alphas = sorted(
-        (tuple(b0 if v == 0 else s >> (v - 1) & 1 for v in active), b0, s)
-        for s, e in top.items()
-        for b0 in range(min(e, d - 2 - popcount(s)) + 1)
-    )
+    terms, top, alphas, layer2 = _exact_layer(p)
     report.identically_zero = report.checked - len(alphas)
-    constants = {(e0, mask): c * factorial(e0) for e0, mask, c in terms}
+    report.exact_degree2 = sum(b0 + popcount(s) == d - 2 for _, b0, s in alphas)
+    if _decided(terms, layer2):
+        report.sampled = len(points) * (len(alphas) - report.exact_degree2)
+        return report
     tables = [_derivative_values(terms, d, active, a) for a in scaled]
-    all_units = [(1, 0) if v == 0 else (0, 1 << (v - 1)) for v in active]
-    for orders, b0, s in alphas:
-        # the variables d^alpha p depends on: d_v d^alpha p != 0
-        units = [
-            (e, bit)
-            for e, bit in all_units
-            if not bit & s and top.get(s | bit, -1) >= b0 + e
-        ]
+    for k, (orders, b0, s) in enumerate(alphas):
         if b0 + popcount(s) == d - 2:
-            report.exact_degree2 += 1
-            pos = inertia(_hessian_of(constants, b0, s, units)).pos
-            if pos > 1:
-                report.failures.append(WitnessFailure(orders, None, pos))
+            if k in layer2:
+                report.failures.append(layer2[k])
             continue
+        units = _depends_on(active, top, b0, s)
         for raw, values in zip(points, tables):
             report.sampled += 1
             pos = inertia(_hessian_of(values, b0, s, units)).pos

@@ -376,17 +376,69 @@ class Matroid:
         }
 
 
+def exchange_violation(n: int, support) -> Optional[tuple[int, int, int]]:
+    """The least violation of the exchange axiom on a set of exponent
+    vectors, or None when the set is M-convex.
+
+    A vector beta = (beta_0, beta_1, ..., beta_n) with beta_v in {0, 1}
+    for v >= 1 is packed as the integer beta_0 << n | mask, where bit v - 1
+    of the mask is beta_v; a basis family is the case beta_0 = 0, the
+    term support of a polynomial (x0 power, mask) the general one.  The
+    axiom: for alpha, beta in the set and i with alpha_i > beta_i, some j
+    with alpha_j < beta_j has alpha - e_i + e_j in the set.
+
+    It is tested grouped by (alpha, i): with S = {j : alpha - e_i + e_j in
+    the set}, the vectors violating it at (alpha, i) are those with
+    beta_i < alpha_i and beta_j <= alpha_j for every j in S.  Over the
+    indices of the sorted keys these are ANDs of bitsets: "beta_v = 0" is
+    one bitset per v >= 1 (for v in S, alpha_v = 0), and "beta_0 <= t" is
+    a prefix, since the keys sort by beta_0 first.  Cost: |support| * r *
+    (n - r + 1) set lookups plus as many |support|-bit ANDs, r the largest
+    mask size.  Returns (alpha, beta, i), i = 0 for x0 and v for x_v, with
+    the least alpha, then the least i, then the least beta.
+    """
+    ground = (1 << n) - 1
+    lift = 1 << n  # + e_0
+    order = sorted(support)
+    full = (1 << len(order)) - 1
+    without = [full] * n  # without[v - 1]: the keys with beta_v = 0
+    below = []  # below[t]: the keys with beta_0 <= t
+    for k, key in enumerate(order):
+        while len(below) < key >> n:
+            below.append((1 << k) - 1)
+        for e in bits_of(key & ground):
+            without[e] ^= 1 << k
+    below.append(full)
+    lifts = len(below) > 1  # some key has beta_0 > 0
+    for alpha in order:
+        e0 = alpha >> n
+        outside = tuple(bits_of(ground & ~alpha))
+        # i = b + 1 for every i with alpha_i > 0: b = -1 is x0
+        for b in ([-1] if e0 else []) + list(bits_of(alpha & ground)):
+            if b < 0:
+                stripped, violators = alpha - lift, below[e0 - 1]
+            else:
+                stripped, violators = alpha ^ (1 << b), without[b]
+                if lifts and stripped + lift in support:  # j = x0
+                    violators &= below[e0]
+            for yb in outside:
+                if stripped | (1 << yb) in support:
+                    violators &= without[yb]
+                    if not violators:
+                        break
+            if violators:
+                return alpha, order[(violators & -violators).bit_length() - 1], b + 1
+    return None
+
+
 def check_exchange(n: int, bases: frozenset[Mask]) -> None:
     """Raise unless `bases` is a valid basis family on {1..n}.
 
-    The exchange axiom is tested grouped by (B, x) for each basis B and
-    x in B: with S = {y not in B : B - x + y is a basis}, it holds at
-    (B, x) exactly when every basis avoiding x meets S.  One bitset per
-    element, over the indices of the sorted bases that avoid it, turns
-    that into `without[x] & AND(without[y] for y in S)`, the set of
-    bases violating the axiom at (B, x).  Cost: |B| * r * (n - r) set
-    lookups plus as many |B|-bit ANDs.  A failure names the least B, then
-    the least x, then the least violating basis, so it is deterministic.
+    The exchange axiom is `exchange_violation` on the basis masks (no x0):
+    for each basis B and x in B, with S = {y not in B : B - x + y is a
+    basis}, it holds at (B, x) exactly when every basis avoiding x meets S.
+    A failure names the least B, then the least x, then the least violating
+    basis, so it is deterministic.
     """
     if n < 0:
         raise MatroidError("ground-set size must be non-negative")
@@ -399,24 +451,9 @@ def check_exchange(n: int, bases: frozenset[Mask]) -> None:
     sizes = {popcount(b) for b in bases}
     if len(sizes) > 1:
         raise UnequalCardinalityError(f"basis sizes differ: {sorted(sizes)}")
-    order = sorted(bases)
-    without = [0] * n
-    for k, b in enumerate(order):
-        for e in bits_of(ground & ~b):
-            without[e] |= 1 << k
-    for b1 in order:
-        outside = tuple(bits_of(ground & ~b1))
-        for xb in bits_of(b1):
-            stripped = b1 ^ (1 << xb)
-            violators = without[xb]
-            for yb in outside:
-                if stripped | (1 << yb) in bases:
-                    violators &= without[yb]
-                    if not violators:
-                        break
-            if violators:
-                b2 = order[(violators & -violators).bit_length() - 1]
-                raise ExchangeViolationError(b1, b2, xb + 1)
+    violation = exchange_violation(n, bases)
+    if violation:
+        raise ExchangeViolationError(*violation)
 
 
 def _require_int(value, field: str) -> int:

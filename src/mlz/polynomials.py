@@ -26,10 +26,11 @@ keeps the plan.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence
 
-from .linalg import SymMatrix
+from .linalg import SymMatrix, clear_denominators
 from .matroids import Matroid, Mask, bits_of, elems_of, mask_of, popcount
 
 TermKey = tuple[int, Mask]  # (x0 exponent, support mask over {1..n})
@@ -288,8 +289,18 @@ class HessianPlan:
 
 def hessian_matrix(p: HomogPoly, point: Sequence) -> SymMatrix:
     """Matrix of second partials at the point, over the active variables:
-    a HessianPlan compiled for p and filled once."""
-    return HessianPlan(p).at(point)
+    a HessianPlan compiled for p and filled once.
+
+    The plan is filled at the integers (lam, A) = clear_denominators(point)
+    and each entry divided once by lam^(d - 2): the second partials are
+    homogeneous of degree d - 2, so H(A) = lam^(d - 2) H(point).
+    """
+    lam, scaled = clear_denominators(point)
+    h = HessianPlan(p).at(scaled)
+    if lam == 1:
+        return h
+    den = lam ** (p.degree - 2)
+    return SymMatrix([[Fraction(v, den) for v in row] for row in h.rows])
 
 
 def gradient_matrix(p: HomogPoly) -> list[list]:

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the production code paths: brute-force
 powerset scans instead of bitmask caches, Leibniz expansion instead of the
 Berkowitz recursion, characteristic-polynomial signs instead of symmetric
-elimination, flat-family axioms instead of basis-exchange filtering,
+elimination, flat-family axioms instead of basis-exchange filtering, pairwise
+exchange over explicit exponent vectors instead of grouped bitsets,
 plain fraction Gaussian elimination instead of Bareiss, one second-partial
 polynomial per entry instead of the compiled Hessian plan, one
 polynomial per derivative or level, evaluated on its own, instead of the
@@ -83,6 +84,34 @@ def exchange_violations(bases: frozenset[int]):
                 stripped = b1 & ~(1 << x)
                 if not any(stripped | (1 << y) in bases for y in only2):
                     yield b1, b2, x + 1
+
+
+def m_convex_violations(support):
+    """Every (alpha, beta, i) at which the exchange axiom fails on a set of
+    exponent vectors, given as (x0 power, mask) pairs; i = 0 is x0 and
+    i = v is x_v (bit v - 1).
+
+    The textbook pairwise form over explicit vectors: for alpha, beta in
+    the set and i with alpha_i > beta_i, some j with alpha_j < beta_j must
+    put alpha - e_i + e_j in the set.  Every ordered pair, every i, every j.
+    """
+    width = max((mask.bit_length() for _, mask in support), default=0)
+    vectors = {
+        (e0,) + tuple(mask >> b & 1 for b in range(width)): (e0, mask)
+        for e0, mask in support
+    }
+    coords = range(width + 1)
+    for a in vectors:
+        for b in vectors:
+            for i in coords:
+                if a[i] <= b[i]:
+                    continue
+                if not any(
+                    a[j] < b[j]
+                    and tuple(a[k] - (k == i) + (k == j) for k in coords) in vectors
+                    for j in coords
+                ):
+                    yield vectors[a], vectors[b], i
 
 
 # -- matroid enumeration through the flat-family axioms ------------------------

@@ -286,3 +286,82 @@ def test_check_lines_and_exit_codes(capsys, u23_file, what):
     # eigenvalue, matching the gradient rank 3 of its 4 variables
     assert run(["check", what, u23_file, "--kind", "reduced", "--at", "0,1,1,1"]) == 0
     assert capsys.readouterr().out == f"{name}: true inertia=(1,2,1) grad_rank=3\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frob"],
+        ["survey"],
+        ["poly", "U23", "--kind", "bogus"],
+        ["mason", "basis", "U23", "--i", "x", "--j", "2"],
+        # argparse reads -1,1,1 as an option, so --at has no value
+        ["check", "hrr1", "U23", "--at", "-1,1,1"],
+    ],
+)
+def test_usage_errors_exit_2_with_one_line(capsys, u23_file, argv):
+    argv = [u23_file if a == "U23" else a for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: mlz")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hessian", "U23"],
+        ["check", "hrr1", "U23"],
+        ["check", "lorentz-witness", "U23"],
+        ["mason", "basis", "U23", "--i", "1", "--j", "2"],
+    ],
+)
+def test_empty_point_exits_2(capsys, u23_file, argv):
+    argv = [u23_file if a == "U23" else a for a in argv]
+    assert run(argv + ["--at", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: bad rational ''")
+
+
+def test_hessian_at_fractional_point_text_and_json(capsys, u23_file):
+    argv = ["hessian", u23_file, "--kind", "indep", "--at", "1/2,2/3,3,1"]
+    rows = [
+        ["37/3", "5", "8/3", "14/3"],
+        ["5", "0", "1/2", "1/2"],
+        ["8/3", "1/2", "0", "1/2"],
+        ["14/3", "1/2", "1/2", "0"],
+    ]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "".join(
+        " ".join(row) + "\n" for row in rows
+    ) + "inertia=(1,3,0)\n"
+    assert run(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(
+        {"rows": rows, "inertia": {"pos": 1, "neg": 3, "zero": 0}}, sort_keys=True
+    ) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["basis", "indep"])
+def test_lorentz_exact_on_u49(capsys, tmp_path, kind):
+    path = tmp_path / "U4_9.json"
+    bases = [list(b) for b in itertools.combinations(range(1, 10), 4)]
+    path.write_text(json.dumps({"n": 9, "bases": bases}))
+    assert run(["check", "lorentz-exact", str(path), "--kind", kind]) == 0
+    assert capsys.readouterr().out == "LORENTZ-EXACT: true\n"
+
+
+def test_lorentz_exact_takes_no_point(capsys, u23_file):
+    assert run(["check", "lorentz-exact", u23_file, "--at", "1,1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lorentz-exact is point-free and takes no --at\n"

@@ -5,11 +5,13 @@ import pytest
 from mlz.lefschetz import (
     InapplicablePointError,
     PointClass,
+    WitnessFailure,
     classify_point,
     gradient_rank,
     hessian_inertia,
     hessian_matrix,
     hrr1,
+    lorentzian_decide,
     lorentzian_witness,
     point_verdicts,
     slp1,
@@ -196,25 +198,39 @@ def _random_poly(rng):
     return HomogPoly(range(0 if with_x0 else 1, nvars + 1), degree, terms)
 
 
-def test_witness_matches_derivative_oracle_on_random_polys():
+def test_witness_matches_derivative_oracle_on_random_polys(monkeypatch):
     import random
+
+    from mlz import lefschetz
 
     from _oracles import derivative_witness
 
+    tables = []
+    values = lefschetz._derivative_values
+    monkeypatch.setattr(
+        lefschetz, "_derivative_values", lambda *args: tables.append(1) or values(*args)
+    )
     rng = random.Random(2020)
     coords = (1, 2, 3, Fraction(1, 3), Fraction(5, 2))
-    failing = 0
+    failing = fast = 0
     for _ in range(2400):
         p = _random_poly(rng)
         pts = [
             tuple(rng.choice(coords) for _ in p.active)
             for _ in range(rng.randint(0, 3))
         ]
+        built = len(tables)
         rep = lorentzian_witness(p, pts)
         assert rep == derivative_witness(p, pts), (p, pts)
         failing += not rep.passed
-    # both outcomes are well represented
+        # a report with sampled checks that built no derivative table came
+        # through the exact decision
+        if p.degree >= 3 and pts and len(tables) == built:
+            assert lorentzian_decide(p), p
+            fast += 1
+    # both outcomes are well represented, and so are both routes
     assert 500 < failing < 1900
+    assert fast >= 500
 
 
 def test_witness_matches_derivative_oracle_on_sum_of_squares():
@@ -233,6 +249,107 @@ def test_witness_catalog_sample():
             assert lorentzian_witness(
                 indep_poly(m), [(1,) * (m.n + 1)]
             ).passed
+
+
+def _catalog_polys(max_n):
+    """The basis, independent-set and reduced polynomials of degree >= 2 of
+    every catalog matroid on at most max_n elements."""
+    for n in range(1, max_n + 1):
+        for m in catalog(n):
+            for p in (basis_poly(m), indep_poly(m), reduced_indep_poly(m)):
+                if p.degree >= 2:
+                    yield m, p
+
+
+def test_grouped_m_convexity_matches_pairwise_oracle_on_catalog_polys():
+    from mlz.matroids import exchange_violation
+
+    from _oracles import m_convex_violations
+
+    checked = 0
+    for m, p in _catalog_polys(5):
+        width = m.n
+        support = {e0 << width | mask for e0, mask in p.terms}
+        assert exchange_violation(width, support) is None, (m, p)
+        assert not any(m_convex_violations(p.terms)), (m, p)
+        checked += 1
+    assert checked == 1365
+
+
+def test_lorentzian_decide_on_catalog_polys():
+    assert all(lorentzian_decide(p) for _, p in _catalog_polys(5))
+
+
+def test_lorentzian_decide_on_morphism_reduced_polys():
+    # the reduced polynomial of each distinct basis family of the morphisms
+    # from simple sources on <= 4 elements to targets on <= 3
+    from mlz.morphisms import enumerate_morphisms, morphism_poly
+
+    targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
+    seen = set()
+    for n in range(1, 5):
+        for m in catalog(n):
+            if not m.is_simple:
+                continue
+            for phi in enumerate_morphisms(m, targets):
+                _, reduced = morphism_poly(phi)
+                key = (reduced.active, frozenset(reduced.terms.items()))
+                if reduced.degree >= 2 and key not in seen:
+                    seen.add(key)
+                    assert lorentzian_decide(reduced), phi
+    assert len(seen) == 175
+
+
+# x1x2 + x3x4: the support is not M-convex (and the quadratic form has two
+# positive eigenvalues)
+TWO_DISJOINT_EDGES = HomogPoly((1, 2, 3, 4), 2, {(0, 0b0011): 1, (0, 0b1100): 1})
+# x1x2x3 + x4x5x6: a support that is not M-convex, with a passing degree-2
+# layer (each d_v p is one monomial x_a x_b)
+TWO_DISJOINT_TRIANGLES = HomogPoly(
+    range(1, 7), 3, {(0, 0b000111): 1, (0, 0b111000): 1}
+)
+# x1x2 - x1x3: an M-convex support and one positive eigenvalue, but a
+# negative coefficient
+NEGATIVE_COEFFICIENT = HomogPoly((1, 2, 3), 2, {(0, 0b011): 1, (0, 0b101): -1})
+
+
+def _indep_u23_with_x0_cubed(c):
+    """indep_poly(U(2,3)) with the coefficient of x0^3 set to c: d0 p is
+    3c x0^2 + 2 x0 (x1 + x2 + x3) + x1x2 + x1x3 + x2x3, whose quadratic form
+    has a second positive eigenvalue once c > 1."""
+    p = indep_poly(uniform(2, 3))
+    return HomogPoly(p.active, p.degree, {**p.terms, (3, 0): c})
+
+
+def test_lorentzian_decide_rejects_negative_controls():
+    from mlz.matroids import exchange_violation
+
+    from _oracles import derivative_witness
+
+    assert exchange_violation(4, {0b0011, 0b1100}) is not None
+    assert not lorentzian_decide(TWO_DISJOINT_EDGES)
+    assert exchange_violation(6, {0b000111, 0b111000}) is not None
+    assert not lorentzian_decide(TWO_DISJOINT_TRIANGLES)
+    assert not lorentzian_decide(NEGATIVE_COEFFICIENT)
+    assert lorentzian_decide(_indep_u23_with_x0_cubed(1))
+    perturbed = _indep_u23_with_x0_cubed(2)
+    assert not lorentzian_decide(perturbed)
+    # the sampled route still reports each, as the oracle does
+    pts = [(1, 2, 1, 3, 1, 1)]
+    rep = lorentzian_witness(TWO_DISJOINT_TRIANGLES, pts)
+    assert rep == derivative_witness(TWO_DISJOINT_TRIANGLES, pts)
+    assert [(f.orders, f.pos_eigenvalues) for f in rep.failures] == [
+        ((0,) * 6, 2)
+    ]
+    assert lorentzian_witness(NEGATIVE_COEFFICIENT, [(1, 1, 1)]).passed
+    rep = lorentzian_witness(perturbed, [(1, 1, 1, 1)])
+    assert rep == derivative_witness(perturbed, [(1, 1, 1, 1)])
+    assert rep.failures == [WitnessFailure((1, 0, 0, 0), None, 2)]
+
+
+def test_lorentzian_decide_needs_degree_2():
+    with pytest.raises(ValueError):
+        lorentzian_decide(basis_poly(uniform(1, 2)))
 
 
 # -- independent route for the quotient checks -----------------------------------

@@ -3,7 +3,7 @@ import random
 from itertools import combinations
 
 import pytest
-from _oracles import exchange_violations
+from _oracles import exchange_violations, m_convex_violations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,6 +162,41 @@ def test_check_exchange_matches_oracle_on_morphism_levels():
             for phi in enumerate_morphisms(m, targets):
                 for bucket in morphism_bases(phi).by_size.values():
                     assert _assert_exchange_matches_oracle(m.n, bucket)
+
+
+def _assert_m_convex_matches_oracle(support) -> bool:
+    """exchange_violation on (x0 power, mask) pairs finds a violation iff the
+    pairwise oracle does, and then the least (alpha, i, beta) one."""
+    width = max((mask.bit_length() for _, mask in support), default=0)
+    got = mt.exchange_violation(width, {e0 << width | mask for e0, mask in support})
+    violations = sorted((a, i, b) for a, b, i in m_convex_violations(support))
+    if violations:
+        (a0, a), i, (b0, b) = violations[0]
+        assert got == (a0 << width | a, b0 << width | b, i), support
+        return False
+    assert got is None, support
+    return True
+
+
+def _random_support(rng):
+    """A random set of at least two monomials x0^e0 x_M of one degree
+    (1 to 4) in two to five multilinear variables, x0 present or absent."""
+    nvars = rng.randint(2, 5)
+    degree = rng.randint(1, 4)
+    sizes = range(0 if rng.random() < 0.5 else degree, min(degree, nvars) + 1)
+    monomials = [
+        (degree - k, mask_of(c)) for k in sizes for c in combinations(range(1, nvars + 1), k)
+    ]
+    if len(monomials) < 2:
+        return _random_support(rng)
+    return set(rng.sample(monomials, rng.randint(2, len(monomials))))
+
+
+def test_exchange_violation_matches_pairwise_oracle_on_random_supports():
+    rng = random.Random(2020)
+    m_convex = sum(_assert_m_convex_matches_oracle(_random_support(rng)) for _ in range(2000))
+    # both outcomes are well represented
+    assert 500 < m_convex < 1500
 
 
 # -- constructors ----------------------------------------------------------------

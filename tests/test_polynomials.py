@@ -271,6 +271,20 @@ def test_hessian_matches_second_partials_oracle_on_catalog():
     assert checked == 6825
 
 
+def test_hessian_matrix_matches_second_partials_oracle_at_fraction_points():
+    # hessian_matrix fills the plan at the integers of clear_denominators
+    # and divides each entry once by lam^(d-2)
+    checked = 0
+    for m, p, points in _catalog_hessian_cases():
+        for a in points:
+            assert hessian_matrix(p, a).rows == second_partials_hessian(p, a), (m, a)
+            checked += 1
+    assert checked == 6825
+    halves = HomogPoly((0, 1, 2), 3, {(3, 0): Fraction(1, 2), (1, 0b11): Fraction(-5, 3)})
+    for a in ((Fraction(1, 2), Fraction(2, 3), 7), (Fraction(-3, 4), 0, Fraction(1, 5))):
+        assert hessian_matrix(halves, a).rows == second_partials_hessian(halves, a)
+
+
 def test_hessian_matches_second_partials_oracle_on_morphism_families():
     checked = 0
     for phi, reduced, points in _family_hessian_cases():
