@@ -4,10 +4,11 @@ Inertia (positive/negative/zero eigenvalue counts) is computed with no
 floating point, by Sylvester's law of inertia: symmetric fraction-free
 (Bareiss) elimination turns the matrix, by congruences, into pivots whose
 signs are the eigenvalue signs and a zero block whose size is the
-nullity.  Rank uses the same fraction-free elimination on integer rows.
-Both assert that every Bareiss division is exact.  `char_poly`, the
-division-free Samuelson-Berkowitz characteristic polynomial, stays as a
-public spectrum helper; no check in the package calls it.
+nullity; it updates and reads the upper triangle only.  Rank uses the
+same fraction-free elimination on integer rows.  Both assert that every
+Bareiss division is exact.  `char_poly`, the division-free
+Samuelson-Berkowitz characteristic polynomial, stays as a public
+spectrum helper; no check in the package calls it.
 
 `clear_denominators` is the one place where denominators are cleared:
 Hessian points, weighted evaluation points and the entries given to
@@ -20,6 +21,7 @@ filled at an integer point reaches the elimination as it is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 from typing import Sequence
 
@@ -45,18 +47,23 @@ class Inertia:
 
 
 class SymMatrix:
-    """Symmetric matrix with exact rational entries."""
+    """Symmetric matrix with exact rational entries.
+
+    External rows are checked for squareness and symmetry; a caller that
+    builds the matrix symmetric by construction (a Hessian plan) passes
+    `_trusted=True` and skips the check."""
 
     __slots__ = ("size", "rows")
 
-    def __init__(self, rows: Sequence[Sequence]):
+    def __init__(self, rows: Sequence[Sequence], *, _trusted: bool = False):
         n = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
+        if not _trusted:
+            for i, row in enumerate(rows):
+                if len(row) != n:
+                    raise ValueError("matrix must be square")
+                for j in range(i):
+                    if rows[i][j] != rows[j][i]:
+                        raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
         self.size = n
         self.rows = tuple(tuple(row) for row in rows)
 
@@ -124,43 +131,63 @@ def inertia(a: SymMatrix | Sequence[Sequence]) -> Inertia:
     """Exact eigenvalue sign counts of a symmetric rational matrix.
 
     Symmetric fraction-free elimination on the integer matrix left by
-    `clear_denominators` (a positive scale, which keeps every sign).  Each
-    step pivots on a nonzero diagonal entry, moved to the front by a
-    symmetric swap; when the remaining diagonal is all zero but some a_ij
-    is not, the unimodular congruence "row/col i += row/col j" puts
-    2 * a_ij on the diagonal first.  The Bareiss update
-    (p * a_ij - a_ik * a_kj) / prev keeps every entry an integer minor of
-    the transformed matrix, so the division is exact; the k-th leading
-    minor is the pivot p, and the k-th pivot of the LDL^T factorization,
-    p / prev, has the sign of p * prev.  By Sylvester's law of inertia
-    these signs count the positive and negative eigenvalues, and the zero
-    block left at the end is the nullity.
+    `clear_denominators` (a positive scale, which keeps every sign); rows
+    of `int`s are copied as they are.  Each step pivots on a nonzero
+    diagonal entry, moved to the front by a symmetric swap; when the
+    remaining diagonal is all zero but some a_ij is not, the unimodular
+    congruence "row/col i += row/col j" puts 2 * a_ij on the diagonal
+    first.  The Bareiss update (p * a_ij - a_ik * a_kj) / prev keeps every
+    entry an integer minor of the transformed matrix, so the division is
+    exact (and skipped when prev is 1, as in the first step); the k-th
+    leading minor is the pivot p, and the k-th pivot of the LDL^T
+    factorization, p / prev, has the sign of p * prev.  By Sylvester's law
+    of inertia these signs count the positive and negative eigenvalues,
+    and the zero block left at the end is the nullity.
+
+    The update keeps the matrix symmetric, so only the upper triangle
+    (j >= i) is updated and read: a_ik is read as a_ki from row k.  The
+    lower triangle of the trailing block is made equal to the upper one
+    again only when the leading diagonal entry is zero, before the swap
+    or congruence, which read and move whole rows and columns.
     """
     rows = a.rows if isinstance(a, SymMatrix) else a
     size = len(rows)
-    _, flat = clear_denominators([v for row in rows for v in row])
-    m = [list(flat[i * size : (i + 1) * size]) for i in range(size)]
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        m = [list(row) for row in rows]
+    else:
+        _, flat = clear_denominators([v for row in rows for v in row])
+        m = [list(flat[i * size : (i + 1) * size]) for i in range(size)]
     pos = neg = 0
     prev = 1
     for k in range(size):
-        piv = next((i for i in range(k, size) if m[i][i]), None)
-        if piv is None:
-            pair = next(
-                ((i, j) for i in range(k, size) for j in range(i + 1, size) if m[i][j]),
-                None,
-            )
-            if pair is None:
-                break
-            piv, j = pair
-            row_i, row_j = m[piv], m[j]
-            for t in range(k, size):
-                row_i[t] += row_j[t]
-            for t in range(k, size):
-                m[t][piv] += m[t][j]
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            for row in m[k:]:
-                row[k], row[piv] = row[piv], row[k]
+        if not m[k][k]:
+            for i in range(k, size):
+                row_i = m[i]
+                for j in range(i + 1, size):
+                    m[j][i] = row_i[j]
+            piv = next((i for i in range(k + 1, size) if m[i][i]), None)
+            if piv is None:
+                pair = next(
+                    (
+                        (i, j)
+                        for i in range(k, size)
+                        for j in range(i + 1, size)
+                        if m[i][j]
+                    ),
+                    None,
+                )
+                if pair is None:
+                    break
+                piv, j = pair
+                row_i, row_j = m[piv], m[j]
+                for t in range(k, size):
+                    row_i[t] += row_j[t]
+                for t in range(k, size):
+                    m[t][piv] += m[t][j]
+            if piv != k:
+                m[k], m[piv] = m[piv], m[k]
+                for row in m[k:]:
+                    row[k], row[piv] = row[piv], row[k]
         row_k = m[k]
         p = row_k[k]
         if (p > 0) == (prev > 0):
@@ -169,12 +196,16 @@ def inertia(a: SymMatrix | Sequence[Sequence]) -> Inertia:
             neg += 1
         for i in range(k + 1, size):
             row_i = m[i]
-            a_ik = row_i[k]
+            a_ik = row_k[i]
+            if prev == 1:
+                for j in range(i, size):
+                    row_i[j] = p * row_i[j] - a_ik * row_k[j]
+                continue
             for j in range(i, size):
                 quot, rem = divmod(p * row_i[j] - a_ik * row_k[j], prev)
                 if rem:
                     raise ArithmeticError("fraction-free elimination lost exactness")
-                row_i[j] = m[j][i] = quot
+                row_i[j] = quot
         prev = p
     return Inertia(pos, neg, size - pos - neg)
 

@@ -204,9 +204,11 @@ class MorphismBases:
         return sum(len(bucket) for _, bucket in self.levels)
 
 
-@lru_cache(maxsize=4096)
 def morphism_bases(phi: MatroidMorphism) -> MorphismBases:
-    """Independent sets of the source whose image spans the target."""
+    """Independent sets of the source whose image spans the target.
+
+    Not cached: each caller looks a map up once and keeps its family
+    (`basis_family`), which shares everything that depends on the bases."""
     rank_n = phi.target.rank_table
     r_prime = phi.r_prime
     by_size: dict[int, set[Mask]] = {}

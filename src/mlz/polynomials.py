@@ -18,10 +18,10 @@ Calculus (partial derivatives, directional derivatives, evaluation, the
 matrix of first-partial coefficients) is exact throughout; no floating
 point exists in this package.  `HessianPlan` is the package's only
 Hessian: it compiles a polynomial's second derivatives once into flat
-contributions, with no second-partial polynomials, and fills them at each
-point from a table of subset products.  `hessian_matrix` compiles a plan
-and fills it once; a caller that evaluates one polynomial at many points
-keeps the plan.
+contributions grouped by x0 power, with no second-partial polynomials,
+and fills them at each point from a table of subset products.
+`hessian_matrix` compiles a plan and fills it once; a caller that
+evaluates one polynomial at many points keeps the plan.
 """
 
 from __future__ import annotations
@@ -214,17 +214,20 @@ class HessianPlan:
     c * x0^e0 * P adds c * x0^e0 * P / (x_a x_b) at (a, b) for a != b in S,
     c * e0 * x0^(e0-1) * P / x_a at (x0, a) and
     c * e0 * (e0-1) * x0^(e0-2) * P at (x0, x0).  Each becomes one
-    contribution (row * size + col, coefficient, x0 power, product index),
-    where the index names the subset of S left after removing x_a and x_b
-    in a table of subset products; removing rather than dividing keeps
-    zero coordinates exact.  The table lists every subset used together
-    with the chain of subsets it is built from (drop the lowest element),
-    so a point fills it with one multiplication per subset.  Contributions
-    and chain links are stored flat, four and two values at a time, since
-    a plan kept for every morphism family costs memory per tuple.
+    contribution (row * size + col, coefficient, product index) in the
+    group of its x0 power, where the index names the subset of S left
+    after removing x_a and x_b in a table of subset products; removing
+    rather than dividing keeps zero coordinates exact.  The table lists
+    every subset used together with the chain of subsets it is built from
+    (drop the lowest element), so a point fills it with one multiplication
+    per subset.  A fill skips every group whose x0 power is 0 at the point
+    (at x0 = 0 only the x0-free group is left) and multiplies by no x0
+    power equal to 1.  Contributions and chain links are stored flat, three
+    and two values at a time, since a plan kept for every morphism family
+    costs memory per tuple.
     """
 
-    __slots__ = ("size", "degree", "x0", "chain", "contribs")
+    __slots__ = ("size", "x0", "chain", "groups")
 
     def __init__(self, p: HomogPoly):
         if p.degree < 2:
@@ -245,25 +248,28 @@ class HessianPlan:
                 t = index[mask] = len(chain) // 2
             return t
 
-        contribs = []
+        groups: dict[int, list] = {}  # x0 power -> flat contributions
         for (e0, mask), c in p.terms.items():
             bits = list(bits_of(mask))
             ks = [pos[b + 1] for b in bits]
             for i, b in enumerate(bits):
                 rest = mask ^ (1 << b)
                 if e0:
-                    contribs.extend((x * size + ks[i], c * e0, e0 - 1, slot(rest)))
+                    groups.setdefault(e0 - 1, []).extend(
+                        (x * size + ks[i], c * e0, slot(rest))
+                    )
                 for j in range(i + 1, len(bits)):
-                    contribs.extend(
-                        (ks[i] * size + ks[j], c, e0, slot(rest ^ (1 << bits[j])))
+                    groups.setdefault(e0, []).extend(
+                        (ks[i] * size + ks[j], c, slot(rest ^ (1 << bits[j])))
                     )
             if e0 >= 2:
-                contribs.extend((x * size + x, c * e0 * (e0 - 1), e0 - 2, slot(mask)))
+                groups.setdefault(e0 - 2, []).extend(
+                    (x * size + x, c * e0 * (e0 - 1), slot(mask))
+                )
         self.size = size
-        self.degree = p.degree
         self.x0 = x
         self.chain = tuple(chain)
-        self.contribs = tuple(contribs)
+        self.groups = tuple((e, tuple(flat)) for e, flat in sorted(groups.items()))
 
     def at(self, point: Sequence) -> SymMatrix:
         """The Hessian at the point, given in active-variable order."""
@@ -275,16 +281,23 @@ class HessianPlan:
         for parent, k in zip(links, links):
             prods.append(prods[parent] * point[k])
         x0 = 0 if self.x0 is None else point[self.x0]
-        x0_pow = [x0**e for e in range(self.degree - 1)]
         h = [0] * (size * size)  # each pair lands on one side
-        terms = iter(self.contribs)
-        for rc, c, e, t in zip(terms, terms, terms, terms):
-            h[rc] += c * x0_pow[e] * prods[t]
+        for e, flat in self.groups:
+            w = x0**e
+            if not w:
+                continue
+            terms = iter(flat)
+            if w == 1:
+                for rc, c, t in zip(terms, terms, terms):
+                    h[rc] += c * prods[t]
+            else:
+                for rc, c, t in zip(terms, terms, terms):
+                    h[rc] += c * w * prods[t]
         rows = [h[i * size : (i + 1) * size] for i in range(size)]
         for a in range(size):
             for b in range(a):
                 rows[a][b] = rows[b][a] = rows[a][b] + rows[b][a]
-        return SymMatrix(rows)
+        return SymMatrix(rows, _trusted=True)
 
 
 def hessian_matrix(p: HomogPoly, point: Sequence) -> SymMatrix:

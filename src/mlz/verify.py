@@ -16,7 +16,9 @@ polynomial of rank r, the Mason pair (i, j) at a is lhs = s H_ij / D
 against rhs = 2 g_i g_j / D with D = r (r - 1) lam^(2r - 2), and the jet at
 (1, ..., 1) holds the counts |B_ij| = H_ij, |B_i| = g_i / (r - 1) and
 |B| = s / (r (r - 1)).  The independent-count levels f_k(a) come from one
-pass over the independent sets.
+pass over the independent sets.  A morphism's two seeded points stay on
+integers: `sampling.seeded_point` gives the text its row prints and the
+integers its basis family's Hessian plan is filled at.
 
 All decisions are exact rational comparisons; there is no tolerance
 anywhere.  Suites emit CheckRow records (pass / fail / skip / recorded);
@@ -53,7 +55,7 @@ from .polynomials import (
     reduced_indep_poly,
     rename_vars,
 )
-from .sampling import boundary_point, derive, positive_point
+from .sampling import boundary_point, derive, positive_point, seeded_point
 
 SEEDED_HESSIAN_POINTS = 3
 SEEDED_MASON_POINTS = 5
@@ -697,13 +699,12 @@ def _matroid_key(m: Matroid) -> int:
 # -- per-morphism suite ----------------------------------------------------------
 
 
-def _render_point_verdicts(a: Sequence, v) -> str:
+def _render_point_verdicts(text: str, v) -> str:
+    """One verdict of the `reduced-point-verdicts` row at the point whose
+    coordinates render as text."""
     if not v.value_positive:
-        return f"@({_fmt_point(a)}):inapplicable"
-    return (
-        f"@({_fmt_point(a)}):slp1={v.slp1},hrr1={v.hrr1},"
-        f"inertia={v.inertia.render()}"
-    )
+        return f"@({text}):inapplicable"
+    return f"@({text}):slp1={v.slp1},hrr1={v.hrr1},inertia={v.inertia.render()}"
 
 
 def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
@@ -747,7 +748,7 @@ def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
     report.check("morphism-bases-extension", ext_ok, f"bottom={len(bottom)}")
 
     p_phi, reduced = family.polys
-    verdict = mo.degeneracy_class(phi)
+    verdict = family.degeneracy
     g = family.grad_rank
     deficient = g < n + 1
     if m.is_simple:
@@ -789,10 +790,11 @@ def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
     if reduced.degree < 2:
         verdicts = ["degree<2"]
     else:
-        checked = list(family.fixed_point_verdicts)
-        for a in (positive_point(rng, n + 1), boundary_point(rng, n + 1)):
-            checked.append((a, family.verdicts_at(a)))
-        verdicts = [_render_point_verdicts(a, v) for a, v in checked]
+        checked = [(_fmt_point(a), v) for a, v in family.fixed_point_verdicts]
+        for boundary in (False, True):
+            text, a = seeded_point(rng, n + 1, boundary=boundary)
+            checked.append((text, family.verdicts_at(a)))
+        verdicts = [_render_point_verdicts(text, v) for text, v in checked]
     report.add("reduced-point-verdicts", "recorded", " ".join(verdicts))
     return report
 

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the production code paths: brute-force
 powerset scans instead of bitmask caches, Leibniz expansion instead of the
 Berkowitz recursion, characteristic-polynomial signs instead of symmetric
-elimination, flat-family axioms instead of basis-exchange filtering, pairwise
+elimination, elimination over the whole matrix instead of its upper
+triangle, flat-family axioms instead of basis-exchange filtering, pairwise
 exchange over explicit exponent vectors instead of grouped bitsets,
 plain fraction Gaussian elimination instead of Bareiss, one second-partial
 polynomial per entry instead of the compiled Hessian plan, one
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 
 def popcount(x: int) -> int:
@@ -298,6 +300,53 @@ def berkowitz_inertia(rows) -> tuple[int, int, int]:
     nonzero = [c for c in coeffs if c != 0]
     pos = sum(1 for c1, c2 in zip(nonzero, nonzero[1:]) if (c1 > 0) != (c2 > 0))
     return (pos, len(rows) - pos - zero, zero)
+
+
+def full_matrix_inertia(rows) -> tuple[int, int, int]:
+    """(pos, neg, zero) by symmetric fraction-free elimination that keeps
+    the whole matrix: every entry is cleared to an integer over one common
+    denominator and flattened, each Bareiss update stores a_ij and its
+    mirror a_ji, and a_ik is read from row i."""
+    size = len(rows)
+    flat = [Fraction(v) for row in rows for v in row]
+    scale = 1
+    for v in flat:
+        scale = scale * v.denominator // gcd(scale, v.denominator)
+    flat = [int(v * scale) for v in flat]
+    m = [flat[i * size : (i + 1) * size] for i in range(size)]
+    pos = neg = 0
+    prev = 1
+    for k in range(size):
+        piv = next((i for i in range(k, size) if m[i][i]), None)
+        if piv is None:
+            pair = next(
+                ((i, j) for i in range(k, size) for j in range(i + 1, size) if m[i][j]),
+                None,
+            )
+            if pair is None:
+                break
+            piv, j = pair
+            for t in range(k, size):
+                m[piv][t] += m[j][t]
+            for t in range(k, size):
+                m[t][piv] += m[t][j]
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            for row in m[k:]:
+                row[k], row[piv] = row[piv], row[k]
+        p = m[k][k]
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, size):
+            a_ik = m[i][k]
+            for j in range(i, size):
+                quot, rem = divmod(p * m[i][j] - a_ik * m[k][j], prev)
+                assert not rem, "fraction-free elimination lost exactness"
+                m[i][j] = m[j][i] = quot
+        prev = p
+    return (pos, neg, size - pos - neg)
 
 
 def congruence(rows, t_rows) -> list[list]:

@@ -365,3 +365,43 @@ def test_lorentz_exact_takes_no_point(capsys, u23_file):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: lorentz-exact is point-free and takes no --at\n"
+
+
+def test_lorentz_witness_at_point_prints_no_seed(capsys, u23_file):
+    # --at gives the point, so the seed chooses nothing and is not printed
+    argv = ["check", "lorentz-witness", u23_file, "--kind", "indep", "--at", "1,1,1,1"]
+    line = "LORENTZ-WITNESS: pass checked=5 zero=0 degree2=4 sampled=1\n"
+    assert run(argv + ["--seed", "99"]) == 0
+    assert capsys.readouterr().out == line
+    assert run(argv) == 0
+    assert capsys.readouterr().out == line
+
+
+def test_one_parser_serves_a_sequence_of_runs(capsys, u23_file):
+    # run() builds its parser once per process; each call must exit and
+    # print as it does with a parser built for it alone
+    from mlz import cli
+
+    sequence = [
+        ["poly", u23_file, "--kind", "bogus"],
+        ["check", "hrr1", u23_file, "--kind", "basis", "--at", "1,1,1"],
+        ["--help"],
+        ["check", "--help"],
+        ["check", "slp1", u23_file, "--kind", "reduced", "--at", "0,1/2,1/2,3"],
+        ["frob"],
+    ]
+
+    def outcome(argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli._parser.cache_clear()
+    shared = [outcome(argv) for argv in sequence]
+    assert cli._parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 2]

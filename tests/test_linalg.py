@@ -17,6 +17,7 @@ from mlz.sampling import SplitMix64
 from _oracles import (
     berkowitz_inertia,
     congruence,
+    full_matrix_inertia,
     gauss_rank,
     leibniz_char_poly,
     random_unimodular,
@@ -124,6 +125,58 @@ def test_inertia_congruence_invariance_sample():
         for _ in range(10):
             t = random_unimodular(rng, size)
             assert inertia(congruence(rows, t)) == base
+
+
+def _seeded_symmetric(rng, size: int, shape: str) -> list[list]:
+    """Symmetric entries from {0, 0, 0, 1, -1, 2, -3}; "zero-diagonal" clears
+    the diagonal (the congruence path), "zero-lead" clears a_00 (a swap when
+    another diagonal entry is non-zero), "singular" repeats row and column
+    0 as the last ones, and "fraction" divides each entry by 1..4."""
+    values = (0, 0, 0, 1, -1, 2, -3)
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            v = values[rng.next64() % len(values)]
+            if shape == "fraction":
+                v = Fraction(v, 1 + rng.next64() % 4)
+            rows[i][j] = rows[j][i] = v
+    if shape == "zero-diagonal":
+        for i in range(size):
+            rows[i][i] = 0
+    elif shape == "zero-lead":
+        rows[0][0] = 0
+    elif shape == "singular" and size > 1:
+        last = size - 1
+        for j in range(last):
+            rows[last][j] = rows[j][last] = rows[0][j]
+        rows[last][last] = rows[0][last] = rows[last][0] = rows[0][0]
+    return rows
+
+
+def test_inertia_matches_full_matrix_oracle_on_seeded_matrices():
+    # the upper-triangle elimination against the whole-matrix one it
+    # replaced, on sizes 1..7, with the swap and congruence paths forced
+    rng = SplitMix64(77)
+    shapes = ("general", "zero-diagonal", "zero-lead", "singular", "fraction")
+    swaps = congruences = singular = 0
+    for trial in range(3500):
+        size = 1 + trial % 7
+        shape = shapes[trial // 7 % len(shapes)]
+        rows = _seeded_symmetric(rng, size, shape)
+        got = inertia(rows).as_tuple()
+        assert got == full_matrix_inertia(rows), (shape, rows)
+        diagonal = [rows[i][i] for i in range(size)]
+        if size > 1 and not diagonal[0]:
+            if any(diagonal):
+                swaps += 1
+            elif any(map(any, rows)):
+                congruences += 1
+        singular += shape == "singular" and got[2] > 0
+    assert swaps > 1000 and congruences > 600 and singular > 600, (
+        swaps,
+        congruences,
+        singular,
+    )
 
 
 def test_matrix_rank_fixed():

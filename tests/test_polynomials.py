@@ -33,7 +33,7 @@ from mlz.polynomials import (
     rename_vars,
 )
 from mlz.linalg import inertia, matrix_rank
-from mlz.sampling import boundary_point, derive, positive_point
+from mlz.sampling import boundary_point, derive, positive_point, seeded_point
 
 from _oracles import berkowitz_inertia, second_partials_hessian
 
@@ -293,6 +293,35 @@ def test_hessian_matches_second_partials_oracle_on_morphism_families():
             assert plan.at(a).rows == second_partials_hessian(reduced, a), (phi, a)
             checked += 1
     assert checked
+
+
+def test_family_plans_match_second_partials_oracle_at_seeded_points():
+    # each basis family's own plan, grouped by x0 power, at (1,...,1),
+    # (0,1,...,1) and the integers of a seeded positive and a seeded
+    # boundary point: at x0 = 1 no group is multiplied by its x0 power,
+    # and at x0 = 0 the fill keeps only the x0-free group
+    from mlz.morphisms import basis_family, enumerate_morphisms, morphism_bases
+
+    targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
+    seen = set()
+    for n in range(1, 5):
+        for m in catalog(n):
+            if not m.is_simple:
+                continue
+            for phi in enumerate_morphisms(m, targets):
+                family = basis_family(morphism_bases(phi))
+                reduced = family.polys[1]
+                if reduced.degree < 2 or id(family) in seen:
+                    continue
+                seen.add(id(family))
+                rng = derive(17, len(seen))
+                points = [(1,) * (n + 1), (0,) + (1,) * n]
+                for boundary in (False, True):
+                    points.append(seeded_point(rng, n + 1, boundary=boundary)[1])
+                for a in points:
+                    got = family.hessian_plan.at(a).rows
+                    assert got == second_partials_hessian(reduced, a), (phi, a)
+    assert len(seen) == 175
 
 
 def test_inertia_matches_berkowitz_on_catalog_hessians():
