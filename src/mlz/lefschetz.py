@@ -24,7 +24,9 @@ nor rank nor value signs.  The Hessian H at a comes from a
 points passes its plan in.  The sign of p(a) is read from H by Euler's
 identity a^T H a = d (d - 1) p(a), and H's rank from its inertia
 (rank = pos + neg for symmetric matrices), so one symmetric elimination
-serves both checks.
+serves both checks.  Both read H's upper triangle alone, so the plan
+fills only that, and the elimination consumes the filled rows when the
+plan's coefficients, and so its rows, are integers.
 
 `lorentzian_witness` checks every derivative d^alpha p of order <= d - 2
 without building one.  Per point it fills one integer table of the
@@ -108,12 +110,18 @@ def point_verdicts(
     if p.degree < 2:
         raise ValueError("point checks need degree >= 2")
     _, scaled = clear_denominators(point)
-    h = (plan or HessianPlan(p)).at(scaled).rows
-    # Euler: a^T H a = d (d - 1) p(a), and d (d - 1) > 0
-    if sum(a * sum(map(mul, row, scaled)) for a, row in zip(scaled, h)) <= 0:
+    plan = plan or HessianPlan(p)
+    h = plan.upper(scaled)
+    # Euler: a^T H a = d (d - 1) p(a), and d (d - 1) > 0; with U the upper
+    # triangle of H (0 below the diagonal), a^T H a = 2 a^T U a - sum U_ii a_i^2
+    if (
+        sum(a * (2 * sum(map(mul, row, scaled)) - row[i] * a)
+            for i, (a, row) in enumerate(zip(scaled, h)))
+        <= 0
+    ):
         return PointVerdicts(False, None, None, None)
     g = gradient_rank(p) if grad_rank is None else grad_rank
-    ine = inertia(h)
+    ine = inertia(h, consume=plan.integral)
     return PointVerdicts(
         True,
         ine,

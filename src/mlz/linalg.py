@@ -127,12 +127,16 @@ def char_poly(a: SymMatrix | Sequence[Sequence]) -> tuple:
     return tuple(vec)
 
 
-def inertia(a: SymMatrix | Sequence[Sequence]) -> Inertia:
+def inertia(a: SymMatrix | Sequence[Sequence], *, consume: bool = False) -> Inertia:
     """Exact eigenvalue sign counts of a symmetric rational matrix.
 
     Symmetric fraction-free elimination on the integer matrix left by
     `clear_denominators` (a positive scale, which keeps every sign); rows
-    of `int`s are copied as they are.  Each step pivots on a nonzero
+    of `int`s are copied as they are.  A caller that owns fresh rows of
+    `int`s holding the matrix in their upper triangle, as
+    `HessianPlan.upper` returns them, passes `consume=True`: those rows are
+    eliminated in place, with no type scan and no copy, and whatever lies
+    below their diagonal is never read.  Each step pivots on a nonzero
     diagonal entry, moved to the front by a symmetric swap; when the
     remaining diagonal is all zero but some a_ij is not, the unimodular
     congruence "row/col i += row/col j" puts 2 * a_ij on the diagonal
@@ -146,13 +150,16 @@ def inertia(a: SymMatrix | Sequence[Sequence]) -> Inertia:
 
     The update keeps the matrix symmetric, so only the upper triangle
     (j >= i) is updated and read: a_ik is read as a_ki from row k.  The
-    lower triangle of the trailing block is made equal to the upper one
-    again only when the leading diagonal entry is zero, before the swap
-    or congruence, which read and move whole rows and columns.
+    lower triangle of the trailing block is written from the upper one
+    only when the leading diagonal entry is zero, before the swap or
+    congruence, which read and move whole rows and columns; nothing reads
+    an entry below the diagonal that was not written so.
     """
     rows = a.rows if isinstance(a, SymMatrix) else a
     size = len(rows)
-    if set(map(type, chain.from_iterable(rows))) <= {int}:
+    if consume:
+        m = rows
+    elif set(map(type, chain.from_iterable(rows))) <= {int}:
         m = [list(row) for row in rows]
     else:
         _, flat = clear_denominators([v for row in rows for v in row])

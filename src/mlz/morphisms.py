@@ -246,11 +246,14 @@ class BasisFamily:
 
     `basis_family` hands out one instance per distinct family, and each
     fact is computed on first use.  Nothing here reads a map or a target,
-    so every morphism with these bases may share it.
+    so every morphism with these bases may share it.  `suite_rows` keeps
+    the morphism suite's rows that do not depend on the map, keyed by what
+    they read beyond the bases (`verify._shared_rows`).
     """
 
     def __init__(self, bases: MorphismBases):
         self.bases = bases
+        self.suite_rows: dict = {}
 
     @cached_property
     def polys(self) -> tuple[HomogPoly, HomogPoly]:

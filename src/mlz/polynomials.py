@@ -225,9 +225,14 @@ class HessianPlan:
     power equal to 1.  Contributions and chain links are stored flat, three
     and two values at a time, since a plan kept for every morphism family
     costs memory per tuple.
+
+    Each contribution is stored at row <= column, so `upper` fills the
+    upper triangle alone, and `at` is that fill with its mirror.
+    `integral` says every coefficient is an `int`, so a fill at an integer
+    point gives `int` rows.
     """
 
-    __slots__ = ("size", "x0", "chain", "groups")
+    __slots__ = ("size", "x0", "chain", "groups", "integral")
 
     def __init__(self, p: HomogPoly):
         if p.degree < 2:
@@ -239,6 +244,9 @@ class HessianPlan:
         # slot t >= 1 is chain[2t-2 : 2t]: the slot of the subset without
         # its lowest element, and that element's position
         chain = []
+
+        def cell(a: int, b: int) -> int:
+            return a * size + b if a <= b else b * size + a
 
         def slot(mask: Mask) -> int:
             t = index.get(mask)
@@ -256,11 +264,11 @@ class HessianPlan:
                 rest = mask ^ (1 << b)
                 if e0:
                     groups.setdefault(e0 - 1, []).extend(
-                        (x * size + ks[i], c * e0, slot(rest))
+                        (cell(x, ks[i]), c * e0, slot(rest))
                     )
                 for j in range(i + 1, len(bits)):
                     groups.setdefault(e0, []).extend(
-                        (ks[i] * size + ks[j], c, slot(rest ^ (1 << bits[j])))
+                        (cell(ks[i], ks[j]), c, slot(rest ^ (1 << bits[j])))
                     )
             if e0 >= 2:
                 groups.setdefault(e0 - 2, []).extend(
@@ -270,9 +278,11 @@ class HessianPlan:
         self.x0 = x
         self.chain = tuple(chain)
         self.groups = tuple((e, tuple(flat)) for e, flat in sorted(groups.items()))
+        self.integral = set(map(type, p.terms.values())) <= {int}
 
-    def at(self, point: Sequence) -> SymMatrix:
-        """The Hessian at the point, given in active-variable order."""
+    def upper(self, point: Sequence) -> list[list]:
+        """The Hessian at the point, given in active-variable order, as
+        fresh rows that hold its upper triangle and 0 below the diagonal."""
         size = self.size
         if len(point) != size:
             raise ValueError("point length must match active variables")
@@ -281,7 +291,7 @@ class HessianPlan:
         for parent, k in zip(links, links):
             prods.append(prods[parent] * point[k])
         x0 = 0 if self.x0 is None else point[self.x0]
-        h = [0] * (size * size)  # each pair lands on one side
+        h = [0] * (size * size)
         for e, flat in self.groups:
             w = x0**e
             if not w:
@@ -293,10 +303,15 @@ class HessianPlan:
             else:
                 for rc, c, t in zip(terms, terms, terms):
                     h[rc] += c * w * prods[t]
-        rows = [h[i * size : (i + 1) * size] for i in range(size)]
-        for a in range(size):
+        return [h[i * size : (i + 1) * size] for i in range(size)]
+
+    def at(self, point: Sequence) -> SymMatrix:
+        """The Hessian at the point, given in active-variable order: the
+        upper triangle of `upper`, mirrored."""
+        rows = self.upper(point)
+        for a in range(len(rows)):
             for b in range(a):
-                rows[a][b] = rows[b][a] = rows[a][b] + rows[b][a]
+                rows[a][b] = rows[b][a]
         return SymMatrix(rows, _trusted=True)
 
 

@@ -16,9 +16,16 @@ polynomial of rank r, the Mason pair (i, j) at a is lhs = s H_ij / D
 against rhs = 2 g_i g_j / D with D = r (r - 1) lam^(2r - 2), and the jet at
 (1, ..., 1) holds the counts |B_ij| = H_ij, |B_i| = g_i / (r - 1) and
 |B| = s / (r (r - 1)).  The independent-count levels f_k(a) come from one
-pass over the independent sets.  A morphism's two seeded points stay on
-integers: `sampling.seeded_point` gives the text its row prints and the
-integers its basis family's Hessian plan is filled at.
+pass over the independent sets.
+
+A morphism's rows split in two.  Every row but the two seeded points of
+`reduced-point-verdicts` reads only the map's basis family, its source
+and its loop preimage; those rows are built once per such key and kept
+on the family.  Per map, `morphism_suite` derives the map's stream,
+draws its two seeded points, stamps its scope on the shared rows and
+checks the points: `sampling.seeded_point` gives the text the row prints
+and the integers at which the family's Hessian plan fills the upper
+triangle that `point_verdicts` reads.
 
 All decisions are exact rational comparisons; there is no tolerance
 anywhere.  Suites emit CheckRow records (pass / fail / skip / recorded);
@@ -326,8 +333,10 @@ def mason_indep_check(
 # -- suite plumbing ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
+    """One verdict of a suite; a named tuple, since a survey makes one per
+    check of every matroid and every morphism."""
+
     scope: str
     name: str
     status: str  # pass | fail | skip | recorded
@@ -707,19 +716,37 @@ def _render_point_verdicts(text: str, v) -> str:
     return f"@({text}):slp1={v.slp1},hrr1={v.hrr1},inertia={v.inertia.render()}"
 
 
-def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
-    m, nmat = phi.source, phi.target
-    n = m.n
-    scope = f"morphism(n={n},map={','.join(map(str, phi.map))})"
-    report = SuiteReport(scope, seed)
-    rng = derive(seed, n, _matroid_key(m), _matroid_key(nmat), *phi.map)
+class _SharedRows(NamedTuple):
+    """The rows of a morphism's suite that do not depend on the map."""
 
-    bases = mo.morphism_bases(phi)
-    family = mo.basis_family(bases)
+    rows: tuple[tuple[str, str, str], ...]  # (name, status, detail), in order
+    fixed: Optional[str]  # fixed-point verdicts; None below degree 2
+
+
+def _shared_rows(family: mo.BasisFamily, m: Matroid, loops_mask: int) -> _SharedRows:
+    """Every row of `morphism_suite` but its seeded points, for a map from
+    m with basis family `family` and loop preimage `loops_mask`.
+
+    The rows read the family and, beyond its bases, the source (its bases,
+    independent sets and simplicity) and the loop preimage, so they are
+    kept on the family under (m, loops_mask): every map with that key gets
+    the same rows, and `basis_family.cache_clear()` drops them.
+    """
+    key = (m, loops_mask)
+    shared = family.suite_rows.get(key)
+    if shared is not None:
+        return shared
+    rows = []
+
+    def check(name: str, ok: bool, detail: str = ""):
+        rows.append((name, "pass" if ok else "fail", detail))
+
+    bases = family.bases
+    n, r, r_prime = bases.n, bases.r, bases.r_prime
     by_size = bases.by_size
-    levels_ok = set(by_size) == set(range(phi.r_prime, phi.r + 1))
-    top_ok = by_size.get(phi.r, frozenset()) == m.bases
-    report.check(
+    levels_ok = set(by_size) == set(range(r_prime, r + 1))
+    top_ok = by_size.get(r, frozenset()) == m.bases
+    check(
         "morphism-bases-levels",
         levels_ok and top_ok and family.levels_are_matroids,
         f"levels={sorted(by_size)}",
@@ -727,9 +754,8 @@ def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
 
     # bottom-level bases avoid the loop preimage, and extending one by
     # J inside the loop preimage stays a basis exactly when J is independent
-    loops_mask = phi.phi_loops
     ext_ok = True
-    bottom = by_size.get(phi.r_prime, frozenset())
+    bottom = by_size.get(r_prime, frozenset())
     loop_subsets = []
     sub = loops_mask
     while True:
@@ -745,58 +771,85 @@ def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
         for j_mask in loop_subsets:
             if ((i_mask | j_mask) in all_b) != (j_mask in indep):
                 ext_ok = False
-    report.check("morphism-bases-extension", ext_ok, f"bottom={len(bottom)}")
+    check("morphism-bases-extension", ext_ok, f"bottom={len(bottom)}")
 
     p_phi, reduced = family.polys
     verdict = family.degeneracy
     g = family.grad_rank
     deficient = g < n + 1
+    classes = "".join(sorted(verdict.classes)) or "-"
     if m.is_simple:
-        report.check(
+        check(
             "degeneracy-trichotomy",
             deficient == bool(verdict.classes),
-            f"grad_rank={g} classes={''.join(sorted(verdict.classes)) or '-'}",
+            f"grad_rank={g} classes={classes}",
         )
     else:
-        ok = (not verdict.classes) or deficient
-        report.check(
+        check(
             "degeneracy-sufficiency",
-            ok,
-            f"grad_rank={g} classes={''.join(sorted(verdict.classes)) or '-'}",
+            (not verdict.classes) or deficient,
+            f"grad_rank={g} classes={classes}",
         )
     if verdict.annihilator is not None:
         # the family checked this form against the reduced polynomial and
         # raises AnnihilatorCheckFailed instead of returning an unchecked one
-        report.check("annihilator-exact", True)
+        check("annihilator-exact", True)
 
-    if phi.r == phi.r_prime:
-        shift = n - phi.r
-        expect = {
-            (shift, mask): 1 for mask in m.bases
-        }
-        report.check("equal-rank-shape", p_phi.terms == expect)
-    if nmat.rank == 0:
-        report.check("rank-zero-target-shape", p_phi == _pm(m))
+    if r == r_prime:
+        expect = {(n - r, mask): 1 for mask in m.bases}
+        check("equal-rank-shape", p_phi.terms == expect)
+    if r_prime == 0:  # the target has rank 0
+        check("rank-zero-target-shape", p_phi == _pm(m))
 
     profile = family.eur_huh
-    viol = [e for e in profile if e.lhs > e.rhs]
-    report.check(
+    check(
         "eur-huh-inequality",
-        not viol,
+        not any(e.lhs > e.rhs for e in profile),
         f"levels={len(profile)} equalities={sum(1 for e in profile if e.equal)}",
     )
 
-    # the fixed points are shared by the family; the seeded ones are this map's
-    if reduced.degree < 2:
-        verdicts = ["degree<2"]
+    fixed = None
+    if reduced.degree >= 2:
+        fixed = " ".join(
+            _render_point_verdicts(_fmt_point(a), v)
+            for a, v in family.fixed_point_verdicts
+        )
+    shared = family.suite_rows[key] = _SharedRows(tuple(rows), fixed)
+    return shared
+
+
+def _morphism_rows(
+    phi: mo.MatroidMorphism, seed: int, scope: str
+) -> tuple[mo.BasisFamily, list[CheckRow]]:
+    """The map's basis family and its suite rows under `scope`: the shared
+    rows stamped with the scope, then `reduced-point-verdicts` with the
+    family's fixed points and the two points seeded by this map."""
+    family = mo.basis_family(mo.morphism_bases(phi))
+    m = phi.source
+    shared = _shared_rows(family, m, phi.phi_loops)
+    rows = [CheckRow(scope, *row) for row in shared.rows]
+    if shared.fixed is None:
+        detail = "degree<2"
     else:
-        checked = [(_fmt_point(a), v) for a, v in family.fixed_point_verdicts]
+        rng = derive(seed, m.n, _matroid_key(m), _matroid_key(phi.target), *phi.map)
+        verdicts = [shared.fixed]
         for boundary in (False, True):
-            text, a = seeded_point(rng, n + 1, boundary=boundary)
-            checked.append((text, family.verdicts_at(a)))
-        verdicts = [_render_point_verdicts(text, v) for text, v in checked]
-    report.add("reduced-point-verdicts", "recorded", " ".join(verdicts))
-    return report
+            text, a = seeded_point(rng, m.n + 1, boundary=boundary)
+            verdicts.append(_render_point_verdicts(text, family.verdicts_at(a)))
+        detail = " ".join(verdicts)
+    rows.append(CheckRow(scope, "reduced-point-verdicts", "recorded", detail))
+    return family, rows
+
+
+def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
+    """The checks of one morphism of matroids.
+
+    Every row but the two seeded points of `reduced-point-verdicts` is a
+    function of the map's basis family, its source and its loop preimage,
+    and is computed once per such key (`_shared_rows`); per map only the
+    seeded points are drawn from the map's own stream and checked."""
+    scope = f"morphism(n={phi.source.n},map={','.join(map(str, phi.map))})"
+    return SuiteReport(scope, seed, _morphism_rows(phi, seed, scope)[1])
 
 
 # -- survey ------------------------------------------------------------------------
@@ -917,12 +970,9 @@ def survey(n_max: int, seed: int = 1, *, morphisms: bool = True) -> SurveyReport
                             f"morphism:{n}:{idx}:to:{tn}:{tidx}:"
                             f"{','.join(map(str, phi.map))}"
                         )
-                        suite = morphism_suite(phi, seed)
-                        rows.extend(
-                            CheckRow(scope, r.name, r.status, r.detail)
-                            for r in suite.rows
-                        )
-                        for entry in mo.eur_huh_profile(phi):
+                        family, suite_rows = _morphism_rows(phi, seed, scope)
+                        rows.extend(suite_rows)
+                        for entry in family.eur_huh:
                             if entry.equal:
                                 equality_eur_huh.append(
                                     {

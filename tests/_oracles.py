@@ -13,8 +13,11 @@ second-order jet behind the count inequalities and Hodge determinants,
 one derivative polynomial and Hessian plan per multi-index instead of the
 Lorentzian witness's table of derivative values,
 the rank-difference form over all nested pairs instead of flat preimages,
-and each map's own loop preimage and restriction instead of the
-degeneracy verdict of its basis family.
+each map's own loop preimage and restriction instead of the
+degeneracy verdict of its basis family, and each map's morphism suite
+rows computed for that map alone, with its point verdicts from the
+mirrored Hessian, instead of rows shared by key and an upper-triangle
+check.
 """
 
 from __future__ import annotations
@@ -689,3 +692,103 @@ def hodge_pair_counts(p, points, pairs) -> tuple[int, int]:
                 if l1l1 * l2l2 - l1l2 * l1l2 >= 0:
                     bad += 1
     return tested, bad
+
+
+# -- per-map morphism suite ------------------------------------------------------
+
+
+def _whole_hessian_verdicts(p, plan, grad_rank, point) -> str:
+    """The `reduced-point-verdicts` entry of p at an integer point, from the
+    mirrored Hessian: p(a) by evaluation, the inertia by whole-matrix
+    elimination."""
+    from mlz.linalg import Inertia
+    from mlz.polynomials import evaluate
+
+    if evaluate(p, point) <= 0:
+        return "inapplicable"
+    g = grad_rank
+    ine = Inertia(*full_matrix_inertia(plan.at(point).rows))
+    slp1 = ine.pos + ine.neg == g
+    hrr1 = ine.as_tuple() == (1, g - 1, len(p.active) - g)
+    return f"slp1={slp1},hrr1={hrr1},inertia={ine.render()}"
+
+
+def per_map_morphism_suite(phi, seed: int):
+    """`verify.morphism_suite` computed for one map alone: every row from the
+    map, its source and its target, with nothing shared between maps but
+    the basis family's facts, and all four point verdicts of the reduced
+    polynomial from `_whole_hessian_verdicts`."""
+    from mlz import morphisms as mo
+    from mlz.sampling import derive, seeded_point
+    from mlz.verify import SuiteReport, _matroid_key, _pm
+
+    m, nmat = phi.source, phi.target
+    n = m.n
+    scope = f"morphism(n={n},map={','.join(map(str, phi.map))})"
+    report = SuiteReport(scope, seed)
+    rng = derive(seed, n, _matroid_key(m), _matroid_key(nmat), *phi.map)
+
+    bases = mo.morphism_bases(phi)
+    family = mo.basis_family(bases)
+    by_size = bases.by_size
+    levels_ok = set(by_size) == set(range(phi.r_prime, phi.r + 1))
+    top_ok = by_size.get(phi.r, frozenset()) == m.bases
+    report.check(
+        "morphism-bases-levels",
+        levels_ok and top_ok and family.levels_are_matroids,
+        f"levels={sorted(by_size)}",
+    )
+
+    loops_mask = phi.phi_loops
+    ext_ok = True
+    bottom = by_size.get(phi.r_prime, frozenset())
+    all_b = {s for bucket in by_size.values() for s in bucket}
+    for i_mask in bottom:
+        if i_mask & loops_mask:
+            ext_ok = False
+        for j_mask in range(1 << n):
+            if j_mask & ~loops_mask:
+                continue
+            if ((i_mask | j_mask) in all_b) != (j_mask in m.independent_masks):
+                ext_ok = False
+    report.check("morphism-bases-extension", ext_ok, f"bottom={len(bottom)}")
+
+    p_phi, reduced = family.polys
+    verdict = family.degeneracy
+    g = family.grad_rank
+    deficient = g < n + 1
+    detail = f"grad_rank={g} classes={''.join(sorted(verdict.classes)) or '-'}"
+    if m.is_simple:
+        ok, name = deficient == bool(verdict.classes), "degeneracy-trichotomy"
+    else:
+        ok, name = (not verdict.classes) or deficient, "degeneracy-sufficiency"
+    report.check(name, ok, detail)
+    if verdict.annihilator is not None:
+        report.check("annihilator-exact", True)
+
+    if phi.r == phi.r_prime:
+        expect = {(n - phi.r, mask): 1 for mask in m.bases}
+        report.check("equal-rank-shape", p_phi.terms == expect)
+    if nmat.rank == 0:
+        report.check("rank-zero-target-shape", p_phi == _pm(m))
+
+    profile = family.eur_huh
+    report.check(
+        "eur-huh-inequality",
+        all(e.lhs <= e.rhs for e in profile),
+        f"levels={len(profile)} equalities={sum(1 for e in profile if e.equal)}",
+    )
+
+    if reduced.degree < 2:
+        verdicts = ["degree<2"]
+    else:
+        points = [("1," * n + "1", (1,) * (n + 1)), ("0" + ",1" * n, (0,) + (1,) * n)]
+        for boundary in (False, True):
+            points.append(seeded_point(rng, n + 1, boundary=boundary))
+        verdicts = [
+            f"@({text}):"
+            + _whole_hessian_verdicts(reduced, family.hessian_plan, g, a)
+            for text, a in points
+        ]
+    report.add("reduced-point-verdicts", "recorded", " ".join(verdicts))
+    return report

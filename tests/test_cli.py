@@ -1,9 +1,17 @@
+import contextlib
+import functools
+import io
 import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlz.cli import run
+from mlz.matroids import MatroidError, catalog, from_json_dict, uniform
+from mlz.matroids import graphic as graphic_matroid
+from mlz.morphisms import MorphismError, enumerate_morphisms, morphism_from_json_dict
 
 
 @pytest.fixture()
@@ -405,3 +413,221 @@ def test_one_parser_serves_a_sequence_of_runs(capsys, u23_file):
     assert cli._parser.cache_info().misses == 1
     assert shared == fresh
     assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 2]
+
+
+# -- property: every argument vector ends in 0, 1 or 2 ---------------------------------
+
+_ELEMENT = st.one_of(
+    st.integers(min_value=-1, max_value=7),
+    st.sampled_from([True, None, 1.5, "1", [1]]),
+)
+_SIZE = st.one_of(st.integers(-1, 6), st.sampled_from([40, "3", None, 2.0]))
+_JSON_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 9), st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+@functools.cache
+def _morphisms() -> list:
+    """The 2055 morphisms from catalog sources on at most three elements to
+    targets on at most three."""
+    targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
+    sources = [m for n in (1, 2, 3) for m in catalog(n)]
+    return [phi for m in sources for phi in enumerate_morphisms(m, targets)]
+
+
+@st.composite
+def _matroid_data(draw):
+    """A catalog matroid on at most five elements, or a drawn object that
+    may or may not be one."""
+    if draw(st.integers(0, 2)) < 2:
+        n = draw(st.integers(min_value=1, max_value=5))
+        return draw(st.sampled_from(catalog(n))).to_json_dict()
+    data = {
+        "n": draw(_SIZE),
+        "bases": draw(
+            st.one_of(st.lists(st.lists(_ELEMENT, max_size=4), max_size=4), _JSON_VALUE)
+        ),
+    }
+    for key in draw(st.sets(st.sampled_from(["n", "bases"]), max_size=1)):
+        del data[key]
+    return data
+
+
+@st.composite
+def _morphism_data(draw):
+    """A morphism between catalog matroids, or a drawn object that may or
+    may not be one."""
+    if draw(st.integers(0, 2)) < 2:
+        return draw(st.sampled_from(_morphisms())).to_json_dict()
+    data = {
+        "source": draw(_matroid_data()),
+        "target": draw(_matroid_data()),
+        "map": draw(st.one_of(st.lists(_ELEMENT, max_size=6), _JSON_VALUE)),
+    }
+    for key in draw(st.sets(st.sampled_from(["source", "target", "map"]), max_size=1)):
+        del data[key]
+    return data
+
+
+_GRAPH = st.fixed_dictionaries(
+    {
+        "vertices": st.one_of(st.integers(-1, 5), _JSON_VALUE),
+        "edges": st.one_of(
+            st.lists(st.lists(st.integers(-1, 6), min_size=2, max_size=3), max_size=6),
+            _JSON_VALUE,
+        ),
+    }
+)
+
+
+def _file_text(draw, data_strategy) -> str:
+    """JSON of a drawn object, mostly; else JSON that is not an object, or
+    text that is not JSON."""
+    kind = draw(st.sampled_from(["object"] * 5 + ["json", "text"]))
+    if kind == "object":
+        return json.dumps(draw(data_strategy))
+    if kind == "json":
+        return json.dumps(draw(_JSON_VALUE))
+    return draw(st.text(max_size=12))
+
+
+def _loaded(load, text: str):
+    """What the package loads from this file text, or None where it
+    refuses the text as input."""
+    try:
+        data = json.loads(text)
+    except ValueError:
+        return None
+    if not isinstance(data, dict):
+        return None
+    try:
+        return load(data)
+    except (KeyError, MatroidError, MorphismError):
+        return None
+
+
+def _load_morphism(data):
+    for key in ("source", "target", "map"):
+        data[key]
+    return morphism_from_json_dict(data)
+
+
+def _load_graph(data):
+    return graphic_matroid(data["vertices"], data["edges"])
+
+
+_INT_TEXT = st.sampled_from(list("1234") * 2 + ["0", "-1", "x", "1.5", "9" * 20])
+_COORDINATE = st.sampled_from(
+    ["1", "2", "1/2", "3/4", "5", "0", "1", "2", "-1", "x", "1/0", ""]
+)
+
+
+def _point_text(n):
+    """--at values: mostly n or n + 1 coordinates (a basis or an x0-padded
+    polynomial of a matroid on n elements), else any count or any text."""
+    if n is None:
+        sizes = st.integers(1, 7)
+    else:
+        sizes = st.sampled_from([n, n + 1, n + 1, n + 2])
+    coordinates = sizes.flatmap(lambda k: st.lists(_COORDINATE, min_size=k, max_size=k))
+    return st.one_of(coordinates.map(",".join), st.text(max_size=6))
+# the real flags of each command, and values mostly in range
+_KIND = st.sampled_from(["basis", "indep", "reduced"] * 3 + ["dual"])
+_FORMAT = st.sampled_from(["text", "json"] * 3 + ["csv"])
+_FLAGS = {
+    "matroid-info": {"--format": _FORMAT},
+    "poly": {"--kind": _KIND, "--format": _FORMAT},
+    "hessian": {"--kind": _KIND, "--at": None, "--format": _FORMAT},
+    "check": {"--kind": _KIND, "--at": None, "--seed": _INT_TEXT},
+    "mason": {"--at": None},
+}
+_WHAT = {
+    "check": ["slp1", "hrr1"] * 3 + ["lorentz-witness", "lorentz-exact", "slp2"],
+    "mason": ["basis", "indep"] * 3 + ["both"],
+}
+
+
+@st.composite
+def _cli_case(draw, folder):
+    """(argv, rejected): an argument vector over the real commands and
+    flags, and whether the package refuses its one matroid or morphism
+    source."""
+    command = draw(st.sampled_from(sorted(_FLAGS) + ["morphism", "survey", "bogus"]))
+    argv = [command]
+    if command == "bogus":
+        argv += draw(st.lists(st.sampled_from(["--n", "1", "-x"]), max_size=2))
+        return argv, False
+    if command == "survey":
+        argv += ["--n", draw(st.sampled_from(["-1", "0", "1", "2", "7", "two"]))]
+        if draw(st.booleans()):
+            argv += ["--seed", draw(_INT_TEXT)]
+        if draw(st.booleans()):
+            argv.append("--no-morphisms")
+        if draw(st.booleans()):
+            argv += ["--format", draw(st.sampled_from(["text", "json", "tsv", "xml"]))]
+        return argv, False
+    if command == "morphism":
+        text = _file_text(draw, _morphism_data())
+        path = folder / "phi.json"
+        path.write_text(text)
+        what = draw(st.sampled_from(["validate", "class", "eurhuh", "shape"]))
+        argv += [what, str(path)]
+        return argv, _loaded(_load_morphism, text) is None
+    if command in _WHAT:
+        argv.append(draw(st.sampled_from(_WHAT[command])))
+    m = None
+    source = draw(st.sampled_from(["file"] * 4 + ["uniform"] * 2 + ["graphic", "none"]))
+    if source == "uniform":
+        n = draw(st.integers(-1, 5))
+        r = draw(st.integers(-1, max(n, 0)))
+        text = draw(st.sampled_from([f"{r},{n}"] * 4 + [f"{n},{r}", f"{r}", "a,b"]))
+        argv += ["--uniform", text]
+        try:
+            m = uniform(*(int(v) for v in text.split(",")))
+        except (TypeError, ValueError, MatroidError):
+            pass
+    elif source != "none":
+        graphic = source == "graphic"
+        text = _file_text(draw, _GRAPH if graphic else _matroid_data())
+        path = folder / ("graph.json" if graphic else "matroid.json")
+        path.write_text(text)
+        argv += ["--graphic", str(path)] if graphic else [str(path)]
+        m = _loaded(_load_graph if graphic else from_json_dict, text)
+    if command == "mason":
+        for flag in ("--i", "--j") if argv[1] == "basis" else ("--k",):
+            if draw(st.integers(0, 5)):
+                argv += [flag, draw(_INT_TEXT)]
+    flags = _FLAGS[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True)):
+        value = draw(_point_text(m and m.n) if flags[flag] is None else flags[flag])
+        argv += [f"{flag}={value}"] if value.startswith("-") else [flag, value]
+    return argv, source != "none" and m is None
+
+
+@pytest.fixture(scope="module")
+def cli_folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-property")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_argument_vector_exits_0_1_or_2(cli_folder, data):
+    # malformed input, the matroid or morphism source above all, exits 2
+    # with one `error:` line and never 1; nothing escapes as a traceback
+    argv, rejected = data.draw(_cli_case(cli_folder))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, (argv, err)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    if rejected:
+        assert code != 1, (argv, out.getvalue(), err)

@@ -105,6 +105,11 @@ def test_point_value_sign_from_hessian_matches_evaluate():
                 assert v.value_positive == (evaluate(p, a) > 0), (m, a)
                 inapplicable += not v.value_positive
     assert inapplicable
+    # a diagonal entry at a non-zero coordinate: the sign is read from the
+    # upper triangle of H, where the diagonal counts once and the rest twice
+    p = HomogPoly((0, 1, 2), 2, {(2, 0): 1, (0, 0b11): -1})  # x0^2 - x1 x2
+    for a in ((1, 1, 1), (1, 2, 1), (2, 1, 1), (Fraction(1, 2), -1, 3), (-1, 1, 1)):
+        assert point_verdicts(p, a).value_positive == (evaluate(p, a) > 0), a
 
 
 def test_hessian_matrix_matches_public_hessian():

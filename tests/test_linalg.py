@@ -165,6 +165,13 @@ def test_inertia_matches_full_matrix_oracle_on_seeded_matrices():
         rows = _seeded_symmetric(rng, size, shape)
         got = inertia(rows).as_tuple()
         assert got == full_matrix_inertia(rows), (shape, rows)
+        if shape != "fraction":
+            # consumed in place from the upper triangle, with junk below it
+            upper = [
+                [v if j >= i else 99 for j, v in enumerate(row)]
+                for i, row in enumerate(rows)
+            ]
+            assert inertia(upper, consume=True).as_tuple() == got, (shape, rows)
         diagonal = [rows[i][i] for i in range(size)]
         if size > 1 and not diagonal[0]:
             if any(diagonal):

@@ -283,6 +283,11 @@ def test_hessian_matrix_matches_second_partials_oracle_at_fraction_points():
     halves = HomogPoly((0, 1, 2), 3, {(3, 0): Fraction(1, 2), (1, 0b11): Fraction(-5, 3)})
     for a in ((Fraction(1, 2), Fraction(2, 3), 7), (Fraction(-3, 4), 0, Fraction(1, 5))):
         assert hessian_matrix(halves, a).rows == second_partials_hessian(halves, a)
+    # active variables out of order: each contribution is still stored at
+    # row <= column, where `at` mirrors it from
+    shuffled = HomogPoly((3, 0, 1, 2), 3, {(3, 0): 2, (1, 0b11): 5, (0, 0b111): -1})
+    for a in ((2, 3, 5, 7), (1, 0, -2, 4)):
+        assert hessian_matrix(shuffled, a).rows == second_partials_hessian(shuffled, a)
 
 
 def test_hessian_matches_second_partials_oracle_on_morphism_families():
@@ -321,6 +326,11 @@ def test_family_plans_match_second_partials_oracle_at_seeded_points():
                 for a in points:
                     got = family.hessian_plan.at(a).rows
                     assert got == second_partials_hessian(reduced, a), (phi, a)
+                    upper = family.hessian_plan.upper(a)
+                    assert upper == [
+                        [v if j >= i else 0 for j, v in enumerate(row)]
+                        for i, row in enumerate(got)
+                    ], (phi, a)
     assert len(seen) == 175
 
 

@@ -1,7 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from _oracles import hodge_pair_counts, mason_basis_report, mason_indep_report
+from _oracles import (
+    hodge_pair_counts,
+    mason_basis_report,
+    mason_indep_report,
+    per_map_morphism_suite,
+)
 
 from mlz.matroids import (
     catalog,
@@ -25,6 +30,7 @@ from mlz.sampling import derive, positive_point
 from mlz.verify import (
     SuiteReport,
     _hodge_pair_rows,
+    _shared_rows,
     mason_basis_check,
     mason_basis_rows,
     mason_indep_check,
@@ -305,7 +311,8 @@ def test_morphism_suite_non_simple_source_checks_sufficiency_only():
 
 
 def test_morphism_suite_memo_matches_cold_runs():
-    # every morphism from a simple source on <= 4 elements to a target on <= 3
+    # every morphism from a simple source on <= 4 elements to a target on
+    # <= 3, run warm in sweep order and cold, against the per-map oracle
     targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
     maps = [
         phi
@@ -314,12 +321,40 @@ def test_morphism_suite_memo_matches_cold_runs():
         if m.is_simple
         for phi in enumerate_morphisms(m, targets)
     ]
+    assert len(maps) == 5095
     basis_family.cache_clear()
     warm = [morphism_suite(phi, seed=5).rows for phi in maps]
     assert basis_family.cache_info().currsize < len(maps) // 10
     for phi, rows in zip(maps, warm):
+        assert per_map_morphism_suite(phi, seed=5).rows == rows, (
+            phi.source,
+            phi.target,
+            phi.map,
+        )
+    for phi, rows in zip(maps, warm):
         basis_family.cache_clear()
         assert morphism_suite(phi, seed=5).rows == rows, (phi.source, phi.target, phi.map)
+
+
+def test_shared_morphism_rows_key_on_source_and_loop_preimage():
+    # real maps cannot tell a key without the source or the loop preimage
+    # (both follow from the family), so the rows are asked for directly
+    m = uniform(2, 3)
+    phi = validate_morphism(m, uniform(1, 1), [1, 1, 1])
+    assert phi.phi_loops == 0
+    other = validate_bases(3, [[1, 2], [1, 3]])  # rank 2 on three elements
+    basis_family.cache_clear()
+    family = basis_family(morphism_bases(phi))
+
+    def statuses(source, loops_mask):
+        rows = _shared_rows(family, source, loops_mask).rows
+        return {name: status for name, status, _ in rows}
+
+    for _ in range(2):  # cold, then after the map's own rows are kept
+        # element 1 lies in the bottom-level basis {1}
+        assert statuses(m, 0b001)["morphism-bases-extension"] == "fail"
+        assert statuses(other, 0)["morphism-bases-levels"] == "fail"
+        assert set(statuses(m, 0).values()) == {"pass"}
 
 
 def test_maps_sharing_a_basis_family_share_facts_but_not_seeded_rows():
@@ -394,6 +429,19 @@ def test_survey_equality_catalogs_match_predicates():
         _, n, idx = entry["scope"].split(":")
         m = catalog(int(n))[int(idx)]
         assert entry["k"] + 1 < m.girth
+
+
+def test_survey_looks_up_each_morphism_once(monkeypatch):
+    import mlz.morphisms as mo
+
+    calls = []
+    lookup = mo.morphism_bases
+    monkeypatch.setattr(
+        mo, "morphism_bases", lambda phi: calls.append(phi) or lookup(phi)
+    )
+    rep = survey(3, seed=1)
+    assert rep.morphism_count > 0
+    assert len(calls) == rep.morphism_count
 
 
 def test_survey_bounds():
