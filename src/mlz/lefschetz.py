@@ -19,9 +19,10 @@ verdict instead of a boolean.
 Points are integerized by `linalg.clear_denominators` before spectra are
 taken: every polynomial here is homogeneous, so a positive rescaling
 multiplies the Hessian by a positive scalar and changes neither inertia
-nor rank nor value signs.  The Hessian H at a comes from a
-`polynomials.HessianPlan`; a caller that checks one polynomial at many
-points passes its plan in.  The sign of p(a) is read from H by Euler's
+nor rank nor value signs.  The Hessian H at a comes from the plan the
+polynomial keeps (`HomogPoly.plan`), and g is the rank it keeps
+(`HomogPoly.grad_rank`), so checking one polynomial at many points
+compiles and ranks it once.  The sign of p(a) is read from H by Euler's
 identity a^T H a = d (d - 1) p(a), and H's rank from its inertia
 (rank = pos + neg for symmetric matrices), so one symmetric elimination
 serves both checks.  Both read H's upper triangle alone, so the plan
@@ -56,9 +57,9 @@ from math import comb, factorial, perm
 from operator import mul, or_
 from typing import Optional, Sequence
 
-from .linalg import Inertia, clear_denominators, inertia, matrix_rank
+from .linalg import Inertia, clear_denominators, inertia
 from .matroids import exchange_violation, popcount
-from .polynomials import HessianPlan, HomogPoly, gradient_matrix, hessian_matrix
+from .polynomials import HomogPoly, hessian_matrix
 
 
 class InapplicablePointError(ValueError):
@@ -76,7 +77,7 @@ def hessian_inertia(p: HomogPoly, point: Sequence) -> Inertia:
 
 
 def gradient_rank(p: HomogPoly) -> int:
-    return matrix_rank(gradient_matrix(p))
+    return p.grad_rank
 
 
 def classify_point(p: HomogPoly, point: Sequence) -> PointClass:
@@ -95,22 +96,16 @@ class PointVerdicts:
     hrr1: Optional[bool]
 
 
-def point_verdicts(
-    p: HomogPoly,
-    point: Sequence,
-    *,
-    grad_rank: Optional[int] = None,
-    plan: Optional[HessianPlan] = None,
-) -> PointVerdicts:
+def point_verdicts(p: HomogPoly, point: Sequence) -> PointVerdicts:
     """slp1/hrr1 verdicts from a single Hessian spectrum at the point.
 
-    `plan`, when given, must be compiled from p.  Returns verdicts None
-    when the point value is not positive (the checks are undefined there).
+    Returns verdicts None when the point value is not positive (the checks
+    are undefined there).
     """
     if p.degree < 2:
         raise ValueError("point checks need degree >= 2")
     _, scaled = clear_denominators(point)
-    plan = plan or HessianPlan(p)
+    plan = p.plan
     h = plan.upper(scaled)
     # Euler: a^T H a = d (d - 1) p(a), and d (d - 1) > 0; with U the upper
     # triangle of H (0 below the diagonal), a^T H a = 2 a^T U a - sum U_ii a_i^2
@@ -120,7 +115,7 @@ def point_verdicts(
         <= 0
     ):
         return PointVerdicts(False, None, None, None)
-    g = gradient_rank(p) if grad_rank is None else grad_rank
+    g = gradient_rank(p)
     ine = inertia(h, consume=plan.integral)
     return PointVerdicts(
         True,
@@ -130,15 +125,15 @@ def point_verdicts(
     )
 
 
-def slp1(p: HomogPoly, point: Sequence, *, grad_rank: Optional[int] = None) -> bool:
-    v = point_verdicts(p, point, grad_rank=grad_rank)
+def slp1(p: HomogPoly, point: Sequence) -> bool:
+    v = point_verdicts(p, point)
     if not v.value_positive:
         raise InapplicablePointError("slp1 needs p(a) > 0")
     return v.slp1
 
 
-def hrr1(p: HomogPoly, point: Sequence, *, grad_rank: Optional[int] = None) -> bool:
-    v = point_verdicts(p, point, grad_rank=grad_rank)
+def hrr1(p: HomogPoly, point: Sequence) -> bool:
+    v = point_verdicts(p, point)
     if not v.value_positive:
         raise InapplicablePointError("hrr1 needs p(a) > 0")
     return v.hrr1

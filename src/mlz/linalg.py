@@ -73,9 +73,6 @@ class SymMatrix:
     def __repr__(self) -> str:
         return f"SymMatrix({[list(r) for r in self.rows]})"
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
 
 def clear_denominators(values: Sequence) -> tuple[int, tuple[int, ...]]:
     """(scale, ints): the least positive integer scale that makes every

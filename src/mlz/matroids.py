@@ -642,7 +642,6 @@ def simplify(m: Matroid) -> tuple[Matroid, tuple[int, ...]]:
 # -- exhaustive enumeration ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _exchange_need_table(n: int, r: int):
     """Precomputed exchange constraints for rank-r families on {1..n}.
 

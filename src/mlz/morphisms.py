@@ -18,12 +18,12 @@ explicit annihilating linear form that is verified exactly on
 construction.
 
 Many maps share one basis family.  Whatever depends on the bases alone
-(polynomials, gradient rank, level exchange checks, fixed-point verdicts,
-count profile, the degeneracy verdict with its checked annihilator, the
-compiled Hessian plan of the reduced form) lives on a BasisFamily,
-memoized by `basis_family` under the hashable MorphismBases value.  The
-source's bases and the loop preimage are read off the levels, so the
-degeneracy verdict needs no map.
+(polynomials, level exchange checks, fixed-point verdicts, count profile,
+the degeneracy verdict with its checked annihilator) lives on a
+BasisFamily, memoized by `basis_family` under the hashable MorphismBases
+value; the reduced polynomial keeps its own gradient rank and Hessian
+plan, so they are shared with it.  The source's bases and the loop
+preimage are read off the levels, so the degeneracy verdict needs no map.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .lefschetz import PointVerdicts, gradient_rank, point_verdicts
+from .lefschetz import PointVerdicts, point_verdicts
 from .matroids import (
     Mask,
     Matroid,
@@ -47,7 +47,7 @@ from .matroids import (
     from_json_dict,
     popcount,
 )
-from .polynomials import HessianPlan, HomogPoly, linear_apply, partial
+from .polynomials import HomogPoly, linear_apply, partial
 
 
 MORPHISM_SOURCE_MAX = 5
@@ -110,8 +110,11 @@ class MatroidMorphism:
 def morphism_from_json_dict(data: dict) -> MatroidMorphism:
     """Parse {"source": matroid, "target": matroid, "map": [images]}.
 
-    Malformed fields raise a MorphismError that names the field.
+    Missing or malformed fields raise a MorphismError that names the field.
     """
+    for key in ("source", "target", "map"):
+        if key not in data:
+            raise MorphismError(f"field {key!r}: missing")
     ends = []
     for key in ("source", "target"):
         try:
@@ -199,10 +202,6 @@ class MorphismBases:
     def by_size(self) -> dict[int, frozenset[Mask]]:
         return dict(self.levels)
 
-    @property
-    def total(self) -> int:
-        return sum(len(bucket) for _, bucket in self.levels)
-
 
 def morphism_bases(phi: MatroidMorphism) -> MorphismBases:
     """Independent sets of the source whose image spans the target.
@@ -268,10 +267,6 @@ class BasisFamily:
         return p, reduced
 
     @cached_property
-    def grad_rank(self) -> int:
-        return gradient_rank(self.polys[1])
-
-    @cached_property
     def levels_are_matroids(self) -> bool:
         """Every size bucket satisfies the basis-exchange axiom."""
         for _, bucket in self.bases.levels:
@@ -281,17 +276,11 @@ class BasisFamily:
                 return False
         return True
 
-    @cached_property
-    def hessian_plan(self) -> HessianPlan:
-        """The reduced polynomial's Hessian, compiled once: every map of
-        the family checks it at its own seeded points."""
-        return HessianPlan(self.polys[1])
-
     def verdicts_at(self, point: Sequence) -> PointVerdicts:
-        """slp1/hrr1 verdicts of the reduced polynomial (degree >= 2) at the point."""
-        return point_verdicts(
-            self.polys[1], point, grad_rank=self.grad_rank, plan=self.hessian_plan
-        )
+        """slp1/hrr1 verdicts of the reduced polynomial (degree >= 2) at the
+        point; every map of the family fills the reduced polynomial's one
+        plan at its own seeded points."""
+        return point_verdicts(self.polys[1], point)
 
     @cached_property
     def fixed_point_verdicts(self) -> tuple[tuple[tuple, PointVerdicts], ...]:

@@ -19,9 +19,11 @@ matrix of first-partial coefficients) is exact throughout; no floating
 point exists in this package.  `HessianPlan` is the package's only
 Hessian: it compiles a polynomial's second derivatives once into flat
 contributions grouped by x0 power, with no second-partial polynomials,
-and fills them at each point from a table of subset products.
-`hessian_matrix` compiles a plan and fills it once; a caller that
-evaluates one polynomial at many points keeps the plan.
+and fills them at each point from a table of subset products.  A
+polynomial compiles its plan, and takes the rank of its first partials,
+on first use and keeps both (`HomogPoly.plan`, `HomogPoly.grad_rank`), so
+every Hessian of one polynomial, at any number of points and from any
+caller, comes from one plan.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence
 
-from .linalg import SymMatrix, clear_denominators
+from .linalg import SymMatrix, clear_denominators, matrix_rank
 from .matroids import Matroid, Mask, bits_of, elems_of, mask_of, popcount
 
 TermKey = tuple[int, Mask]  # (x0 exponent, support mask over {1..n})
@@ -43,15 +45,18 @@ class HomogPoly:
     declared over (0 means x0); Hessians and gradient matrices range over
     exactly these variables.  `terms` maps (e0, mask) to a non-zero exact
     coefficient.  The zero polynomial is an empty term map with a degree
-    tag.
+    tag.  The Hessian plan and the gradient rank depend on the polynomial
+    alone, so each is computed on first use and kept.
     """
 
-    __slots__ = ("active", "degree", "terms")
+    __slots__ = ("active", "degree", "terms", "_plan", "_grad_rank")
 
     def __init__(self, active: Sequence[int], degree: int, terms: dict):
         self.active = tuple(active)
         self.degree = degree
         self.terms = terms
+        self._plan = None
+        self._grad_rank = None
         allowed = set(self.active)
         for (e0, mask), c in terms.items():
             if c == 0:
@@ -67,6 +72,21 @@ class HomogPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    @property
+    def plan(self) -> HessianPlan:
+        """The second partials compiled once (degree >= 2)."""
+        if self._plan is None:
+            self._plan = HessianPlan(self)
+        return self._plan
+
+    @property
+    def grad_rank(self) -> int:
+        """The dimension of the span of the first partials (degree >= 1):
+        the rank of `gradient_matrix`, which is not kept."""
+        if self._grad_rank is None:
+            self._grad_rank = matrix_rank(gradient_matrix(self))
+        return self._grad_rank
 
     def __eq__(self, other) -> bool:
         """Term-level equality; the active declarations may differ."""
@@ -317,14 +337,14 @@ class HessianPlan:
 
 def hessian_matrix(p: HomogPoly, point: Sequence) -> SymMatrix:
     """Matrix of second partials at the point, over the active variables:
-    a HessianPlan compiled for p and filled once.
+    p's plan filled once.
 
     The plan is filled at the integers (lam, A) = clear_denominators(point)
     and each entry divided once by lam^(d - 2): the second partials are
     homogeneous of degree d - 2, so H(A) = lam^(d - 2) H(point).
     """
     lam, scaled = clear_denominators(point)
-    h = HessianPlan(p).at(scaled)
+    h = p.plan.at(scaled)
     if lam == 1:
         return h
     den = lam ** (p.degree - 2)

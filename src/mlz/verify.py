@@ -8,15 +8,18 @@ for morphisms, and the normalized morphism-count inequality.
 
 The basis-count inequalities and the Hodge pair determinants read the
 second-order jet of a polynomial p of degree d >= 2 at a point a: its
-value, gradient and Hessian there.  One `HessianPlan` per polynomial gives
-all three.  With (lam, A) = clear_denominators(a), H is the Hessian at the
-integer point A, and Euler's identity gives the rest: g = H A is
-(d - 1) grad p(A) and s = A^T g is d (d - 1) p(A).  For the basis
-polynomial of rank r, the Mason pair (i, j) at a is lhs = s H_ij / D
+value, gradient and Hessian there.  The plan that p keeps
+(`HomogPoly.plan`) gives all three.  With (lam, A) = clear_denominators(a),
+H is the Hessian at the integer point A, and Euler's identity gives the
+rest: g = H A is (d - 1) grad p(A) and s = A^T g is d (d - 1) p(A).  For
+the basis polynomial of rank r, the Mason pair (i, j) at a is lhs = s H_ij / D
 against rhs = 2 g_i g_j / D with D = r (r - 1) lam^(2r - 2), and the jet at
 (1, ..., 1) holds the counts |B_ij| = H_ij, |B_i| = g_i / (r - 1) and
 |B| = s / (r (r - 1)).  The independent-count levels f_k(a) come from one
-pass over the independent sets.
+pass over the independent sets.  f_M is kept on its matroid, so the
+theorem suite and the count rows of one matroid compile its plan once;
+the independent-set polynomial and its reduced form are built per suite
+and dropped with it.
 
 A morphism's rows split in two.  Every row but the two seeded points of
 `reduced-point-verdicts` reads only the map's basis family, its source
@@ -24,7 +27,7 @@ and its loop preimage; those rows are built once per such key and kept
 on the family.  Per map, `morphism_suite` derives the map's stream,
 draws its two seeded points, stamps its scope on the shared rows and
 checks the points: `sampling.seeded_point` gives the text the row prints
-and the integers at which the family's Hessian plan fills the upper
+and the integers at which the reduced polynomial's plan fills the upper
 triangle that `point_verdicts` reads.
 
 All decisions are exact rational comparisons; there is no tolerance
@@ -40,17 +43,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from . import matroids as mt
 from . import morphisms as mo
-from .lefschetz import lorentzian_witness, point_verdicts
-from .linalg import Inertia, clear_denominators, inertia, matrix_rank
+from .lefschetz import hessian_inertia, lorentzian_witness, point_verdicts
+from .linalg import clear_denominators
 from .matroids import Matroid, elems_of, popcount
 from .polynomials import (
-    HessianPlan,
     HomogPoly,
     basis_poly,
     expand_class_sums,
@@ -68,22 +69,24 @@ SEEDED_HESSIAN_POINTS = 3
 SEEDED_MASON_POINTS = 5
 
 
-# -- cached per-matroid polynomials ------------------------------------------
+# -- facts kept on the matroid ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _fm(m: Matroid) -> HomogPoly:
-    return basis_poly(m)
+    """f_M, kept on the matroid with the plan and rank it computes."""
+    return m._cached("basis_poly", lambda: basis_poly(m))
 
 
-@lru_cache(maxsize=None)
-def _pm(m: Matroid) -> HomogPoly:
-    return indep_poly(m)
+def _matroid_key(m: Matroid) -> int:
+    """Stable small integer derived from the basis family (order-free)."""
 
+    def key() -> int:
+        acc = 0
+        for b in sorted(m.bases):
+            acc = (acc * 1000003 + b + 1) & ((1 << 64) - 1)
+        return acc
 
-@lru_cache(maxsize=None)
-def _pm_reduced(m: Matroid) -> HomogPoly:
-    return reduced_indep_poly(m)
+    return m._cached("key", key)
 
 
 # -- second-order jets ------------------------------------------------------------
@@ -99,31 +102,11 @@ class _Jet(NamedTuple):
     s: int  # a^T h a = d (d - 1) * value at a
 
 
-def _jet(plan: HessianPlan, point: Sequence) -> _Jet:
+def _jet(p: HomogPoly, point: Sequence) -> _Jet:
     lam, a = clear_denominators(point)
-    h = plan.at(a).rows
+    h = p.plan.at(a).rows
     g = [sum(map(mul, row, a)) for row in h]
     return _Jet(lam, a, h, g, sum(map(mul, a, g)))
-
-
-def _inertia_at(plan: HessianPlan, point: Sequence) -> Inertia:
-    return inertia(plan.at(clear_denominators(point)[1]))
-
-
-class _Gradient:
-    """A polynomial's gradient matrix G (rows: its first partials), built
-    on first use, and the rank of G, taken once."""
-
-    def __init__(self, p: HomogPoly):
-        self.p = p
-
-    @cached_property
-    def matrix(self) -> list[list]:
-        return gradient_matrix(self.p)
-
-    @cached_property
-    def rank(self) -> int:
-        return matrix_rank(self.matrix)
 
 
 # -- combinatorial inequality checks ------------------------------------------
@@ -181,18 +164,12 @@ def _weights(m: Matroid, point: Optional[Sequence]) -> Optional[tuple]:
     return at
 
 
-def _basis_jets(m: Matroid, point: Optional[Sequence], plan: Optional[HessianPlan]):
-    """(weights, jet at (1, ..., 1), jet at the point) of f_M, from one plan.
-
-    Without a plan, f_M's plan and its jet at (1, ..., 1) are kept on the
-    matroid, so repeated single checks fill only the jet at their point."""
+def _basis_jets(m: Matroid, point: Optional[Sequence]):
+    """(weights, jet at (1, ..., 1), jet at the point) of f_M."""
     at = _weights(m, point)
-    if plan is None:
-        plan = m._cached("basis_plan", lambda: HessianPlan(_fm(m)))
-        ones = m._cached("basis_ones_jet", lambda: _jet(plan, (1,) * m.n))
-    else:
-        ones = _jet(plan, (1,) * m.n)
-    return at, ones, ones if at is None else _jet(plan, at)
+    f = _fm(m)
+    ones = _jet(f, (1,) * m.n)
+    return at, ones, ones if at is None else _jet(f, at)
 
 
 def _basis_report(
@@ -229,13 +206,13 @@ def _basis_report(
 
 
 def mason_basis_rows(
-    m: Matroid, point: Optional[Sequence] = None, *, plan: Optional[HessianPlan] = None
+    m: Matroid, point: Optional[Sequence] = None
 ) -> list[MasonBasisReport]:
     """The basis-count report of every pair i < j at the point, or at
-    (1, ..., 1) when there is none; `plan`, when given, is f_M's."""
+    (1, ..., 1) when there is none."""
     if m.rank < 2:
         raise mt.MatroidError("basis-count check needs rank >= 2")
-    at, ones, jet = _basis_jets(m, point, plan)
+    at, ones, jet = _basis_jets(m, point)
     return [
         _basis_report(m, i, j, at, ones, jet)
         for i in range(1, m.n + 1)
@@ -252,7 +229,7 @@ def mason_basis_check(
         raise ValueError("the two elements must be distinct")
     if not (1 <= i <= m.n and 1 <= j <= m.n):
         raise ValueError("element out of range")
-    return _basis_report(m, i, j, *_basis_jets(m, point, None))
+    return _basis_report(m, i, j, *_basis_jets(m, point))
 
 
 def _levels(m: Matroid, at: Optional[tuple]) -> list[Fraction]:
@@ -393,8 +370,6 @@ def _hodge_pair_rows(
     report: SuiteReport,
     name: str,
     p: HomogPoly,
-    plan: HessianPlan,
-    grad: list[list],
     points: Sequence[Sequence],
     pairs: Sequence[tuple[int, int]],
 ):
@@ -408,13 +383,14 @@ def _hodge_pair_rows(
     l1l2 p = g_i + t g_j and l2l2 p = H_ii + 2t H_ij + t^2 H_jj.  The rows
     of the gradient matrix G are the first partials of p, so l1 p and l2 p
     are the vectors G^T A and G_i + t G_j, and proportionality is decided
-    on them.  `plan` and `grad` are p's.
+    on them.
     """
+    grad = gradient_matrix(p)
     pos = {v: k for k, v in enumerate(p.active)}
     bad = 0
     tested = 0
     for point in points:
-        jet = _jet(plan, point)
+        jet = _jet(p, point)
         if jet.s <= 0:  # p(a) <= 0
             continue
         h, g = jet.h, jet.g
@@ -440,20 +416,14 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
     rng = derive(seed, n, _matroid_key(m))
     simple = m.is_simple
     f = _fm(m)
-    p = _pm(m)
-    reduced = _pm_reduced(m)
-    # one Hessian plan per polynomial, filled at every point below
-    plan_f = HessianPlan(f) if r >= 2 else None
-    plan_p = HessianPlan(p) if 2 <= n <= 5 else None
-    plan_red = HessianPlan(reduced) if r >= 2 else None
-    # one gradient matrix per polynomial, and its rank, for every row below
-    grad_f, grad_p, grad_red = _Gradient(f), _Gradient(p), _Gradient(reduced)
+    p = indep_poly(m)
+    reduced = reduced_indep_poly(m)
 
     # linear independence of the first partials
     if simple:
-        g = grad_f.rank
+        g = f.grad_rank
         report.check("gradient-rank-basis", g == n, f"rank={g} expected={n}")
-        g2 = grad_red.rank
+        g2 = reduced.grad_rank
         if m.is_uniform:
             ok = g2 < n + 1 and _kernel_vector_annihilates(reduced)
             report.check(
@@ -473,7 +443,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
         ]
         bad = []
         for a in pts:
-            got = _inertia_at(plan_f, a).as_tuple()
+            got = hessian_inertia(f, a).as_tuple()
             if got != (1, n - 1, 0):
                 bad.append((a, got))
         report.check(
@@ -495,7 +465,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
         ]
         bad = []
         for a in pts:
-            got = _inertia_at(plan_red, a).as_tuple()
+            got = hessian_inertia(reduced, a).as_tuple()
             if got != (1, n, 0):
                 bad.append((a, got))
         report.check(
@@ -515,15 +485,14 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
             (0,) + (1,) * n,
             positive_point(rng, n + 1),
         ]
-        g_red = grad_red.rank
         bad = []
         for a in pts:
-            if not point_verdicts(reduced, a, grad_rank=g_red, plan=plan_red).hrr1:
+            if not point_verdicts(reduced, a).hrr1:
                 bad.append(a)
         report.check(
             "hrr1-reduced-quotient",
             not bad,
-            f"grad_rank={g_red} points={len(pts)}",
+            f"grad_rank={reduced.grad_rank} points={len(pts)}",
         )
     else:
         report.add("hrr1-reduced-quotient", "skip", "rank < 2")
@@ -544,7 +513,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
         back = {k + 1: old_of[k] for k in range(len(old_of))}
         if partial(f, e) != rename_vars(_fm(sub), back):
             contract_f_ok = False
-        if partial(p, e) != rename_vars(_pm(sub), {0: 0, **back}):
+        if partial(p, e) != rename_vars(indep_poly(sub), {0: 0, **back}):
             contract_p_ok = False
     report.check("contraction-partial-basis", contract_f_ok)
     report.check("contraction-partial-indep", contract_p_ok)
@@ -563,7 +532,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
         groups = [elems_of(c) for c in pd.classes]
         sub_ok = expand_class_sums(_fm(simp), groups, n) == f
         s = len(groups)
-        lifted = expand_class_sums(_pm(simp), groups, n)
+        lifted = expand_class_sums(indep_poly(simp), groups, n)
         shifted = HomogPoly(
             range(0, n + 1),
             n,
@@ -578,7 +547,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
         trunc = mt.truncate(m, 1)
         report.check(
             "reduced-truncation-partial",
-            partial(reduced, 0) == _pm_reduced(trunc),
+            partial(reduced, 0) == reduced_indep_poly(trunc),
         )
     else:
         report.add("reduced-truncation-partial", "skip", "needs loopless rank >= 2")
@@ -625,14 +594,11 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
 
         agree_ok = True
         hrr_ok = True
-        for poly, plan, grad, pts in (
-            (f, plan_f, grad_f, wit_pts),
-            (p, plan_p, grad_p, wit_pts_p),
-        ):
-            if plan is None:
+        for poly, pts in ((f, wit_pts), (p, wit_pts_p)):
+            if poly.degree < 2:
                 continue
             for a in pts:
-                v = point_verdicts(poly, a, grad_rank=grad.rank, plan=plan)
+                v = point_verdicts(poly, a)
                 if not v.value_positive or v.slp1 != v.hrr1:
                     agree_ok = False
                 if not v.hrr1:
@@ -646,8 +612,8 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
     # pointwise eigenvalue bound on the closed orthant (sampled)
     if n <= 5:
         bound_ok = True
-        for plan, dim in ((plan_f, n), (plan_p, n + 1)):
-            if plan is None:
+        for poly, dim in ((f, n), (p, n + 1)):
+            if poly.degree < 2:
                 continue
             for _ in range(2):
                 zero_mask = rng.next64()
@@ -655,7 +621,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
                     Fraction(0) if (zero_mask >> ix) & 1 else rng.rational()
                     for ix in range(dim)
                 )
-                if _inertia_at(plan, a).pos > 1:
+                if hessian_inertia(poly, a).pos > 1:
                     bound_ok = False
         report.check("closed-orthant-eigenvalue-bound", bound_ok)
 
@@ -673,8 +639,6 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
                 report,
                 "hodge-pair-det-basis",
                 f,
-                plan_f,
-                grad_f.matrix,
                 [(1,) * n, positive_point(rng, n)],
                 pairs,
             )
@@ -688,21 +652,10 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
             report,
             "hodge-pair-det-reduced",
             reduced,
-            plan_red,
-            grad_red.matrix,
             [(1,) + (1,) * n, (0,) + (1,) * n],
             pairs_red,
         )
     return report
-
-
-@lru_cache(maxsize=None)
-def _matroid_key(m: Matroid) -> int:
-    """Stable small integer derived from the basis family (order-free)."""
-    acc = 0
-    for b in sorted(m.bases):
-        acc = (acc * 1000003 + b + 1) & ((1 << 64) - 1)
-    return acc
 
 
 # -- per-morphism suite ----------------------------------------------------------
@@ -775,7 +728,7 @@ def _shared_rows(family: mo.BasisFamily, m: Matroid, loops_mask: int) -> _Shared
 
     p_phi, reduced = family.polys
     verdict = family.degeneracy
-    g = family.grad_rank
+    g = reduced.grad_rank
     deficient = g < n + 1
     classes = "".join(sorted(verdict.classes)) or "-"
     if m.is_simple:
@@ -799,7 +752,7 @@ def _shared_rows(family: mo.BasisFamily, m: Matroid, loops_mask: int) -> _Shared
         expect = {(n - r, mask): 1 for mask in m.bases}
         check("equal-rank-shape", p_phi.terms == expect)
     if r_prime == 0:  # the target has rank 0
-        check("rank-zero-target-shape", p_phi == _pm(m))
+        check("rank-zero-target-shape", p_phi == indep_poly(m))
 
     profile = family.eur_huh
     check(
@@ -1012,10 +965,9 @@ def _mason_rows(
     rng = derive(seed, 0xBA5E5, n, _matroid_key(m))
     out: list[CheckRow] = []
     at_least_three = len(m.parallel_decomposition.classes) >= 3
-    plan = HessianPlan(_fm(m))
 
     ones_bad = 0
-    ones = mason_basis_rows(m, plan=plan)
+    ones = mason_basis_rows(m)
     for rep in ones:
         if rep.lhs > rep.rhs or (rep.applicable and not rep.consistent):
             ones_bad += 1
@@ -1051,7 +1003,7 @@ def _mason_rows(
     weighted_rows = 0
     for _ in range(SEEDED_MASON_POINTS):
         a = positive_point(rng, n)
-        for rep in mason_basis_rows(m, a, plan=plan):
+        for rep in mason_basis_rows(m, a):
             weighted_rows += 1
             if rep.lhs > rep.rhs:
                 weighted_bad += 1

@@ -697,7 +697,7 @@ def hodge_pair_counts(p, points, pairs) -> tuple[int, int]:
 # -- per-map morphism suite ------------------------------------------------------
 
 
-def _whole_hessian_verdicts(p, plan, grad_rank, point) -> str:
+def _whole_hessian_verdicts(p, point) -> str:
     """The `reduced-point-verdicts` entry of p at an integer point, from the
     mirrored Hessian: p(a) by evaluation, the inertia by whole-matrix
     elimination."""
@@ -706,8 +706,8 @@ def _whole_hessian_verdicts(p, plan, grad_rank, point) -> str:
 
     if evaluate(p, point) <= 0:
         return "inapplicable"
-    g = grad_rank
-    ine = Inertia(*full_matrix_inertia(plan.at(point).rows))
+    g = p.grad_rank
+    ine = Inertia(*full_matrix_inertia(p.plan.at(point).rows))
     slp1 = ine.pos + ine.neg == g
     hrr1 = ine.as_tuple() == (1, g - 1, len(p.active) - g)
     return f"slp1={slp1},hrr1={hrr1},inertia={ine.render()}"
@@ -720,7 +720,8 @@ def per_map_morphism_suite(phi, seed: int):
     polynomial from `_whole_hessian_verdicts`."""
     from mlz import morphisms as mo
     from mlz.sampling import derive, seeded_point
-    from mlz.verify import SuiteReport, _matroid_key, _pm
+    from mlz.polynomials import indep_poly
+    from mlz.verify import SuiteReport, _matroid_key
 
     m, nmat = phi.source, phi.target
     n = m.n
@@ -755,7 +756,7 @@ def per_map_morphism_suite(phi, seed: int):
 
     p_phi, reduced = family.polys
     verdict = family.degeneracy
-    g = family.grad_rank
+    g = reduced.grad_rank
     deficient = g < n + 1
     detail = f"grad_rank={g} classes={''.join(sorted(verdict.classes)) or '-'}"
     if m.is_simple:
@@ -770,7 +771,7 @@ def per_map_morphism_suite(phi, seed: int):
         expect = {(n - phi.r, mask): 1 for mask in m.bases}
         report.check("equal-rank-shape", p_phi.terms == expect)
     if nmat.rank == 0:
-        report.check("rank-zero-target-shape", p_phi == _pm(m))
+        report.check("rank-zero-target-shape", p_phi == indep_poly(m))
 
     profile = family.eur_huh
     report.check(
@@ -787,7 +788,7 @@ def per_map_morphism_suite(phi, seed: int):
             points.append(seeded_point(rng, n + 1, boundary=boundary))
         verdicts = [
             f"@({text}):"
-            + _whole_hessian_verdicts(reduced, family.hessian_plan, g, a)
+            + _whole_hessian_verdicts(reduced, a)
             for text, a in points
         ]
     report.add("reduced-point-verdicts", "recorded", " ".join(verdicts))

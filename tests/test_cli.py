@@ -242,6 +242,9 @@ _POINT = {"n": 1, "bases": [[1]]}
         ({"source": _U23, "target": _POINT, "map": ["a", 1, 1]}, "map"),
         ({"source": _U23, "target": _POINT, "map": [True, 1, 1]}, "map"),
         ({"source": _U23, "target": _POINT, "map": [1.0, 1, 1]}, "map"),
+        ({"target": _POINT, "map": [1, 1, 1]}, "source"),
+        ({"source": _U23, "map": [1, 1, 1]}, "target"),
+        ({"source": _U23, "target": _POINT}, "map"),
     ],
 )
 def test_malformed_morphism_input_exits_2_with_one_line(tmp_path, capsys, data, field):
@@ -315,6 +318,34 @@ def test_usage_errors_exit_2_with_one_line(capsys, u23_file, argv):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["matroid-info", "--format", "json"], 0),
+        (["poly", "--kind", "reduced"], 0),
+        (["hessian", "--kind", "indep", "--at", "1,2,3,1/2"], 0),
+        (["check", "slp1", "--kind", "basis"], 0),
+        (["check", "hrr1", "--kind", "reduced", "--at", "0,1,1,1"], 0),
+        (["check", "lorentz-witness", "--kind", "indep", "--seed", "3"], 0),
+        (["check", "lorentz-exact", "--kind", "basis"], 0),
+        (["check", "hrr1", "--at", "0,0,1"], 1),
+        (["mason", "basis", "--i", "1", "--j", "2", "--at", "1,2,3"], 0),
+        (["mason", "indep", "--k", "1"], 0),
+        (["mason", "indep", "--k", "9"], 2),
+    ],
+)
+def test_file_before_or_after_the_options_reads_the_same(capsys, u23_file, argv, code):
+    split = 2 if argv[0] in ("check", "mason") else 1
+    outcomes = []
+    for order in (argv[:split] + [u23_file] + argv[split:], argv + [u23_file]):
+        got = run(order)
+        captured = capsys.readouterr()
+        outcomes.append((got, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code
+    assert outcomes[0][1 if code < 2 else 2]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
@@ -512,12 +543,6 @@ def _loaded(load, text: str):
         return None
 
 
-def _load_morphism(data):
-    for key in ("source", "target", "map"):
-        data[key]
-    return morphism_from_json_dict(data)
-
-
 def _load_graph(data):
     return graphic_matroid(data["vertices"], data["edges"])
 
@@ -578,16 +603,17 @@ def _cli_case(draw, folder):
         path.write_text(text)
         what = draw(st.sampled_from(["validate", "class", "eurhuh", "shape"]))
         argv += [what, str(path)]
-        return argv, _loaded(_load_morphism, text) is None
+        return argv, _loaded(morphism_from_json_dict, text) is None
     if command in _WHAT:
         argv.append(draw(st.sampled_from(_WHAT[command])))
     m = None
+    given_source = []  # the matroid source, before or after the options
     source = draw(st.sampled_from(["file"] * 4 + ["uniform"] * 2 + ["graphic", "none"]))
     if source == "uniform":
         n = draw(st.integers(-1, 5))
         r = draw(st.integers(-1, max(n, 0)))
         text = draw(st.sampled_from([f"{r},{n}"] * 4 + [f"{n},{r}", f"{r}", "a,b"]))
-        argv += ["--uniform", text]
+        given_source = ["--uniform", text]
         try:
             m = uniform(*(int(v) for v in text.split(",")))
         except (TypeError, ValueError, MatroidError):
@@ -597,16 +623,21 @@ def _cli_case(draw, folder):
         text = _file_text(draw, _GRAPH if graphic else _matroid_data())
         path = folder / ("graph.json" if graphic else "matroid.json")
         path.write_text(text)
-        argv += ["--graphic", str(path)] if graphic else [str(path)]
+        given_source = ["--graphic", str(path)] if graphic else [str(path)]
         m = _loaded(_load_graph if graphic else from_json_dict, text)
+    options = []
     if command == "mason":
         for flag in ("--i", "--j") if argv[1] == "basis" else ("--k",):
             if draw(st.integers(0, 5)):
-                argv += [flag, draw(_INT_TEXT)]
+                options += [flag, draw(_INT_TEXT)]
     flags = _FLAGS[command]
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True)):
         value = draw(_point_text(m and m.n) if flags[flag] is None else flags[flag])
-        argv += [f"{flag}={value}"] if value.startswith("-") else [flag, value]
+        options += [f"{flag}={value}"] if value.startswith("-") else [flag, value]
+    if draw(st.booleans()):
+        argv += given_source + options
+    else:
+        argv += options + given_source
     return argv, source != "none" and m is None
 
 

@@ -197,7 +197,7 @@ def test_full_rank_to_point_hessian_matches_reduced_uniform():
 def test_family_keeps_one_plan_that_matches_fresh_hessians():
     from mlz.lefschetz import point_verdicts
     from mlz.morphisms import basis_family
-    from mlz.polynomials import hessian_matrix
+    from mlz.polynomials import HomogPoly, hessian_matrix
     from mlz.sampling import boundary_point, derive, positive_point
 
     targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
@@ -211,14 +211,17 @@ def test_family_keeps_one_plan_that_matches_fresh_hessians():
     assert len(families) > 50
     for ix, family in enumerate(families.values()):
         reduced = family.polys[1]
-        plan = family.hessian_plan
-        assert family.hessian_plan is plan
+        plan = reduced.plan
+        # a copy of the reduced polynomial compiles a plan of its own
+        fresh = HomogPoly(reduced.active, reduced.degree, dict(reduced.terms))
         rng = derive(19, ix)
         k = len(reduced.active)
         points = [(0,) + (1,) * (k - 1), positive_point(rng, k), boundary_point(rng, k)]
         for a in points:
-            assert plan.at(a) == hessian_matrix(reduced, a), (family.bases, a)
-            assert family.verdicts_at(a) == point_verdicts(reduced, a), family.bases
+            assert plan.at(a) == hessian_matrix(fresh, a), (family.bases, a)
+            assert family.verdicts_at(a) == point_verdicts(fresh, a), family.bases
+        assert family.polys[1].plan is plan
+        assert fresh.plan is not plan
 
 
 def test_poly_equal_rank_shape():
@@ -414,3 +417,11 @@ def test_morphism_json_round_trip():
     assert data["map"] == [1, 2, 2]
     again = morphism_from_json_dict(data)
     assert again == phi
+
+
+@pytest.mark.parametrize("field", ["source", "target", "map"])
+def test_morphism_json_missing_field_names_it(field):
+    data = validate_morphism(uniform(2, 3), LOOP_COLOOP, [1, 2, 2]).to_json_dict()
+    del data[field]
+    with pytest.raises(MorphismError, match=f"field '{field}': missing"):
+        morphism_from_json_dict(data)

@@ -20,16 +20,12 @@ from mlz.morphisms import (
     morphism_bases,
     validate_morphism,
 )
-from mlz.polynomials import (
-    HessianPlan,
-    basis_poly,
-    gradient_matrix,
-    reduced_indep_poly,
-)
+from mlz.polynomials import basis_poly, reduced_indep_poly
 from mlz.sampling import derive, positive_point
 from mlz.verify import (
     SuiteReport,
     _hodge_pair_rows,
+    _mason_rows,
     _shared_rows,
     mason_basis_check,
     mason_basis_rows,
@@ -151,9 +147,8 @@ def test_mason_basis_reports_match_per_pair_partials():
     for m in SMALL_CATALOG:
         if m.rank < 2:
             continue
-        plan = HessianPlan(basis_poly(m))
         for a in _points(m, m.n):
-            rows = mason_basis_rows(m, a, plan=plan)
+            rows = mason_basis_rows(m, a)
             by_pair = {(rep.i, rep.j): rep for rep in rows}
             assert len(rows) == m.n * (m.n - 1) // 2
             for i in range(1, m.n + 1):
@@ -193,11 +188,10 @@ def test_hodge_pair_rows_match_polynomial_proportionality():
             (f, _points(m, n)[1:]),
             (reduced, _points(m, n + 1)[1:] + [(0,) + (1,) * n]),
         ):
-            plan, grad = HessianPlan(p), gradient_matrix(p)
             pairs = [(i, j) for i in p.active for j in p.active if i < j]
             for a in points:
                 report = SuiteReport("test", 0)
-                _hodge_pair_rows(report, "hodge", p, plan, grad, [a], pairs)
+                _hodge_pair_rows(report, "hodge", p, [a], pairs)
                 want = hodge_pair_counts(p, [a], pairs)
                 assert report.rows[0].detail == "tested={} nonneg={}".format(*want)
                 assert report.rows[0].status == "pass"
@@ -206,18 +200,22 @@ def test_hodge_pair_rows_match_polynomial_proportionality():
 
 
 def test_single_basis_checks_compile_one_plan(monkeypatch):
-    import mlz.verify as verify
+    import mlz.polynomials as polynomials
 
     compiled = []
-    plan_class = verify.HessianPlan
+    plan_class = polynomials.HessianPlan
     monkeypatch.setattr(
-        verify, "HessianPlan", lambda p: compiled.append(p) or plan_class(p)
+        polynomials, "HessianPlan", lambda p: compiled.append(p) or plan_class(p)
     )
     m = direct_sum(uniform(2, 3), uniform(1, 2))
     for a in (None, (1, 2, 3, 4, 5), (Fraction(1, 2), 1, 1, 3, 2)):
         for i, j in ((1, 2), (2, 5), (4, 3)):
             assert mason_basis_check(m, i, j, a) == mason_basis_report(m, i, j, a)
     assert compiled == [basis_poly(m)]
+    # the theorem suite and the survey's count rows fill that same plan
+    theorem_suite(m, 1)
+    _mason_rows(m, "matroid", 1, [], [])
+    assert compiled.count(basis_poly(m)) == 1
 
 
 def test_mason_point_length_is_checked():
@@ -370,7 +368,7 @@ def test_maps_sharing_a_basis_family_share_facts_but_not_seeded_rows():
     )
     for rows in (rows1, rows2):
         assert rows["degeneracy-trichotomy"].detail == (
-            f"grad_rank={family.grad_rank} classes=C"
+            f"grad_rank={family.polys[1].grad_rank} classes=C"
         )
         assert rows["annihilator-exact"].status == "pass"
         assert rows["rank-zero-target-shape"].status == "pass"
