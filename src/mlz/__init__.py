@@ -17,7 +17,7 @@ from .lefschetz import (
     lorentzian_witness,
     slp1,
 )
-from .linalg import Inertia, SymMatrix, char_poly, inertia, matrix_rank
+from .linalg import Inertia, char_poly, inertia, matrix_rank
 from .matroids import (
     EmptyBasesError,
     ExchangeViolationError,

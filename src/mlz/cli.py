@@ -168,14 +168,14 @@ def _cmd_hessian(args) -> int:
         print(
             json.dumps(
                 {
-                    "rows": [[str(v) for v in row] for row in h.rows],
+                    "rows": [[str(v) for v in row] for row in h],
                     "inertia": ine.to_json_dict(),
                 },
                 sort_keys=True,
             )
         )
     else:
-        for row in h.rows:
+        for row in h:
             print(" ".join(str(v) for v in row))
         print(f"inertia=({ine.pos},{ine.neg},{ine.zero})")
     return 0

@@ -25,9 +25,10 @@ polynomial keeps (`HomogPoly.plan`), and g is the rank it keeps
 compiles and ranks it once.  The sign of p(a) is read from H by Euler's
 identity a^T H a = d (d - 1) p(a), and H's rank from its inertia
 (rank = pos + neg for symmetric matrices), so one symmetric elimination
-serves both checks.  Both read H's upper triangle alone, so the plan
-fills only that, and the elimination consumes the filled rows when the
-plan's coefficients, and so its rows, are integers.
+serves both checks.  Both checks, and `hessian_inertia`, eliminate the
+plan's upper rows (`HessianPlan.upper`): the elimination reads H's upper
+triangle alone, and consumes the filled rows when the plan's
+coefficients, and so its rows, are integers.
 
 `lorentzian_witness` checks every derivative d^alpha p of order <= d - 2
 without building one.  Per point it fills one integer table of the
@@ -59,7 +60,7 @@ from typing import Optional, Sequence
 
 from .linalg import Inertia, clear_denominators, inertia
 from .matroids import exchange_violation, popcount
-from .polynomials import HomogPoly, hessian_matrix
+from .polynomials import HomogPoly, hessian_matrix  # noqa: F401 -- public here too
 
 
 class InapplicablePointError(ValueError):
@@ -73,7 +74,10 @@ class PointClass(enum.Enum):
 
 
 def hessian_inertia(p: HomogPoly, point: Sequence) -> Inertia:
-    return inertia(hessian_matrix(p, clear_denominators(point)[1]))
+    """The inertia of p's Hessian at the point: the plan's upper rows,
+    filled at the cleared point and eliminated."""
+    plan = p.plan
+    return inertia(plan.upper(clear_denominators(point)[1]), consume=plan.integral)
 
 
 def gradient_rank(p: HomogPoly) -> int:

@@ -1,5 +1,10 @@
 """Exact symmetric-matrix spectra over the rationals.
 
+A matrix is a sequence of rows, each a sequence of exact entries (`int`
+or `Fraction`); Hessians come as lists of row lists.  Nothing here checks
+symmetry: `inertia` reads the upper triangle alone, so a symmetric matrix
+may be given by its upper triangle with anything below the diagonal.
+
 Inertia (positive/negative/zero eigenvalue counts) is computed with no
 floating point, by Sylvester's law of inertia: symmetric fraction-free
 (Bareiss) elimination turns the matrix, by congruences, into pivots whose
@@ -32,10 +37,6 @@ class Inertia:
     neg: int
     zero: int
 
-    @property
-    def size(self) -> int:
-        return self.pos + self.neg + self.zero
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.pos, self.neg, self.zero)
 
@@ -44,34 +45,6 @@ class Inertia:
 
     def to_json_dict(self) -> dict:
         return {"pos": self.pos, "neg": self.neg, "zero": self.zero}
-
-
-class SymMatrix:
-    """Symmetric matrix with exact rational entries.
-
-    External rows are checked for squareness and symmetry; a caller that
-    builds the matrix symmetric by construction (a Hessian plan) passes
-    `_trusted=True` and skips the check."""
-
-    __slots__ = ("size", "rows")
-
-    def __init__(self, rows: Sequence[Sequence], *, _trusted: bool = False):
-        n = len(rows)
-        if not _trusted:
-            for i, row in enumerate(rows):
-                if len(row) != n:
-                    raise ValueError("matrix must be square")
-                for j in range(i):
-                    if rows[i][j] != rows[j][i]:
-                        raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
-        self.size = n
-        self.rows = tuple(tuple(row) for row in rows)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymMatrix) and self.rows == other.rows
-
-    def __repr__(self) -> str:
-        return f"SymMatrix({[list(r) for r in self.rows]})"
 
 
 def clear_denominators(values: Sequence) -> tuple[int, tuple[int, ...]]:
@@ -91,14 +64,13 @@ def clear_denominators(values: Sequence) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
-def char_poly(a: SymMatrix | Sequence[Sequence]) -> tuple:
+def char_poly(rows: Sequence[Sequence]) -> tuple:
     """Coefficients of det(xI - A), leading first (degree = size).
 
     Samuelson-Berkowitz: extend the characteristic polynomial of each
     leading principal submatrix by one lower-triangular Toeplitz product per
     row; division-free, so integer input stays integer throughout.
     """
-    rows = a.rows if isinstance(a, SymMatrix) else [list(r) for r in a]
     n = len(rows)
     vec = [1]
     for k in range(n):
@@ -124,7 +96,7 @@ def char_poly(a: SymMatrix | Sequence[Sequence]) -> tuple:
     return tuple(vec)
 
 
-def inertia(a: SymMatrix | Sequence[Sequence], *, consume: bool = False) -> Inertia:
+def inertia(rows: Sequence[Sequence], *, consume: bool = False) -> Inertia:
     """Exact eigenvalue sign counts of a symmetric rational matrix.
 
     Symmetric fraction-free elimination on the integer matrix left by
@@ -152,7 +124,6 @@ def inertia(a: SymMatrix | Sequence[Sequence], *, consume: bool = False) -> Iner
     congruence, which read and move whole rows and columns; nothing reads
     an entry below the diagonal that was not written so.
     """
-    rows = a.rows if isinstance(a, SymMatrix) else a
     size = len(rows)
     if consume:
         m = rows

@@ -530,9 +530,12 @@ def graphic(vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:
                     f"field 'edges': vertex {w} of edge {list(edge)} is outside 1..{vertices}"
                 )
     n = len(edges)
+    # the union-find runs over the edges' endpoints, renumbered 0..k-1
+    index: dict[int, int] = {}
+    ends = [tuple(index.setdefault(w, len(index)) for w in edge) for edge in edges]
 
     def forest_size(edge_idxs) -> int:
-        parent = list(range(vertices + 1))
+        parent = list(range(len(index)))
 
         def find(a):
             while parent[a] != a:
@@ -542,7 +545,7 @@ def graphic(vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:
 
         size = 0
         for i in edge_idxs:
-            u, v = edges[i]
+            u, v = ends[i]
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv

@@ -19,11 +19,13 @@ matrix of first-partial coefficients) is exact throughout; no floating
 point exists in this package.  `HessianPlan` is the package's only
 Hessian: it compiles a polynomial's second derivatives once into flat
 contributions grouped by x0 power, with no second-partial polynomials,
-and fills them at each point from a table of subset products.  A
-polynomial compiles its plan, and takes the rank of its first partials,
-on first use and keeps both (`HomogPoly.plan`, `HomogPoly.grad_rank`), so
-every Hessian of one polynomial, at any number of points and from any
-caller, comes from one plan.
+and fills the upper triangle at each point from a table of subset
+products (`HessianPlan.upper`); `hessian_matrix` mirrors that fill into
+the whole matrix, as row lists.  A polynomial compiles its plan, and
+takes the rank of its first partials, on first use and keeps both
+(`HomogPoly.plan`, `HomogPoly.grad_rank`), so every Hessian of one
+polynomial, at any number of points and from any caller, comes from one
+plan.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence
 
-from .linalg import SymMatrix, clear_denominators, matrix_rank
+from .linalg import clear_denominators, matrix_rank
 from .matroids import Matroid, Mask, bits_of, elems_of, mask_of, popcount
 
 TermKey = tuple[int, Mask]  # (x0 exponent, support mask over {1..n})
@@ -57,17 +59,21 @@ class HomogPoly:
         self.terms = terms
         self._plan = None
         self._grad_rank = None
-        allowed = set(self.active)
+        has_x0 = 0 in self.active
+        allowed = 0  # mask of the active multilinear variables
+        for v in self.active:
+            if v:
+                allowed |= 1 << (v - 1)
         for (e0, mask), c in terms.items():
             if c == 0:
                 raise ValueError("zero coefficient stored in term map")
             if e0 + popcount(mask) != degree:
                 raise ValueError(f"term {(e0, mask)} is not homogeneous of degree {degree}")
-            if e0 and 0 not in allowed:
+            if e0 and not has_x0:
                 raise ValueError("x0 appears but is not an active variable")
-            for b in bits_of(mask):
-                if b + 1 not in allowed:
-                    raise ValueError(f"x{b+1} appears but is not active")
+            bad = mask & ~allowed
+            if bad:
+                raise ValueError(f"x{(bad & -bad).bit_length()} appears but is not active")
 
     @property
     def is_zero(self) -> bool:
@@ -246,10 +252,11 @@ class HessianPlan:
     and two values at a time, since a plan kept for every morphism family
     costs memory per tuple.
 
-    Each contribution is stored at row <= column, so `upper` fills the
-    upper triangle alone, and `at` is that fill with its mirror.
-    `integral` says every coefficient is an `int`, so a fill at an integer
-    point gives `int` rows.
+    Each contribution is stored at row <= column, so `upper`, the plan's
+    only fill, writes the upper triangle alone: `inertia` reads no more,
+    and `hessian_matrix` mirrors it.  `integral` says every coefficient is
+    an `int`, so a fill at an integer point gives `int` rows, which
+    `inertia` may eliminate in place.
     """
 
     __slots__ = ("size", "x0", "chain", "groups", "integral")
@@ -325,30 +332,24 @@ class HessianPlan:
                     h[rc] += c * w * prods[t]
         return [h[i * size : (i + 1) * size] for i in range(size)]
 
-    def at(self, point: Sequence) -> SymMatrix:
-        """The Hessian at the point, given in active-variable order: the
-        upper triangle of `upper`, mirrored."""
-        rows = self.upper(point)
-        for a in range(len(rows)):
-            for b in range(a):
-                rows[a][b] = rows[b][a]
-        return SymMatrix(rows, _trusted=True)
 
-
-def hessian_matrix(p: HomogPoly, point: Sequence) -> SymMatrix:
-    """Matrix of second partials at the point, over the active variables:
-    p's plan filled once.
+def hessian_matrix(p: HomogPoly, point: Sequence) -> list[list]:
+    """Matrix of second partials at the point, over the active variables,
+    as row lists: p's plan filled once and mirrored.
 
     The plan is filled at the integers (lam, A) = clear_denominators(point)
     and each entry divided once by lam^(d - 2): the second partials are
     homogeneous of degree d - 2, so H(A) = lam^(d - 2) H(point).
     """
     lam, scaled = clear_denominators(point)
-    h = p.plan.at(scaled)
-    if lam == 1:
-        return h
+    h = p.plan.upper(scaled)
+    for a, row in enumerate(h):
+        for b in range(a):
+            row[b] = h[b][a]
     den = lam ** (p.degree - 2)
-    return SymMatrix([[Fraction(v, den) for v in row] for row in h.rows])
+    if den == 1:
+        return h
+    return [[Fraction(v, den) for v in row] for row in h]
 
 
 def gradient_matrix(p: HomogPoly) -> list[list]:

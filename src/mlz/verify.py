@@ -56,6 +56,7 @@ from .polynomials import (
     basis_poly,
     expand_class_sums,
     gradient_matrix,
+    hessian_matrix,
     indep_poly,
     linear_apply,
     partial,
@@ -104,7 +105,7 @@ class _Jet(NamedTuple):
 
 def _jet(p: HomogPoly, point: Sequence) -> _Jet:
     lam, a = clear_denominators(point)
-    h = p.plan.at(a).rows
+    h = hessian_matrix(p, a)
     g = [sum(map(mul, row, a)) for row in h]
     return _Jet(lam, a, h, g, sum(map(mul, a, g)))
 

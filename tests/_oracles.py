@@ -395,16 +395,15 @@ def gauss_rank(rows) -> int:
     return rank
 
 
-def second_partials_hessian(p, point) -> tuple[tuple, ...]:
+def second_partials_hessian(p, point) -> list[list]:
     """Hessian rows at the point: each entry is its own second-partial
     polynomial d/dx_a d/dx_b p, evaluated there (m^2 polynomials)."""
     from mlz.polynomials import evaluate, partial
 
     firsts = [partial(p, i) for i in p.active]
-    return tuple(
-        tuple(evaluate(partial(first, j), point) for j in p.active)
-        for first in firsts
-    )
+    return [
+        [evaluate(partial(first, j), point) for j in p.active] for first in firsts
+    ]
 
 
 def iterated_partial(p, orders):
@@ -435,7 +434,7 @@ def derivative_witness(p, points):
     its Hessian comes from its own plan, over all active variables."""
     from mlz.lefschetz import WitnessFailure, WitnessReport
     from mlz.linalg import clear_denominators, inertia
-    from mlz.polynomials import HessianPlan, hessian_matrix
+    from mlz.polynomials import hessian_matrix
 
     if p.degree < 2:
         raise ValueError("the Lorentzian condition needs degree >= 2")
@@ -464,10 +463,9 @@ def derivative_witness(p, points):
             if pos > 1:
                 report.failures.append(WitnessFailure(orders, None, pos))
             continue
-        plan = HessianPlan(q)
         for raw, point in zip(points, scaled):
             report.sampled += 1
-            pos = inertia(plan.at(point)).pos
+            pos = inertia(hessian_matrix(q, point)).pos
             if pos != 1:
                 report.failures.append(WitnessFailure(orders, tuple(raw), pos))
     return report
@@ -702,12 +700,12 @@ def _whole_hessian_verdicts(p, point) -> str:
     mirrored Hessian: p(a) by evaluation, the inertia by whole-matrix
     elimination."""
     from mlz.linalg import Inertia
-    from mlz.polynomials import evaluate
+    from mlz.polynomials import evaluate, hessian_matrix
 
     if evaluate(p, point) <= 0:
         return "inapplicable"
     g = p.grad_rank
-    ine = Inertia(*full_matrix_inertia(p.plan.at(point).rows))
+    ine = Inertia(*full_matrix_inertia(hessian_matrix(p, point)))
     slp1 = ine.pos + ine.neg == g
     hrr1 = ine.as_tuple() == (1, g - 1, len(p.active) - g)
     return f"slp1={slp1},hrr1={hrr1},inertia={ine.render()}"

@@ -120,7 +120,7 @@ def test_hessian_matrix_matches_public_hessian():
     assert hessian_matrix is polynomials.hessian_matrix
     reduced = reduced_indep_poly(uniform(2, 3))
     a = (2, 1, 3, 1)
-    assert hessian_matrix(reduced, a).rows == second_partials_hessian(reduced, a)
+    assert hessian_matrix(reduced, a) == second_partials_hessian(reduced, a)
 
 
 # -- Lorentzian witness -------------------------------------------------------------
@@ -378,7 +378,7 @@ def _verdicts_via_partial_basis(p, point):
             chosen.append(ix)
             kept_rows.append(row)
     h = hessian_matrix(p, clear_denominators(point)[1])
-    sub = [[h.rows[a][b] for b in chosen] for a in chosen]
+    sub = [[h[a][b] for b in chosen] for a in chosen]
     ine = inertia(sub)
     g = len(chosen)
     return (ine.pos + ine.neg == g), (ine.as_tuple() == (1, g - 1, 0))

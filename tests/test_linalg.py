@@ -1,12 +1,10 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlz.linalg import (
     Inertia,
-    SymMatrix,
     char_poly,
     clear_denominators,
     inertia,
@@ -109,7 +107,6 @@ def structured_symmetric_matrix(draw):
 @given(structured_symmetric_matrix())
 def test_inertia_matches_berkowitz(rows):
     assert inertia(rows).as_tuple() == berkowitz_inertia(rows)
-    assert inertia(SymMatrix(rows)) == inertia(rows)
 
 
 def test_inertia_congruence_invariance_sample():
@@ -263,13 +260,6 @@ def test_matrix_rank_on_fraction_rows_matches_gauss():
         assert matrix_rank(rows) == gauss_rank(rows), m
         checked += 1
     assert checked == len(catalog(4)) - 1
-
-
-def test_symmatrix_rejects_non_symmetric():
-    with pytest.raises(ValueError):
-        SymMatrix([[1, 2], [3, 4]])
-    with pytest.raises(ValueError):
-        SymMatrix([[1, 2]])
 
 
 def test_inertia_render_forms():

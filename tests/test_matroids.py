@@ -240,6 +240,20 @@ def test_graphic_vertex_range():
         graphic(2, [(1, 3)])
 
 
+def test_graphic_cost_ignores_unused_vertices():
+    import tracemalloc
+
+    triangle = [(1, 2), (2, 3), (1, 3)]
+    tracemalloc.start()
+    try:
+        big = graphic(10**6, triangle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert big.bases == graphic(3, triangle).bases
+
+
 def test_direct_sum_with_coloop():
     m = direct_sum(uniform(2, 3), uniform(1, 1))
     assert m.rank == 3

@@ -218,7 +218,7 @@ def test_family_keeps_one_plan_that_matches_fresh_hessians():
         k = len(reduced.active)
         points = [(0,) + (1,) * (k - 1), positive_point(rng, k), boundary_point(rng, k)]
         for a in points:
-            assert plan.at(a) == hessian_matrix(fresh, a), (family.bases, a)
+            assert hessian_matrix(reduced, a) == hessian_matrix(fresh, a), (family.bases, a)
             assert family.verdicts_at(a) == point_verdicts(fresh, a), family.bases
         assert family.polys[1].plan is plan
         assert fresh.plan is not plan

@@ -32,6 +32,7 @@ from mlz.polynomials import (
     reduced_indep_poly,
     rename_vars,
 )
+from mlz.lefschetz import hessian_inertia
 from mlz.linalg import inertia, matrix_rank
 from mlz.sampling import boundary_point, derive, positive_point, seeded_point
 
@@ -198,12 +199,12 @@ def test_zero_polynomial_is_first_class():
 
 def test_hessian_degree2_constant():
     h = hessian_matrix(basis_poly(uniform(2, 3)), (5, 7, 11))
-    assert [list(r) for r in h.rows] == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    assert h == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 
 def test_hessian_reduced_at_ones():
     h = hessian_matrix(reduced_indep_poly(uniform(2, 3)), (1, 1, 1, 1))
-    assert [list(r) for r in h.rows] == [
+    assert h == [
         [6, 2, 2, 2],
         [2, 0, 1, 1],
         [2, 1, 0, 1],
@@ -214,6 +215,16 @@ def test_hessian_reduced_at_ones():
 def test_hessian_requires_degree_2():
     with pytest.raises(ValueError):
         hessian_matrix(basis_poly(uniform(1, 2)), (1, 1))
+
+
+# a polynomial with Fraction coefficients: its plan is not `integral`
+HALVES = HomogPoly((0, 1, 2), 3, {(3, 0): Fraction(1, 2), (1, 0b11): Fraction(-5, 3)})
+HALVES_POINTS = ((Fraction(1, 2), Fraction(2, 3), 7), (Fraction(-3, 4), 0, Fraction(1, 5)))
+
+
+def _upper(rows):
+    """The upper triangle of a matrix, with 0 below the diagonal."""
+    return [[v if j >= i else 0 for j, v in enumerate(row)] for i, row in enumerate(rows)]
 
 
 def _hessian_points(rng, k):
@@ -261,12 +272,12 @@ def _family_hessian_cases():
 
 
 def test_hessian_matches_second_partials_oracle_on_catalog():
-    # one plan per polynomial, filled at every point in turn
+    # one plan per polynomial, its upper triangle filled at every point in turn
     checked = 0
     for m, p, points in _catalog_hessian_cases():
         plan = HessianPlan(p)
         for a in points:
-            assert plan.at(a).rows == second_partials_hessian(p, a), (m, a)
+            assert plan.upper(a) == _upper(second_partials_hessian(p, a)), (m, a)
             checked += 1
     assert checked == 6825
 
@@ -277,17 +288,16 @@ def test_hessian_matrix_matches_second_partials_oracle_at_fraction_points():
     checked = 0
     for m, p, points in _catalog_hessian_cases():
         for a in points:
-            assert hessian_matrix(p, a).rows == second_partials_hessian(p, a), (m, a)
+            assert hessian_matrix(p, a) == second_partials_hessian(p, a), (m, a)
             checked += 1
     assert checked == 6825
-    halves = HomogPoly((0, 1, 2), 3, {(3, 0): Fraction(1, 2), (1, 0b11): Fraction(-5, 3)})
-    for a in ((Fraction(1, 2), Fraction(2, 3), 7), (Fraction(-3, 4), 0, Fraction(1, 5))):
-        assert hessian_matrix(halves, a).rows == second_partials_hessian(halves, a)
+    for a in HALVES_POINTS:
+        assert hessian_matrix(HALVES, a) == second_partials_hessian(HALVES, a)
     # active variables out of order: each contribution is still stored at
-    # row <= column, where `at` mirrors it from
+    # row <= column, where `hessian_matrix` mirrors it from
     shuffled = HomogPoly((3, 0, 1, 2), 3, {(3, 0): 2, (1, 0b11): 5, (0, 0b111): -1})
     for a in ((2, 3, 5, 7), (1, 0, -2, 4)):
-        assert hessian_matrix(shuffled, a).rows == second_partials_hessian(shuffled, a)
+        assert hessian_matrix(shuffled, a) == second_partials_hessian(shuffled, a)
 
 
 def test_hessian_matches_second_partials_oracle_on_morphism_families():
@@ -295,7 +305,8 @@ def test_hessian_matches_second_partials_oracle_on_morphism_families():
     for phi, reduced, points in _family_hessian_cases():
         plan = HessianPlan(reduced)
         for a in points:
-            assert plan.at(a).rows == second_partials_hessian(reduced, a), (phi, a)
+            want = _upper(second_partials_hessian(reduced, a))
+            assert plan.upper(a) == want, (phi, a)
             checked += 1
     assert checked
 
@@ -324,24 +335,29 @@ def test_family_plans_match_second_partials_oracle_at_seeded_points():
                 for boundary in (False, True):
                     points.append(seeded_point(rng, n + 1, boundary=boundary)[1])
                 for a in points:
-                    got = reduced.plan.at(a).rows
-                    assert got == second_partials_hessian(reduced, a), (phi, a)
-                    upper = reduced.plan.upper(a)
-                    assert upper == [
-                        [v if j >= i else 0 for j, v in enumerate(row)]
-                        for i, row in enumerate(got)
-                    ], (phi, a)
+                    want = second_partials_hessian(reduced, a)
+                    assert hessian_matrix(reduced, a) == want, (phi, a)
+                    assert reduced.plan.upper(a) == _upper(want), (phi, a)
     assert len(seen) == 175
 
 
 def test_inertia_matches_berkowitz_on_catalog_hessians():
+    # the whole matrix through `inertia`, and the plan's upper rows through
+    # `hessian_inertia`
     checked = 0
     for m, p, points in _catalog_hessian_cases():
         for a in points:
             h = hessian_matrix(p, a)
-            assert inertia(h).as_tuple() == berkowitz_inertia(h.rows), (m, a)
+            want = berkowitz_inertia(h)
+            assert inertia(h).as_tuple() == want, (m, a)
+            assert hessian_inertia(p, a).as_tuple() == want, (m, a)
             checked += 1
     assert checked == 6825
+    # Fraction upper rows take the copying path of `inertia`
+    assert not HALVES.plan.integral
+    for a in HALVES_POINTS:
+        want = berkowitz_inertia(hessian_matrix(HALVES, a))
+        assert hessian_inertia(HALVES, a).as_tuple() == want, a
 
 
 def test_inertia_matches_berkowitz_on_morphism_family_hessians():
@@ -349,7 +365,9 @@ def test_inertia_matches_berkowitz_on_morphism_family_hessians():
     for phi, reduced, points in _family_hessian_cases():
         for a in points:
             h = hessian_matrix(reduced, a)
-            assert inertia(h).as_tuple() == berkowitz_inertia(h.rows), (phi, a)
+            want = berkowitz_inertia(h)
+            assert inertia(h).as_tuple() == want, (phi, a)
+            assert hessian_inertia(reduced, a).as_tuple() == want, (phi, a)
             checked += 1
     assert checked
 
@@ -449,3 +467,13 @@ def test_homog_poly_rejects_inhomogeneous():
         HomogPoly((1, 2), 2, {(0, mask_of([1])): 1})
     with pytest.raises(ValueError):
         HomogPoly((1, 2), 1, {(0, mask_of([1])): 0})
+    # variables that appear but are not active; the lowest one is named
+    with pytest.raises(ValueError) as err:
+        HomogPoly((1, 2), 2, {(1, mask_of([1])): 1})
+    assert str(err.value) == "x0 appears but is not an active variable"
+    with pytest.raises(ValueError) as err:
+        HomogPoly((0, 2), 3, {(0, mask_of([1, 2, 3])): 1})
+    assert str(err.value) == "x1 appears but is not active"
+    with pytest.raises(ValueError) as err:
+        HomogPoly((0, 1, 2), 3, {(0, mask_of([2, 4, 5])): 1})
+    assert str(err.value) == "x4 appears but is not active"
