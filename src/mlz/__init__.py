@@ -77,7 +77,7 @@ from .polynomials import (
     poly_str,
     reduced_indep_poly,
 )
-from .sampling import SplitMix64, derive, positive_point
+from .sampling import SplitMix64, derive, seeded_point
 from .verify import (
     MasonBasisReport,
     MasonIndepReport,

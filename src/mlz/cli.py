@@ -31,7 +31,7 @@ from .polynomials import (
     poly_str,
     reduced_indep_poly,
 )
-from .sampling import derive, positive_point
+from .sampling import derive, seeded_point
 
 
 class UsageError(Exception):
@@ -197,7 +197,7 @@ def _cmd_check(args) -> int:
             points = [_point_for(args, p)]
         else:
             rng = derive(args.seed, len(p.active))
-            points = [positive_point(rng, len(p.active)) for _ in range(3)]
+            points = [seeded_point(rng, len(p.active))[1] for _ in range(3)]
         try:
             rep = lorentzian_witness(p, points)
         except ValueError as exc:

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, perm
 from operator import mul, or_
@@ -351,7 +350,7 @@ def lorentzian_witness(p: HomogPoly, points: Sequence[Sequence]) -> WitnessRepor
     for point in points:
         if len(point) != len(p.active):
             raise ValueError("point length must match active variables")
-        if any(Fraction(v) <= 0 for v in point):
+        if any(v <= 0 for v in point):
             raise ValueError("witness points must be strictly positive")
         scaled.append(clear_denominators(point)[1])
     d = p.degree

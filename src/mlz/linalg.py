@@ -20,7 +20,10 @@ Hessian points, weighted evaluation points and the entries given to
 `inertia` and `matrix_rank` all become integers through it.  Integer
 input takes a fast path: when every value is an `int` it returns
 (1, values) after one type scan, with no gcd per entry, so a Hessian
-filled at an integer point reaches the elimination as it is.
+filled at an integer point reaches the elimination as it is.  Seeded
+points take that path: `sampling.seeded_point` draws them as the
+integers this function gives for the rational point, so only points
+given from outside (`--at`, the API) are cleared here.
 """
 
 from __future__ import annotations

@@ -237,7 +237,7 @@ class DegeneracyVerdict:
     """
 
     classes: frozenset[str]
-    annihilator: Optional[tuple[Fraction, ...]]
+    annihilator: Optional[tuple[int, ...]]
 
 
 class BasisFamily:
@@ -341,21 +341,21 @@ class BasisFamily:
         if not classes:
             return DegeneracyVerdict(frozenset(), None)
 
-        coeffs = [Fraction(0)] * (n + 1)
+        coeffs = [0] * (n + 1)
         if "A" in classes:
-            coeffs[0] = Fraction(1)
+            coeffs[0] = 1
         elif "B" in classes:
             j = elems_of(loops_mask)[0]
             if not any(s & loops_mask for s in source_bases):
                 # j is a loop of the source: no basis contains it, so d/dx_j kills P
-                coeffs[j] = Fraction(1)
+                coeffs[j] = 1
             else:
-                coeffs[0] = Fraction(1)
-                coeffs[j] = Fraction(-(n - r + 1))
+                coeffs[0] = 1
+                coeffs[j] = -(n - r + 1)
         else:
-            coeffs[0] = Fraction(-1)
+            coeffs[0] = -1
             for e in elems_of(loops_mask):
-                coeffs[e] = Fraction(1)
+                coeffs[e] = 1
         annihilator = tuple(coeffs)
         if not linear_apply(self.polys[1], annihilator).is_zero:
             raise AnnihilatorCheckFailed(

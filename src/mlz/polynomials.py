@@ -361,15 +361,22 @@ def gradient_matrix(p: HomogPoly) -> list[list]:
     """
     if p.degree < 1:
         raise ValueError("gradient needs degree >= 1")
-    firsts = [partial(p, i) for i in p.active]
-    keys = sorted(
-        {k for q in firsts for k in q.terms}, key=lambda k: (-k[0], k[1])
-    )
+    # the terms of each first partial, read off p's terms as `partial`
+    # would give them: d0 sends c x0^e0 x_S to c e0 x0^(e0-1) x_S, and
+    # d_b sends it to c x0^e0 x_(S-b) when b is in S
+    firsts = [{} for _ in p.active]
+    row_of = dict(zip(p.active, firsts))
+    for (e0, mask), c in p.terms.items():
+        if e0:
+            row_of[0][(e0 - 1, mask)] = c * e0
+        for b in bits_of(mask):
+            row_of[b + 1][(e0, mask ^ 1 << b)] = c
+    keys = sorted(set().union(*firsts), key=lambda k: (-k[0], k[1]))
     pos = {k: j for j, k in enumerate(keys)}
     rows = []
-    for q in firsts:
+    for first in firsts:
         row = [0] * len(keys)
-        for k, c in q.terms.items():
+        for k, c in first.items():
             row[pos[k]] = c
         rows.append(row)
     return rows

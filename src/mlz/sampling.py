@@ -6,18 +6,17 @@ reproduced byte for byte.  Sample coordinates are rationals num/den with
 num and den drawn uniformly from 1..16, numerator first.
 
 `_coordinate` is the one place that reads a coordinate off the stream,
-as its reduced (num, den) and its text from a table of the 256 draws;
-`_draw` reads a point, and a boundary point pins x0 to 0 and draws the
-rest.  `positive_point` and `boundary_point` build `Fraction`s from it.
-`seeded_point` keeps the draw on integers: it returns the point's text
-(each coordinate as `str(Fraction)` prints it, `a` or `a/b`) and the
-coordinates scaled by the lcm of their denominators, the integers that
-`linalg.clear_denominators` would give for the `Fraction` point.
+as its reduced (num, den) and its text from a table of the 256 draws.
+`seeded_point` is the package's only sampler, and it stays on integers:
+it returns the point's text (each coordinate as `str(Fraction)` prints
+it, `a` or `a/b`) and the coordinates scaled by the lcm of their
+denominators, the integers that `linalg.clear_denominators` gives for
+the rational point.  A coordinate in its `zeros` bit mask is 0 and
+draws nothing.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 _MASK64 = (1 << 64) - 1
@@ -37,10 +36,6 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
-
-    def rational(self) -> Fraction:
-        num, den, _ = _coordinate(self.next64)
-        return Fraction(num, den)
 
 
 def derive(seed: int, *indices: int) -> SplitMix64:
@@ -70,32 +65,18 @@ def _coordinate(next64) -> tuple[int, int, str]:
     return _RATIOS[num << 4 | next64() >> 60]
 
 
-def _draw(rng: SplitMix64, dim: int, boundary: bool) -> list[tuple[int, int, str]]:
-    """dim coordinates (num, den, text); with `boundary` the first is 0."""
-    coords = [(0, 1, "0")] if boundary else []
-    next64 = rng.next64
-    coords.extend(_coordinate(next64) for _ in range(dim - len(coords)))
-    return coords
-
-
-def positive_point(rng: SplitMix64, dim: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(num, den) for num, den, _ in _draw(rng, dim, False))
-
-
-def boundary_point(rng: SplitMix64, dim: int) -> tuple[Fraction, ...]:
-    """First coordinate pinned to 0, the rest strictly positive."""
-    return tuple(Fraction(num, den) for num, den, _ in _draw(rng, dim, True))
-
-
 def seeded_point(
-    rng: SplitMix64, dim: int, *, boundary: bool = False
+    rng: SplitMix64, dim: int, *, zeros: int = 0
 ) -> tuple[str, tuple[int, ...]]:
-    """(text, ints) of the point `positive_point` (or, with `boundary`,
-    `boundary_point`) would draw from this stream, with no `Fraction`.
+    """(text, ints) of a point drawn from this stream: coordinate ix is 0
+    when bit ix of `zeros` is set and drawn by `_coordinate` otherwise.
 
     text is the comma-joined coordinates as `str(Fraction)` renders them;
     ints are the coordinates times the lcm of their denominators."""
-    coords = _draw(rng, dim, boundary)
+    next64 = rng.next64
+    coords = [
+        (0, 1, "0") if zeros >> ix & 1 else _coordinate(next64) for ix in range(dim)
+    ]
     scale = lcm(*(den for _, den, _ in coords))
     text = ",".join(t for _, _, t in coords)
     return text, tuple(num * (scale // den) for num, den, _ in coords)

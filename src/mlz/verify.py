@@ -34,7 +34,11 @@ All decisions are exact rational comparisons; there is no tolerance
 anywhere.  Suites emit CheckRow records (pass / fail / skip / recorded);
 `survey` aggregates them over the full catalog of labeled matroids and
 morphisms, with every sampled point derived from a recorded 64-bit seed so
-reports are reproducible byte for byte.
+reports are reproducible byte for byte.  Every sampled point, of the
+matroid suites too, comes from `sampling.seeded_point` as integers: the
+rational point times the lcm of its denominators, a positive scale that
+keeps every sign, inertia and equality the checks read.  A failing
+Hessian-signature row names its first bad point by that sampler's text.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from .polynomials import (
     reduced_indep_poly,
     rename_vars,
 )
-from .sampling import boundary_point, derive, positive_point, seeded_point
+from .sampling import derive, seeded_point
 
 SEEDED_HESSIAN_POINTS = 3
 SEEDED_MASON_POINTS = 5
@@ -157,7 +161,7 @@ def _not_parallel(m: Matroid, i: int, j: int) -> bool:
 def _weights(m: Matroid, point: Optional[Sequence]) -> Optional[tuple]:
     if point is None:
         return None
-    at = tuple(Fraction(v) for v in point)
+    at = tuple(point)
     if any(v <= 0 for v in at):
         raise ValueError("weights must be strictly positive")
     if len(at) != m.n:
@@ -355,8 +359,26 @@ def _fmt_point(point: Sequence) -> str:
 
 def _kernel_vector_annihilates(p: HomogPoly) -> bool:
     """(-1, 1, ..., 1) over x0..xn kills the polynomial exactly."""
-    coeffs = [Fraction(-1)] + [Fraction(1)] * (len(p.active) - 1)
+    coeffs = [-1] + [1] * (len(p.active) - 1)
     return linear_apply(p, coeffs).is_zero
+
+
+def _signature_row(
+    report: SuiteReport,
+    name: str,
+    p: HomogPoly,
+    points: Sequence[tuple[str, tuple[int, ...]]],
+    expect: tuple[int, int, int],
+):
+    """Hessian inertia of p against `expect` at each (text, ints) point; a
+    failure names its first bad point by its text and inertia."""
+    bad = ""
+    for text, a in points:
+        got = hessian_inertia(p, a)
+        if got.as_tuple() != expect:
+            bad = f" first-bad=@({text}):{got.render()}"
+            break
+    report.check(name, not bad, f"points={len(points)}{bad}")
 
 
 def _proportional(u: Sequence, v: Sequence) -> bool:
@@ -439,41 +461,23 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
 
     # Hessian signature of the basis polynomial on the open orthant
     if simple and r >= 2:
-        pts = [(1,) * n] + [
-            positive_point(rng, n) for _ in range(SEEDED_HESSIAN_POINTS)
+        pts = [(_fmt_point((1,) * n), (1,) * n)] + [
+            seeded_point(rng, n) for _ in range(SEEDED_HESSIAN_POINTS)
         ]
-        bad = []
-        for a in pts:
-            got = hessian_inertia(f, a).as_tuple()
-            if got != (1, n - 1, 0):
-                bad.append((a, got))
-        report.check(
-            "hessian-basis-signature",
-            not bad,
-            f"points={len(pts)}" + (f" first-bad={bad[0]}" if bad else ""),
-        )
+        _signature_row(report, "hessian-basis-signature", f, pts, (1, n - 1, 0))
     else:
         report.add("hessian-basis-signature", "skip", "needs simple, rank >= 2")
 
     # Hessian signature of the reduced polynomial on the closed x0 >= 0 slab
     if simple and r >= 2 and not m.is_uniform:
         pts = [
-            (0,) + (1,) * n,
-            (1,) + (1,) * n,
-            boundary_point(rng, n + 1),
-            positive_point(rng, n + 1),
-            positive_point(rng, n + 1),
+            (_fmt_point(a), a) for a in ((0,) + (1,) * n, (1,) + (1,) * n)
+        ] + [
+            seeded_point(rng, n + 1, zeros=1),
+            seeded_point(rng, n + 1),
+            seeded_point(rng, n + 1),
         ]
-        bad = []
-        for a in pts:
-            got = hessian_inertia(reduced, a).as_tuple()
-            if got != (1, n, 0):
-                bad.append((a, got))
-        report.check(
-            "hessian-reduced-signature",
-            not bad,
-            f"points={len(pts)}" + (f" first-bad={bad[0]}" if bad else ""),
-        )
+        _signature_row(report, "hessian-reduced-signature", reduced, pts, (1, n, 0))
     else:
         report.add(
             "hessian-reduced-signature", "skip", "needs simple non-uniform rank >= 2"
@@ -484,7 +488,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
         pts = [
             (1,) + (1,) * n,
             (0,) + (1,) * n,
-            positive_point(rng, n + 1),
+            seeded_point(rng, n + 1)[1],
         ]
         bad = []
         for a in pts:
@@ -572,8 +576,8 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
 
     # sampled Lorentzian witnesses and degree-1 equivalences (small n only)
     if n <= 5:
-        wit_pts = [positive_point(rng, n) for _ in range(3)]
-        wit_pts_p = [positive_point(rng, n + 1) for _ in range(3)]
+        wit_pts = [seeded_point(rng, n)[1] for _ in range(3)]
+        wit_pts_p = [seeded_point(rng, n + 1)[1] for _ in range(3)]
         if f.degree >= 2:
             w = lorentzian_witness(f, wit_pts)
             report.check(
@@ -617,11 +621,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
             if poly.degree < 2:
                 continue
             for _ in range(2):
-                zero_mask = rng.next64()
-                a = tuple(
-                    Fraction(0) if (zero_mask >> ix) & 1 else rng.rational()
-                    for ix in range(dim)
-                )
+                _, a = seeded_point(rng, dim, zeros=rng.next64())
                 if hessian_inertia(poly, a).pos > 1:
                     bound_ok = False
         report.check("closed-orthant-eigenvalue-bound", bound_ok)
@@ -640,7 +640,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
                 report,
                 "hodge-pair-det-basis",
                 f,
-                [(1,) * n, positive_point(rng, n)],
+                [(1,) * n, seeded_point(rng, n)[1]],
                 pairs,
             )
         # for the reduced polynomial, pair x0 with every non-loop plus a
@@ -787,8 +787,8 @@ def _morphism_rows(
     else:
         rng = derive(seed, m.n, _matroid_key(m), _matroid_key(phi.target), *phi.map)
         verdicts = [shared.fixed]
-        for boundary in (False, True):
-            text, a = seeded_point(rng, m.n + 1, boundary=boundary)
+        for zeros in (0, 1):
+            text, a = seeded_point(rng, m.n + 1, zeros=zeros)
             verdicts.append(_render_point_verdicts(text, family.verdicts_at(a)))
         detail = " ".join(verdicts)
     rows.append(CheckRow(scope, "reduced-point-verdicts", "recorded", detail))
@@ -1003,7 +1003,7 @@ def _mason_rows(
     weighted_bad = 0
     weighted_rows = 0
     for _ in range(SEEDED_MASON_POINTS):
-        a = positive_point(rng, n)
+        _, a = seeded_point(rng, n)
         for rep in mason_basis_rows(m, a):
             weighted_rows += 1
             if rep.lhs > rep.rhs:

@@ -17,7 +17,10 @@ each map's own loop preimage and restriction instead of the
 degeneracy verdict of its basis family, and each map's morphism suite
 rows computed for that map alone, with its point verdicts from the
 mirrored Hessian, instead of rows shared by key and an upper-triangle
-check.
+check, the gradient matrix from one first-partial polynomial per
+variable instead of rows read off the term map, and seeded points as
+`Fraction`s read off the stream instead of integers from the table of
+the 256 draws.
 """
 
 from __future__ import annotations
@@ -29,6 +32,24 @@ from math import gcd
 
 def popcount(x: int) -> int:
     return bin(x).count("1")
+
+
+# -- seeded points as Fractions ----------------------------------------------
+
+
+def fraction_point(rng, dim: int, zeros: int = 0) -> tuple[Fraction, ...]:
+    """The point `sampling.seeded_point` draws, as `Fraction`s read straight
+    off the stream: coordinate ix is 0 when bit ix of zeros is set, and
+    otherwise num/den with num, then den, 1 + the top four bits of the
+    next output."""
+    coords = []
+    for ix in range(dim):
+        if zeros >> ix & 1:
+            coords.append(Fraction(0))
+        else:
+            num = 1 + (rng.next64() >> 60)
+            coords.append(Fraction(num, 1 + (rng.next64() >> 60)))
+    return tuple(coords)
 
 
 # -- matroid structure from first principles ---------------------------------
@@ -404,6 +425,24 @@ def second_partials_hessian(p, point) -> list[list]:
     return [
         [evaluate(partial(first, j), point) for j in p.active] for first in firsts
     ]
+
+
+def partial_gradient_matrix(p) -> list[list]:
+    """The coefficient matrix of the first partials, one `partial`
+    polynomial per active variable; columns are the union of their
+    monomials, sorted by (e0 desc, mask asc)."""
+    from mlz.polynomials import partial
+
+    firsts = [partial(p, i) for i in p.active]
+    keys = sorted({k for q in firsts for k in q.terms}, key=lambda k: (-k[0], k[1]))
+    pos = {k: j for j, k in enumerate(keys)}
+    rows = []
+    for q in firsts:
+        row = [0] * len(keys)
+        for k, c in q.terms.items():
+            row[pos[k]] = c
+        rows.append(row)
+    return rows
 
 
 def iterated_partial(p, orders):
@@ -782,8 +821,8 @@ def per_map_morphism_suite(phi, seed: int):
         verdicts = ["degree<2"]
     else:
         points = [("1," * n + "1", (1,) * (n + 1)), ("0" + ",1" * n, (0,) + (1,) * n)]
-        for boundary in (False, True):
-            points.append(seeded_point(rng, n + 1, boundary=boundary))
+        for zeros in (0, 1):
+            points.append(seeded_point(rng, n + 1, zeros=zeros))
         verdicts = [
             f"@({text}):"
             + _whole_hessian_verdicts(reduced, a)

@@ -31,14 +31,19 @@ from mlz.polynomials import (
     reduced_indep_poly,
     rename_vars,
 )
-from mlz.sampling import SplitMix64, derive, positive_point
+from mlz.sampling import SplitMix64, derive
 from mlz.verify import (
     mason_basis_check,
     mason_indep_check,
     survey,
 )
 
-from _oracles import closure_axiom_matroids, congruence, random_unimodular
+from _oracles import (
+    closure_axiom_matroids,
+    congruence,
+    fraction_point,
+    random_unimodular,
+)
 
 SEED = 1
 N_MAX = 6
@@ -78,7 +83,7 @@ def test_criterion_01_basis_hessian_signature(simple_rank2):
     for m in simple_rank2:
         f = basis_poly(m)
         rng = derive(SEED, 11, m.n, len(m.bases))
-        points = [(1,) * m.n] + [positive_point(rng, m.n) for _ in range(3)]
+        points = [(1,) * m.n] + [fraction_point(rng, m.n) for _ in range(3)]
         for a in points:
             assert hessian_inertia(f, a).as_tuple() == (1, m.n - 1, 0), (m, a)
             checked += 1
@@ -96,9 +101,9 @@ def test_criterion_02_reduced_hessian_signature(simple_rank2):
         points = [
             (0,) + (1,) * m.n,
             (1,) + (1,) * m.n,
-            (Fraction(0),) + positive_point(rng, m.n),
-            positive_point(rng, m.n + 1),
-            positive_point(rng, m.n + 1),
+            (Fraction(0),) + fraction_point(rng, m.n),
+            fraction_point(rng, m.n + 1),
+            fraction_point(rng, m.n + 1),
         ]
         for a in points:
             assert hessian_inertia(reduced, a).as_tuple() == (1, m.n, 0), (m, a)
@@ -169,7 +174,7 @@ def test_criterion_06_weighted_strictness(rank2_catalog):
         three_classes = len(pd.classes) >= 3
         loops = m.loops
         for _ in range(5):
-            a = positive_point(rng, m.n)
+            a = fraction_point(rng, m.n)
             for i in range(1, m.n + 1):
                 if loops & (1 << (i - 1)):
                     continue
@@ -244,7 +249,7 @@ def test_criterion_08_sampled_lorentzian_and_degree1_equivalence():
             if poly.degree < 2:
                 continue
             dim = len(poly.active)
-            points = [positive_point(rng, dim) for _ in range(3)]
+            points = [fraction_point(rng, dim) for _ in range(3)]
             assert lorentzian_witness(poly, points).passed, (m, kind)
             for a in points:
                 v = point_verdicts(poly, a)
@@ -340,7 +345,7 @@ def test_criterion_12_infrastructure():
     matrices = []
     for m in catalog(4):
         if m.rank >= 2:
-            a = positive_point(rng, m.n + 1)
+            a = fraction_point(rng, m.n + 1)
             matrices.append(hessian_matrix(reduced_indep_poly(m), a))
         if len(matrices) == 50:
             break

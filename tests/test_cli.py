@@ -3,6 +3,10 @@ import functools
 import io
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +154,20 @@ def test_survey_json_deterministic(capsys):
     first = capsys.readouterr().out
     assert run(["survey", "--n", "2", "--seed", "3", "--format", "json"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # `python -m mlz` prints the bytes that `cli.run` prints
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["survey", "--n", "2", "--seed", "1", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlz", *argv], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert run(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
 
 
 def test_exit_code_2_on_bad_input(tmp_path, capsys):

@@ -89,7 +89,9 @@ def test_point_value_sign_from_hessian_matches_evaluate():
     """point_verdicts reads the sign of p(a) from a^T H a (Euler); it must
     agree with evaluating p, also at boundary points where p(a) vanishes."""
     from mlz.polynomials import evaluate
-    from mlz.sampling import boundary_point, derive, positive_point
+    from mlz.sampling import derive
+
+    from _oracles import fraction_point
 
     inapplicable = 0
     for idx, m in enumerate(catalog(4)):
@@ -98,8 +100,8 @@ def test_point_value_sign_from_hessian_matches_evaluate():
             if p.degree < 2:
                 continue
             k = len(p.active)
-            points = [(0,) + (1,) * (k - 1), positive_point(rng, k)]
-            points += [boundary_point(rng, k) for _ in range(3)]
+            points = [(0,) + (1,) * (k - 1), fraction_point(rng, k)]
+            points += [fraction_point(rng, k, 1) for _ in range(3)]
             for a in points:
                 v = point_verdicts(p, a)
                 assert v.value_positive == (evaluate(p, a) > 0), (m, a)
@@ -170,9 +172,9 @@ def test_witness_counts_zero_derivatives():
 
 
 def test_witness_matches_derivative_oracle_on_catalog():
-    from mlz.sampling import derive, positive_point
+    from mlz.sampling import derive
 
-    from _oracles import derivative_witness
+    from _oracles import derivative_witness, fraction_point
 
     calls = 0
     for n in range(1, 6):
@@ -181,7 +183,7 @@ def test_witness_matches_derivative_oracle_on_catalog():
             for p in (basis_poly(m), indep_poly(m)):
                 if p.degree < 2:
                     continue
-                pts = [positive_point(rng, len(p.active)) for _ in range(3)]
+                pts = [fraction_point(rng, len(p.active)) for _ in range(3)]
                 assert lorentzian_witness(p, pts) == derivative_witness(p, pts), (m, p)
                 calls += 1
     assert calls == 930

@@ -198,7 +198,9 @@ def test_family_keeps_one_plan_that_matches_fresh_hessians():
     from mlz.lefschetz import point_verdicts
     from mlz.morphisms import basis_family
     from mlz.polynomials import HomogPoly, hessian_matrix
-    from mlz.sampling import boundary_point, derive, positive_point
+    from mlz.sampling import derive
+
+    from _oracles import fraction_point
 
     targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
     families = {}
@@ -216,7 +218,7 @@ def test_family_keeps_one_plan_that_matches_fresh_hessians():
         fresh = HomogPoly(reduced.active, reduced.degree, dict(reduced.terms))
         rng = derive(19, ix)
         k = len(reduced.active)
-        points = [(0,) + (1,) * (k - 1), positive_point(rng, k), boundary_point(rng, k)]
+        points = [(0,) + (1,) * (k - 1), fraction_point(rng, k), fraction_point(rng, k, 1)]
         for a in points:
             assert hessian_matrix(reduced, a) == hessian_matrix(fresh, a), (family.bases, a)
             assert family.verdicts_at(a) == point_verdicts(fresh, a), family.bases

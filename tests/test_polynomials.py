@@ -34,9 +34,14 @@ from mlz.polynomials import (
 )
 from mlz.lefschetz import hessian_inertia
 from mlz.linalg import inertia, matrix_rank
-from mlz.sampling import boundary_point, derive, positive_point, seeded_point
+from mlz.sampling import derive, seeded_point
 
-from _oracles import berkowitz_inertia, second_partials_hessian
+from _oracles import (
+    berkowitz_inertia,
+    fraction_point,
+    partial_gradient_matrix,
+    second_partials_hessian,
+)
 
 TWO_CLASS = validate_bases(4, [[1, 3], [1, 4], [2, 3], [2, 4]])
 
@@ -233,8 +238,8 @@ def _hessian_points(rng, k):
     return [
         (1,) * k,
         (0,) + (1,) * (k - 1),
-        positive_point(rng, k),
-        boundary_point(rng, k),
+        fraction_point(rng, k),
+        fraction_point(rng, k, 1),
         tuple(Fraction(i + 1, 3) for i in range(k)),
     ]
 
@@ -332,8 +337,8 @@ def test_family_plans_match_second_partials_oracle_at_seeded_points():
                 seen.add(id(family))
                 rng = derive(17, len(seen))
                 points = [(1,) * (n + 1), (0,) + (1,) * n]
-                for boundary in (False, True):
-                    points.append(seeded_point(rng, n + 1, boundary=boundary)[1])
+                for zeros in (0, 1):
+                    points.append(seeded_point(rng, n + 1, zeros=zeros)[1])
                 for a in points:
                     want = second_partials_hessian(reduced, a)
                     assert hessian_matrix(reduced, a) == want, (phi, a)
@@ -384,6 +389,27 @@ def test_gradient_matrix_shape():
     rows = gradient_matrix(p)
     assert len(rows) == 3
     assert all(len(r) == 3 for r in rows)  # partials are x2+x3, x1+x3, x1+x2
+
+
+def test_gradient_matrix_matches_partial_oracle():
+    # rows read off the term map against one `partial` polynomial per
+    # variable: every n <= 5 catalog basis, independent-set and reduced
+    # polynomial, the reduced polynomial of every morphism family from a
+    # source on <= 4 elements, HALVES, and active variables out of order
+    polys = [
+        p
+        for n in range(1, 6)
+        for m in catalog(n)
+        for p in (basis_poly(m), indep_poly(m), reduced_indep_poly(m))
+        if p.degree >= 1
+    ]
+    assert len(polys) == 1481
+    polys += [reduced for _, reduced, _ in _family_hessian_cases()]
+    polys.append(HALVES)
+    polys.append(HomogPoly((3, 0, 1, 2), 3, {(3, 0): 2, (1, 0b11): 5, (0, 0b111): -1}))
+    for p in polys:
+        assert gradient_matrix(p) == partial_gradient_matrix(p), p
+    assert len(polys) == 1481 + 175 + 2
 
 
 # -- parallel substitution ----------------------------------------------------------

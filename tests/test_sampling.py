@@ -1,26 +1,34 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from mlz.linalg import clear_denominators
-from mlz.sampling import boundary_point, derive, positive_point, seeded_point
+from mlz.sampling import derive, seeded_point
 from mlz.verify import _fmt_point
 
+from _oracles import fraction_point
 
-@pytest.mark.parametrize("boundary", [False, True], ids=["positive", "boundary"])
-def test_seeded_point_matches_fraction_draw(boundary):
+
+@pytest.mark.parametrize(
+    "zeros",
+    [0, 1, random.Random(5).getrandbits(64)],
+    ids=["positive", "boundary", "mask"],
+)
+def test_seeded_point_matches_fraction_draw(zeros):
     # same text as the rendered Fraction point, same ints as clearing its
     # denominators, and the stream left in the same state
-    draw = boundary_point if boundary else positive_point
     for seed in range(1, 201):
         for dim in range(1, 8):
             rng_f, rng_i = derive(seed, dim), derive(seed, dim)
-            point = draw(rng_f, dim)
-            text, ints = seeded_point(rng_i, dim, boundary=boundary)
+            point = fraction_point(rng_f, dim, zeros)
+            text, ints = seeded_point(rng_i, dim, zeros=zeros)
             assert text == _fmt_point(point), (seed, dim)
             assert ints == clear_denominators(point)[1], (seed, dim)
             assert all(type(v) is int for v in ints)
             assert rng_i.state == rng_f.state, (seed, dim)
+            for ix, v in enumerate(ints):
+                assert v == 0 if zeros >> ix & 1 else v > 0, (seed, dim, ix)
 
 
 def test_draw_order_is_numerator_then_denominator():
@@ -31,15 +39,7 @@ def test_draw_order_is_numerator_then_denominator():
         for _ in range(5):
             num = 1 + (raw.next64() >> 60)
             expect.append(Fraction(num, 1 + (raw.next64() >> 60)))
-        assert positive_point(rng, 5) == tuple(expect)
-
-
-def test_boundary_point_pins_x0():
-    rng = derive(3, 4)
-    point = boundary_point(rng, 4)
-    assert point[0] == 0 and all(v > 0 for v in point[1:])
-    text, ints = seeded_point(derive(3, 4), 4, boundary=True)
-    assert text.startswith("0,") and ints[0] == 0
+        assert seeded_point(rng, 5)[0] == _fmt_point(expect)
 
 
 def test_seeded_point_renders_reduced_fractions():

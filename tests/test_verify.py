@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from _oracles import (
+    fraction_point,
     hodge_pair_counts,
     mason_basis_report,
     mason_indep_report,
@@ -21,9 +22,10 @@ from mlz.morphisms import (
     validate_morphism,
 )
 from mlz.polynomials import basis_poly, reduced_indep_poly
-from mlz.sampling import derive, positive_point
+from mlz.sampling import derive
 from mlz.verify import (
     SuiteReport,
+    _fmt_point,
     _hodge_pair_rows,
     _mason_rows,
     _shared_rows,
@@ -139,7 +141,7 @@ SMALL_CATALOG = [m for n in range(1, 6) for m in catalog(n)]
 def _points(m, dim):
     """No point, (1, ..., 1) and two seeded rational points of dim coordinates."""
     rng = derive(17, dim, len(m.bases), min(m.bases))
-    return [None, (1,) * dim, positive_point(rng, dim), positive_point(rng, dim)]
+    return [None, (1,) * dim, fraction_point(rng, dim), fraction_point(rng, dim)]
 
 
 def test_mason_basis_reports_match_per_pair_partials():
@@ -237,6 +239,31 @@ def test_theorem_suite_uniform_2_3():
     assert by_name["gradient-rank-reduced-uniform"].status == "pass"
     assert by_name["hessian-basis-signature"].status == "pass"
     assert by_name["hessian-reduced-signature"].status == "skip"
+
+
+def test_failing_signature_rows_name_their_point(monkeypatch):
+    # a wrong inertia away from (1, ..., 1): U(2,3)'s basis row fails at
+    # its first seeded point, and the reduced row of U(2,3) + U(1,1) at
+    # its first fixed point; each names the point's text and the inertia
+    import mlz.verify as verify
+    from mlz.linalg import Inertia
+
+    real = verify.hessian_inertia
+
+    def off_by_one(p, a):
+        got = real(p, a)
+        return got if set(a) == {1} else Inertia(got.pos + 1, got.neg - 1, got.zero)
+
+    monkeypatch.setattr(verify, "hessian_inertia", off_by_one)
+    m = uniform(2, 3)
+    seeded = _fmt_point(fraction_point(derive(1, 3, verify._matroid_key(m)), 3))
+    assert seeded == "7/9,15,15/11"
+    row = {r.name: r for r in theorem_suite(m, 1).rows}["hessian-basis-signature"]
+    assert row.status == "fail"
+    assert row.detail == "points=4 first-bad=@(7/9,15,15/11):(+2,-1,0z)"
+    row = {r.name: r for r in theorem_suite(SUM_M, 1).rows}["hessian-reduced-signature"]
+    assert row.status == "fail"
+    assert row.detail == "points=5 first-bad=@(0,1,1,1,1):(+2,-3,0z)"
 
 
 def test_theorem_suite_direct_sum():
