@@ -42,6 +42,14 @@ def test_draw_order_is_numerator_then_denominator():
         assert seeded_point(rng, 5)[0] == _fmt_point(expect)
 
 
+def test_boundary_point_pins_x0():
+    point = fraction_point(derive(3, 4), 4, 1)
+    assert point[0] == 0 and all(v > 0 for v in point[1:])
+    text, ints = seeded_point(derive(3, 4), 4, zeros=1)
+    assert text.startswith("0,") and ints[0] == 0
+    assert all(v > 0 for v in ints[1:])
+
+
 def test_seeded_point_renders_reduced_fractions():
     # every coordinate is num/den with num, den in 1..16, reduced as
     # str(Fraction) prints it
