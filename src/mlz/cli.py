@@ -395,7 +395,21 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _attach_at_values(argv: list[str]) -> list[str]:
+    """argv with `--at V` spelled `--at=V` when V starts with '-' and a
+    digit: argparse takes such a V (unless it is one negative number) for
+    an option and leaves --at without its value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--at" and arg.startswith("-") and arg[1:2].isdigit():
+            out[-1] = f"--at={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv=None) -> int:
+    argv = _attach_at_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # --help

@@ -15,23 +15,28 @@ The generating polynomials:
 * f_slice(M, k)         -- the size-k layer of the independent-set sum.
 
 Calculus (partial derivatives, directional derivatives, evaluation, the
-matrix of first-partial coefficients) is exact throughout; no floating
-point exists in this package.  `HessianPlan` is the package's only
-Hessian: it compiles a polynomial's second derivatives once into flat
-contributions grouped by x0 power, with no second-partial polynomials,
-and fills the upper triangle at each point from a table of subset
-products (`HessianPlan.upper`); `hessian_matrix` mirrors that fill into
-the whole matrix, as row lists.  A polynomial compiles its plan, and
-takes the rank of its first partials, on first use and keeps both
-(`HomogPoly.plan`, `HomogPoly.grad_rank`), so every Hessian of one
-polynomial, at any number of points and from any caller, comes from one
-plan.
+matrix of first-partial coefficients and its Gram matrix) is exact
+throughout; no floating point exists in this package.  `HessianPlan` is
+the package's only Hessian: it compiles a polynomial's second
+derivatives once into flat contributions grouped by x0 power, with no
+second-partial polynomials, and fills the upper triangle at each point
+from a table of subset products (`HessianPlan.upper`); `hessian_matrix`
+mirrors that fill into the whole matrix, as row lists.  A polynomial
+compiles its plan, builds the Gram matrix of its first partials (G G^T
+over the rows G of `gradient_matrix`) and takes that matrix's rank on
+first use, and keeps all three (`HomogPoly.plan`, `HomogPoly.gram`,
+`HomogPoly.grad_rank`): every Hessian of one polynomial, at any number
+of points and from any caller, comes from one plan, and its gradient
+matrix is built once.  Over the rationals rank G G^T = rank G, and the
+Gram matrix holds every dot product of two first partials, which is
+what the Hodge pair rows of `verify` read to decide proportionality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import clear_denominators, matrix_rank
@@ -47,17 +52,19 @@ class HomogPoly:
     declared over (0 means x0); Hessians and gradient matrices range over
     exactly these variables.  `terms` maps (e0, mask) to a non-zero exact
     coefficient.  The zero polynomial is an empty term map with a degree
-    tag.  The Hessian plan and the gradient rank depend on the polynomial
-    alone, so each is computed on first use and kept.
+    tag.  The Hessian plan, the Gram matrix of the first partials and the
+    gradient rank depend on the polynomial alone, so each is computed on
+    first use and kept.
     """
 
-    __slots__ = ("active", "degree", "terms", "_plan", "_grad_rank")
+    __slots__ = ("active", "degree", "terms", "_plan", "_gram", "_grad_rank")
 
     def __init__(self, active: Sequence[int], degree: int, terms: dict):
         self.active = tuple(active)
         self.degree = degree
         self.terms = terms
         self._plan = None
+        self._gram = None
         self._grad_rank = None
         has_x0 = 0 in self.active
         allowed = 0  # mask of the active multilinear variables
@@ -87,11 +94,27 @@ class HomogPoly:
         return self._plan
 
     @property
+    def gram(self) -> list[list]:
+        """G G^T over the rows G of `gradient_matrix` (degree >= 1): entry
+        (a, b) is the dot product of the coefficient vectors of the first
+        partials along active variables a and b.  G itself is not kept."""
+        if self._gram is None:
+            rows = gradient_matrix(self)
+            size = len(rows)
+            gram = [[0] * size for _ in range(size)]
+            for a, row in enumerate(rows):  # the upper triangle, mirrored
+                for b in range(a, size):
+                    gram[a][b] = gram[b][a] = sum(map(mul, row, rows[b]))
+            self._gram = gram
+        return self._gram
+
+    @property
     def grad_rank(self) -> int:
         """The dimension of the span of the first partials (degree >= 1):
-        the rank of `gradient_matrix`, which is not kept."""
+        the rank of `gram`, which over the rationals is the rank of
+        `gradient_matrix`."""
         if self._grad_rank is None:
-            self._grad_rank = matrix_rank(gradient_matrix(self))
+            self._grad_rank = matrix_rank(self.gram)
         return self._grad_rank
 
     def __eq__(self, other) -> bool:

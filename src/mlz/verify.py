@@ -15,11 +15,19 @@ rest: g = H A is (d - 1) grad p(A) and s = A^T g is d (d - 1) p(A).  For
 the basis polynomial of rank r, the Mason pair (i, j) at a is lhs = s H_ij / D
 against rhs = 2 g_i g_j / D with D = r (r - 1) lam^(2r - 2), and the jet at
 (1, ..., 1) holds the counts |B_ij| = H_ij, |B_i| = g_i / (r - 1) and
-|B| = s / (r (r - 1)).  The independent-count levels f_k(a) come from one
-pass over the independent sets.  f_M is kept on its matroid, so the
-theorem suite and the count rows of one matroid compile its plan once;
-the independent-set polynomial and its reduced form are built per suite
-and dropped with it.
+|B| = s / (r (r - 1)).  The independent-count levels come from one pass
+over the independent sets, as the integer sums S_k with
+f_k(a) = S_k / lam^k.  Every pair and level is decided on integers: the
+pair compares s H_ij with 2 g_i g_j, whose denominator D is shared, and
+level k compares S_(k-1) S_(k+1) C(n, k)^2 with S_k^2 C(n, k-1) C(n, k+1).
+A `Fraction` is built only for what is printed: a survey equality entry,
+and the sides of the one report of `mason_basis_check` or
+`mason_indep_check`.  f_M is kept on its matroid, so the theorem suite
+and the count rows of one matroid compile its plan once; the
+independent-set polynomial and its reduced form are built per suite and
+dropped with it.  The Hodge pair rows decide proportionality on the Gram
+matrix of the first partials that the polynomial keeps
+(`HomogPoly.gram`), by Cauchy-Schwarz equality.
 
 A morphism's rows split in two.  Every row but the two seeded points of
 `reduced-point-verdicts` reads only the map's basis family, its source
@@ -59,7 +67,6 @@ from .polynomials import (
     HomogPoly,
     basis_poly,
     expand_class_sums,
-    gradient_matrix,
     hessian_matrix,
     indep_poly,
     linear_apply,
@@ -177,14 +184,24 @@ def _basis_jets(m: Matroid, point: Optional[Sequence]):
     return at, ones, ones if at is None else _jet(f, at)
 
 
+def _pair_sides(jet: _Jet, x: int, y: int) -> tuple[int, int]:
+    """The Mason pair (x + 1, y + 1) on integers: s H_xy against
+    2 g_x g_y, its lhs and rhs times their shared positive denominator
+    `_pair_den`."""
+    return jet.s * jet.h[x][y], 2 * jet.g[x] * jet.g[y]
+
+
+def _pair_den(r: int, lam: int) -> int:
+    return r * (r - 1) * lam ** (2 * r - 2)
+
+
 def _basis_report(
     m: Matroid, i: int, j: int, at: Optional[tuple], ones: _Jet, jet: _Jet
 ) -> MasonBasisReport:
     r = m.rank
     x, y = i - 1, j - 1
-    den = r * (r - 1) * jet.lam ** (2 * r - 2)
-    lhs = Fraction(jet.s * jet.h[x][y], den)
-    rhs = Fraction(2 * jet.g[x] * jet.g[y], den)
+    lhs, rhs = _pair_sides(jet, x, y)
+    den = _pair_den(r, jet.lam)
     loops = m.loops
     applicable = not (loops >> x & 1 or loops >> y & 1)
     predicted_equal = (
@@ -200,8 +217,8 @@ def _basis_report(
         count_i=ones.g[x] // (r - 1),
         count_j=ones.g[y] // (r - 1),
         count_ij=ones.h[x][y],
-        lhs=lhs,
-        rhs=rhs,
+        lhs=Fraction(lhs, den),
+        rhs=Fraction(rhs, den),
         equal=equal,
         predicted_equal=predicted_equal,
         consistent=equal == predicted_equal,
@@ -210,24 +227,12 @@ def _basis_report(
     )
 
 
-def mason_basis_rows(
-    m: Matroid, point: Optional[Sequence] = None
-) -> list[MasonBasisReport]:
-    """The basis-count report of every pair i < j at the point, or at
-    (1, ..., 1) when there is none."""
-    if m.rank < 2:
-        raise mt.MatroidError("basis-count check needs rank >= 2")
-    at, ones, jet = _basis_jets(m, point)
-    return [
-        _basis_report(m, i, j, at, ones, jet)
-        for i in range(1, m.n + 1)
-        for j in range(i + 1, m.n + 1)
-    ]
-
-
 def mason_basis_check(
     m: Matroid, i: int, j: int, point: Optional[Sequence] = None
 ) -> MasonBasisReport:
+    """The basis-count report of the pair (i, j) at the point, or at
+    (1, ..., 1) when there is none: decided by `_pair_sides`, whose
+    integers, over `_pair_den`, are the printed lhs and rhs."""
     if m.rank < 2:
         raise mt.MatroidError("basis-count check needs rank >= 2")
     if i == j:
@@ -237,60 +242,50 @@ def mason_basis_check(
     return _basis_report(m, i, j, *_basis_jets(m, point))
 
 
-def _levels(m: Matroid, at: Optional[tuple]) -> list[Fraction]:
-    """f_k(a) / C(n, k) for k = 0..r + 1 (the last is 0), at a = (1, ..., 1)
-    when `at` is None.
+def _level_sums(masks: Sequence[int], a: Sequence[int], r: int) -> list[int]:
+    """S_k for k = 0..r + 1: the sum over the independent k-sets of the
+    product of their integer weights a (S_(r+1) = 0), so that
+    f_k(a / lam) = S_k / lam^k.
 
-    One pass over the independent sets in increasing mask order: the set
-    minus its lowest element is independent and comes first, so each
+    One pass over `masks`, the independent sets in increasing order: the
+    set minus its lowest element is independent and comes first, so each
     subset product extends an earlier one.
     """
-    n, r = m.n, m.rank
-    lam, a = clear_denominators(at or (1,) * n)
-    sums = [0] * (r + 1)
+    sums = [0] * (r + 2)
     prods = {0: 1}
-    for s in sorted(m.independent_masks):
+    for s in masks:
         if s:
             low = s & -s
             prods[s] = prods[s ^ low] * a[low.bit_length() - 1]
         sums[popcount(s)] += prods[s]
-    levels = [Fraction(sums[k], lam**k * math.comb(n, k)) for k in range(r + 1)]
-    return levels + [Fraction(0)]
+    return sums
 
 
-def _indep_report(
-    m: Matroid, k: int, at: Optional[tuple], levels: list[Fraction]
-) -> MasonIndepReport:
-    n = m.n
-    if k + 1 > n:
-        lhs = rhs = Fraction(0)
-    else:
-        lhs = levels[k - 1] * levels[k + 1]
-        rhs = levels[k] ** 2
-    # Below the girth the normalized slices are elementary symmetric means
-    # of the weights, and Newton's inequality between them is strict
-    # unless all weights are equal; at k + 1 > n both sides are 0.
-    equal_weights = at is None or len(set(at)) == 1
-    predicted_equal = k + 1 < m.girth and (equal_weights or k + 1 > n)
-    equal = lhs == rhs
-    return MasonIndepReport(
-        k=k,
-        lhs=lhs,
-        rhs=rhs,
-        equal=equal,
-        predicted_equal=predicted_equal,
-        consistent=equal == predicted_equal,
-        point=at,
+def _level_sides(n: int, sums: Sequence[int], k: int) -> tuple[int, int]:
+    """Level k on integers: S_(k-1) S_(k+1) C(n, k)^2 against
+    S_k^2 C(n, k-1) C(n, k+1), its lhs and rhs times their shared
+    denominator lam^(2k) C(n, k-1) C(n, k)^2 C(n, k+1).  That is positive
+    but at k + 1 > n, where C(n, k+1) = 0 makes both sides 0."""
+    comb = math.comb
+    return (
+        sums[k - 1] * sums[k + 1] * comb(n, k) ** 2,
+        sums[k] ** 2 * comb(n, k - 1) * comb(n, k + 1),
     )
 
 
-def mason_indep_rows(
-    m: Matroid, point: Optional[Sequence] = None
-) -> list[MasonIndepReport]:
-    """The independent-count report of every level 1..r at the point."""
-    at = _weights(m, point)
-    levels = _levels(m, at)
-    return [_indep_report(m, k, at, levels) for k in range(1, m.rank + 1)]
+def _level_fractions(
+    n: int, lam: int, sums: Sequence[int], k: int
+) -> tuple[Fraction, Fraction]:
+    """Level k as printed: lhs = f_(k-1)(a) f_(k+1)(a) / (C(n, k-1) C(n, k+1))
+    and rhs = f_k(a)^2 / C(n, k)^2 at a = A / lam, or 0 and 0 at k + 1 > n."""
+    if k + 1 > n:
+        return Fraction(0), Fraction(0)
+    comb = math.comb
+    scale = lam ** (2 * k)
+    return (
+        Fraction(sums[k - 1] * sums[k + 1], scale * comb(n, k - 1) * comb(n, k + 1)),
+        Fraction(sums[k] ** 2, scale * comb(n, k) ** 2),
+    )
 
 
 def mason_indep_check(
@@ -304,12 +299,32 @@ def mason_indep_check(
     cross-multiplied form k(n-k)f_k^2 vs (n-k+1)(k+1)f_(k+1)f_(k-1) -- the
     form the strictness argument actually bounds -- vanishes on both
     sides, so the report carries lhs = rhs = 0 (an equality, matching the
-    infinite-girth prediction).
+    infinite-girth prediction).  The verdict is read off `_level_sides`,
+    the printed sides off `_level_fractions`.
     """
+    n = m.n
     if not 1 <= k <= m.rank:
         raise ValueError(f"level {k} out of range 1..{m.rank}")
     at = _weights(m, point)
-    return _indep_report(m, k, at, _levels(m, at))
+    lam, a = clear_denominators(at or (1,) * n)
+    sums = _level_sums(sorted(m.independent_masks), a, m.rank)
+    lhs, rhs = _level_sides(n, sums, k)
+    # Below the girth the normalized slices are elementary symmetric means
+    # of the weights, and Newton's inequality between them is strict
+    # unless all weights are equal; at k + 1 > n both sides are 0.
+    equal_weights = at is None or len(set(at)) == 1
+    predicted_equal = k + 1 < m.girth and (equal_weights or k + 1 > n)
+    lhs_value, rhs_value = _level_fractions(n, lam, sums, k)
+    equal = lhs == rhs
+    return MasonIndepReport(
+        k=k,
+        lhs=lhs_value,
+        rhs=rhs_value,
+        equal=equal,
+        predicted_equal=predicted_equal,
+        consistent=equal == predicted_equal,
+        point=at,
+    )
 
 
 # -- suite plumbing ------------------------------------------------------------
@@ -381,14 +396,6 @@ def _signature_row(
     report.check(name, not bad, f"points={len(points)}{bad}")
 
 
-def _proportional(u: Sequence, v: Sequence) -> bool:
-    """One vector is a multiple of the other (either may be zero)."""
-    k = next((ix for ix, x in enumerate(u) if x), None)
-    if k is None or not any(v):
-        return True
-    return all(x * v[k] == y * u[k] for x, y in zip(u, v))
-
-
 def _hodge_pair_rows(
     report: SuiteReport,
     name: str,
@@ -405,10 +412,13 @@ def _hodge_pair_rows(
     integer point A (a positive rescaling keeps the sign): l1l1 p = s,
     l1l2 p = g_i + t g_j and l2l2 p = H_ii + 2t H_ij + t^2 H_jj.  The rows
     of the gradient matrix G are the first partials of p, so l1 p and l2 p
-    are the vectors G^T A and G_i + t G_j, and proportionality is decided
-    on them.
+    are the vectors u = G^T A and v = G_i + t G_j, and they are
+    proportional exactly when Cauchy-Schwarz is an equality,
+    (u.u)(v.v) = (u.v)^2.  All three dot products come from p's Gram
+    matrix Gamma = G G^T: u.u = A^T Gamma A, u.v = (Gamma A)_i + t (Gamma A)_j
+    and v.v = Gamma_ii + 2t Gamma_ij + t^2 Gamma_jj.
     """
-    grad = gradient_matrix(p)
+    gram = p.gram
     pos = {v: k for k, v in enumerate(p.active)}
     bad = 0
     tested = 0
@@ -417,11 +427,14 @@ def _hodge_pair_rows(
         if jet.s <= 0:  # p(a) <= 0
             continue
         h, g = jet.h, jet.g
-        l1 = [sum(map(mul, col, jet.a)) for col in zip(*grad)]
+        ga = [sum(map(mul, row, jet.a)) for row in gram]
+        uu = sum(map(mul, jet.a, ga))
         for i, j in pairs:
             x, y = pos[i], pos[j]
+            gxx, gxy, gyy = gram[x][x], gram[x][y], gram[y][y]
             for t in (0, 1, -1):
-                if _proportional(l1, [u + t * v for u, v in zip(grad[x], grad[y])]):
+                uv = ga[x] + t * ga[y]
+                if uu * (gxx + 2 * t * gxy + t * t * gyy) == uv * uv:
                     continue
                 l1l2 = g[x] + t * g[y]
                 l2l2 = h[x][x] + 2 * t * h[x][y] + t * t * h[y][y]
@@ -961,72 +974,97 @@ def _mason_rows(
     equality_star: list[dict],
     equality_star2: list[dict],
 ) -> list[CheckRow]:
-    """Unweighted and weighted count inequalities for one matroid."""
-    n = m.n
+    """Unweighted and weighted count inequalities for one matroid.
+
+    f_M's jet is filled once at (1, ..., 1) and once per seeded point, and
+    the level sums take one pass per point; every pair and level is then
+    decided on the integers of `_pair_sides` and `_level_sides`.  A
+    `Fraction` is built only for an equality entry, which prints it.
+    """
+    n, r = m.n, m.rank
     rng = derive(seed, 0xBA5E5, n, _matroid_key(m))
+    f = _fm(m)
+    masks = sorted(m.independent_masks)
+    girth = m.girth
+    loops, cooc = m.loops, m.cooccurrence
+    classes = len(m.parallel_decomposition.classes)
+    # (x, y, applicable, independent): a pair is applicable when neither
+    # element is a loop, and independent when {x + 1, y + 1} has rank 2
+    pairs = [
+        (x, y, not (loops >> x & 1 or loops >> y & 1), bool(cooc[x] >> y & 1))
+        for x in range(n)
+        for y in range(x + 1, n)
+    ]
     out: list[CheckRow] = []
-    at_least_three = len(m.parallel_decomposition.classes) >= 3
 
     ones_bad = 0
-    ones = mason_basis_rows(m)
-    for rep in ones:
-        if rep.lhs > rep.rhs or (rep.applicable and not rep.consistent):
+    ones = _jet(f, (1,) * n)
+    den = _pair_den(r, 1)
+    for x, y, applicable, independent in pairs:
+        lhs, rhs = _pair_sides(ones, x, y)
+        equal = lhs == rhs
+        if lhs > rhs or (applicable and equal != (independent and classes == 2)):
             ones_bad += 1
-        if rep.applicable and rep.equal:
+        if applicable and equal:
+            value = Fraction(lhs, den)
             equality_star.append(
-                {"scope": scope, "i": rep.i, "j": rep.j, "value": str(rep.lhs)}
+                {"scope": scope, "i": x + 1, "j": y + 1, "value": str(value)}
             )
     out.append(
         CheckRow(
             scope,
             "basis-counts-equality-iff",
             "pass" if ones_bad == 0 else "fail",
-            f"pairs={len(ones)}",
+            f"pairs={len(pairs)}",
         )
     )
 
     indep_bad = 0
-    for rep in mason_indep_rows(m):
-        if rep.lhs > rep.rhs or not rep.consistent:
+    sums = _level_sums(masks, (1,) * n, r)
+    for k in range(1, r + 1):
+        lhs, rhs = _level_sides(n, sums, k)
+        equal = lhs == rhs
+        if lhs > rhs or equal != (k + 1 < girth):
             indep_bad += 1
-        if rep.equal:
-            equality_star2.append({"scope": scope, "k": rep.k, "value": str(rep.lhs)})
+        if equal:
+            value = _level_fractions(n, 1, sums, k)[0]
+            equality_star2.append({"scope": scope, "k": k, "value": str(value)})
     out.append(
         CheckRow(
             scope,
             "indep-counts-equality-iff",
             "pass" if indep_bad == 0 else "fail",
-            f"levels={m.rank}",
+            f"levels={r}",
         )
     )
 
+    # at a seeded point no independent pair of a matroid with three or
+    # more parallel classes, and no level at or above the girth, is an
+    # equality
     weighted_bad = 0
-    weighted_rows = 0
+    strict_pairs = classes >= 3
     for _ in range(SEEDED_MASON_POINTS):
         _, a = seeded_point(rng, n)
-        for rep in mason_basis_rows(m, a):
-            weighted_rows += 1
-            if rep.lhs > rep.rhs:
+        jet = _jet(f, a)
+        for x, y, _, independent in pairs:
+            lhs, rhs = _pair_sides(jet, x, y)
+            if lhs > rhs:
                 weighted_bad += 1
-            if (
-                rep.applicable
-                and at_least_three
-                and _not_parallel(m, rep.i, rep.j)
-                and rep.equal
-            ):
+            if strict_pairs and independent and lhs == rhs:
                 weighted_bad += 1
-        for rep in mason_indep_rows(m, a):
-            weighted_rows += 1
-            if rep.lhs > rep.rhs:
+        sums = _level_sums(masks, a, r)
+        for k in range(1, r + 1):
+            lhs, rhs = _level_sides(n, sums, k)
+            if lhs > rhs:
                 weighted_bad += 1
-            if rep.k + 1 >= m.girth and rep.equal:
+            if k + 1 >= girth and lhs == rhs:
                 weighted_bad += 1
     out.append(
         CheckRow(
             scope,
             "weighted-strictness",
             "pass" if weighted_bad == 0 else "fail",
-            f"rows={weighted_rows}",
+            f"rows={SEEDED_MASON_POINTS * (len(pairs) + r)}",
         )
     )
     return out

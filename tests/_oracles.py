@@ -696,6 +696,149 @@ def mason_indep_report(m, k: int, point=None):
     )
 
 
+def jet_basis_rows(m, point=None):
+    """The basis-count report of every pair i < j with lhs and rhs built as
+    `Fraction`s off f_M's jets at (1, ..., 1) and at the point (a rational
+    point, or None for (1, ..., 1))."""
+    from mlz.verify import MasonBasisReport, _fm, _jet, _not_parallel
+
+    n, r = m.n, m.rank
+    at = None if point is None else tuple(point)
+    ones = _jet(_fm(m), (1,) * n)
+    jet = ones if at is None else _jet(_fm(m), at)
+    den = r * (r - 1) * jet.lam ** (2 * r - 2)
+    classes = len(m.parallel_decomposition.classes)
+    rows = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            x, y = i - 1, j - 1
+            lhs = Fraction(jet.s * jet.h[x][y], den)
+            rhs = Fraction(2 * jet.g[x] * jet.g[y], den)
+            applicable = not (m.loops >> x & 1 or m.loops >> y & 1)
+            predicted_equal = applicable and _not_parallel(m, i, j) and classes == 2
+            rows.append(
+                MasonBasisReport(
+                    i=i,
+                    j=j,
+                    count_bases=ones.s // (r * (r - 1)),
+                    count_i=ones.g[x] // (r - 1),
+                    count_j=ones.g[y] // (r - 1),
+                    count_ij=ones.h[x][y],
+                    lhs=lhs,
+                    rhs=rhs,
+                    equal=lhs == rhs,
+                    predicted_equal=predicted_equal,
+                    consistent=(lhs == rhs) == predicted_equal,
+                    applicable=applicable,
+                    point=at,
+                )
+            )
+    return rows
+
+
+def jet_indep_rows(m, point=None):
+    """The independent-count report of every level 1..r, with the
+    normalized levels f_k(a) / C(n, k) built as `Fraction`s from one pass
+    over the independent sets and multiplied as `Fraction`s."""
+    from math import comb
+
+    from mlz.linalg import clear_denominators
+    from mlz.verify import MasonIndepReport
+
+    n, r = m.n, m.rank
+    at = None if point is None else tuple(point)
+    lam, a = clear_denominators(at or (1,) * n)
+    sums = [0] * (r + 1)
+    prods = {0: 1}
+    for s in sorted(m.independent_masks):
+        if s:
+            low = s & -s
+            prods[s] = prods[s ^ low] * a[low.bit_length() - 1]
+        sums[popcount(s)] += prods[s]
+    levels = [Fraction(sums[k], lam**k * comb(n, k)) for k in range(r + 1)]
+    levels.append(Fraction(0))
+    rows = []
+    for k in range(1, r + 1):
+        if k + 1 > n:
+            lhs = rhs = Fraction(0)
+        else:
+            lhs = levels[k - 1] * levels[k + 1]
+            rhs = levels[k] ** 2
+        equal_weights = at is None or len(set(at)) == 1
+        predicted_equal = k + 1 < m.girth and (equal_weights or k + 1 > n)
+        rows.append(
+            MasonIndepReport(
+                k=k,
+                lhs=lhs,
+                rhs=rhs,
+                equal=lhs == rhs,
+                predicted_equal=predicted_equal,
+                consistent=(lhs == rhs) == predicted_equal,
+                point=at,
+            )
+        )
+    return rows
+
+
+def jet_mason_rows(m, scope: str, seed: int, equality_star: list, equality_star2: list):
+    """`verify._mason_rows` from the reports of `jet_basis_rows` and
+    `jet_indep_rows`, at seeded points drawn by `fraction_point`."""
+    from mlz.sampling import derive
+    from mlz.verify import SEEDED_MASON_POINTS, CheckRow, _matroid_key, _not_parallel
+
+    n = m.n
+    rng = derive(seed, 0xBA5E5, n, _matroid_key(m))
+    out = []
+    at_least_three = len(m.parallel_decomposition.classes) >= 3
+
+    ones_bad = 0
+    ones = jet_basis_rows(m)
+    for rep in ones:
+        if rep.lhs > rep.rhs or (rep.applicable and not rep.consistent):
+            ones_bad += 1
+        if rep.applicable and rep.equal:
+            equality_star.append(
+                {"scope": scope, "i": rep.i, "j": rep.j, "value": str(rep.lhs)}
+            )
+    status = "pass" if ones_bad == 0 else "fail"
+    detail = f"pairs={len(ones)}"
+    out.append(CheckRow(scope, "basis-counts-equality-iff", status, detail))
+
+    indep_bad = 0
+    for rep in jet_indep_rows(m):
+        if rep.lhs > rep.rhs or not rep.consistent:
+            indep_bad += 1
+        if rep.equal:
+            equality_star2.append({"scope": scope, "k": rep.k, "value": str(rep.lhs)})
+    status = "pass" if indep_bad == 0 else "fail"
+    out.append(CheckRow(scope, "indep-counts-equality-iff", status, f"levels={m.rank}"))
+
+    weighted_bad = 0
+    weighted_rows = 0
+    for _ in range(SEEDED_MASON_POINTS):
+        a = fraction_point(rng, n)
+        for rep in jet_basis_rows(m, a):
+            weighted_rows += 1
+            if rep.lhs > rep.rhs:
+                weighted_bad += 1
+            if (
+                rep.applicable
+                and at_least_three
+                and _not_parallel(m, rep.i, rep.j)
+                and rep.equal
+            ):
+                weighted_bad += 1
+        for rep in jet_indep_rows(m, a):
+            weighted_rows += 1
+            if rep.lhs > rep.rhs:
+                weighted_bad += 1
+            if rep.k + 1 >= m.girth and rep.equal:
+                weighted_bad += 1
+    status = "pass" if weighted_bad == 0 else "fail"
+    out.append(CheckRow(scope, "weighted-strictness", status, f"rows={weighted_rows}"))
+    return out
+
+
 def hodge_pair_counts(p, points, pairs) -> tuple[int, int]:
     """(tested, nonneg) of the 2x2 Hodge determinants, with l1 p and l2 p
     built as polynomials and compared by `proportional`, the first

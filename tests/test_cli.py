@@ -325,8 +325,7 @@ def test_check_lines_and_exit_codes(capsys, u23_file, what):
         ["survey"],
         ["poly", "U23", "--kind", "bogus"],
         ["mason", "basis", "U23", "--i", "x", "--j", "2"],
-        # argparse reads -1,1,1 as an option, so --at has no value
-        ["check", "hrr1", "U23", "--at", "-1,1,1"],
+        ["check", "hrr1", "U23", "--at"],
     ],
 )
 def test_usage_errors_exit_2_with_one_line(capsys, u23_file, argv):
@@ -336,6 +335,28 @@ def test_usage_errors_exit_2_with_one_line(capsys, u23_file, argv):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check", "hrr1", "U23", "--kind", "basis"], 0),
+        (["hessian", "U23"], 0),
+        (["mason", "basis", "U23", "--i", "1", "--j", "2"], 2),
+        (["mason", "indep", "U23", "--k", "1"], 2),
+    ],
+)
+def test_at_value_with_a_leading_minus_reads_either_way(capsys, u23_file, argv, code):
+    # `--at -1,2,3` is read as `--at=-1,2,3`, not as an option -1,2,3
+    argv = [u23_file if a == "U23" else a for a in argv]
+    assert run(argv + ["--at", "-1,2,3"]) == code
+    spaced = capsys.readouterr()
+    assert run(argv + ["--at=-1,2,3"]) == code
+    assert capsys.readouterr() == spaced
+    if code == 2:
+        assert spaced.err == "error: weights must be strictly positive\n"
+    else:
+        assert spaced.out and not spaced.err
 
 
 @pytest.mark.parametrize(

@@ -412,6 +412,43 @@ def test_gradient_matrix_matches_partial_oracle():
     assert len(polys) == 1481 + 175 + 2
 
 
+def test_grad_rank_is_the_rank_of_the_gradient_matrix():
+    # the kept Gram matrix G G^T against G itself: every n <= 5 catalog
+    # basis, independent-set and reduced polynomial, the reduced polynomial
+    # of every morphism family from a source on <= 4 elements, HALVES, and
+    # signed polynomials whose partials cancel
+    polys = [
+        p
+        for n in range(1, 6)
+        for m in catalog(n)
+        for p in (basis_poly(m), indep_poly(m), reduced_indep_poly(m))
+        if p.degree >= 1
+    ]
+    polys += [reduced for _, reduced, _ in _family_hessian_cases()]
+    polys += [
+        HALVES,
+        # x1x2 - x1x3: d2 = -d3
+        HomogPoly((1, 2, 3), 2, {(0, 0b011): 1, (0, 0b101): -1}),
+        # (x1 - x2)(x3 - x4): d1 = -d2 and d3 = -d4
+        HomogPoly(
+            (1, 2, 3, 4),
+            2,
+            {(0, 0b0101): 1, (0, 0b1001): -1, (0, 0b0110): -1, (0, 0b1010): 1},
+        ),
+        # x0^2 (x1 - x2) / 2: d1 = -d2
+        HomogPoly((0, 1, 2), 3, {(2, 0b01): Fraction(1, 2), (2, 0b10): Fraction(-1, 2)}),
+    ]
+    ranks = []
+    for p in polys:
+        rows = gradient_matrix(p)
+        gram = [[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows]
+        assert p.gram == gram, p
+        assert p.grad_rank == matrix_rank(rows), p
+        ranks.append(p.grad_rank)
+    assert len(polys) == 1481 + 175 + 4
+    assert ranks[-3:] == [2, 2, 2]
+
+
 # -- parallel substitution ----------------------------------------------------------
 
 

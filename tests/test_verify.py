@@ -1,15 +1,20 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from _oracles import (
     fraction_point,
     hodge_pair_counts,
+    jet_basis_rows,
+    jet_indep_rows,
+    jet_mason_rows,
     mason_basis_report,
     mason_indep_report,
     per_map_morphism_suite,
 )
 
 from mlz.matroids import (
+    Matroid,
     catalog,
     direct_sum,
     uniform,
@@ -21,7 +26,7 @@ from mlz.morphisms import (
     morphism_bases,
     validate_morphism,
 )
-from mlz.polynomials import basis_poly, reduced_indep_poly
+from mlz.polynomials import HomogPoly, basis_poly, reduced_indep_poly
 from mlz.sampling import derive
 from mlz.verify import (
     SuiteReport,
@@ -30,9 +35,7 @@ from mlz.verify import (
     _mason_rows,
     _shared_rows,
     mason_basis_check,
-    mason_basis_rows,
     mason_indep_check,
-    mason_indep_rows,
     morphism_suite,
     survey,
     theorem_suite,
@@ -150,7 +153,7 @@ def test_mason_basis_reports_match_per_pair_partials():
         if m.rank < 2:
             continue
         for a in _points(m, m.n):
-            rows = mason_basis_rows(m, a)
+            rows = jet_basis_rows(m, a)
             by_pair = {(rep.i, rep.j): rep for rep in rows}
             assert len(rows) == m.n * (m.n - 1) // 2
             for i in range(1, m.n + 1):
@@ -169,7 +172,7 @@ def test_mason_indep_reports_match_slices():
     reports = 0
     for m in SMALL_CATALOG:
         for a in _points(m, m.n):
-            rows = mason_indep_rows(m, a)
+            rows = jet_indep_rows(m, a)
             assert [rep.k for rep in rows] == list(range(1, m.rank + 1))
             for rep in rows:
                 want = mason_indep_report(m, rep.k, a)
@@ -199,6 +202,58 @@ def test_hodge_pair_rows_match_polynomial_proportionality():
                 assert report.rows[0].status == "pass"
                 tested += want[0]
     assert tested == 102004
+
+
+def test_mason_rows_match_jet_reports():
+    # the survey's count rows and equality entries, decided on integers,
+    # against the Fraction reports read off the jets
+    equalities = [0, 0]
+    for seed in (1, 7):
+        for m in SMALL_CATALOG:
+            if m.rank < 2:
+                continue
+            got, want = ([], []), ([], [])
+            rows = _mason_rows(m, "matroid", seed, *got)
+            assert rows == jet_mason_rows(m, "matroid", seed, *want), (m, seed)
+            assert got == want, (m, seed)
+            assert all(row.status == "pass" for row in rows)
+            equalities[0] += len(got[0])
+            equalities[1] += len(got[1])
+    assert equalities == [2 * 334, 2 * 78]
+
+
+# x1x2 + x3x4: its two "bases" break the exchange axiom, so the count
+# inequalities and the Hodge determinants must fail on it
+NOT_A_MATROID = Matroid(4, frozenset({0b0011, 0b1100}), _trusted=True)
+
+
+def test_mason_rows_fail_where_the_reports_fail():
+    got, want = ([], []), ([], [])
+    rows = _mason_rows(NOT_A_MATROID, "matroid", 1, *got)
+    assert rows == jet_mason_rows(NOT_A_MATROID, "matroid", 1, *want)
+    assert got == want
+    status = {row.name: row.status for row in rows}
+    assert status == {
+        "basis-counts-equality-iff": "fail",
+        "indep-counts-equality-iff": "pass",
+        "weighted-strictness": "fail",
+    }
+    # pair (1, 2) compares |B| |B_12| = 2 with 2 (1 - 1/2) |B_1| |B_2| = 1
+    rep = mason_basis_check(NOT_A_MATROID, 1, 2)
+    assert (rep.lhs, rep.rhs) == (2, 1)
+    assert rep == mason_basis_report(NOT_A_MATROID, 1, 2)
+
+
+def test_hodge_pair_rows_count_nonnegative_determinants():
+    p = HomogPoly(range(1, 5), 2, {(0, 0b0011): 1, (0, 0b1100): 1})
+    pairs = [(i, j) for i in p.active for j in p.active if i < j]
+    points = [(1, 1, 1, 1), (1, 2, 3, 4)]
+    report = SuiteReport("test", 0)
+    _hodge_pair_rows(report, "hodge", p, points, pairs)
+    tested, nonneg = hodge_pair_counts(p, points, pairs)
+    assert nonneg > 0
+    assert report.rows[0].status == "fail"
+    assert report.rows[0].detail == f"tested={tested} nonneg={nonneg}"
 
 
 def test_single_basis_checks_compile_one_plan(monkeypatch):
@@ -454,6 +509,20 @@ def test_survey_equality_catalogs_match_predicates():
         _, n, idx = entry["scope"].split(":")
         m = catalog(int(n))[int(idx)]
         assert entry["k"] + 1 < m.girth
+
+
+def test_survey_matroid_half_bytes_at_n5():
+    # every count row and Hodge row of the 497 matroids on <= 5 elements,
+    # where the pairs are many; the sha256 pins the JSONL bytes
+    digest = hashlib.sha256()
+    lines = 0
+    for line in survey(5, seed=1, morphisms=False).to_jsonl_lines():
+        digest.update(line.encode() + b"\n")
+        lines += 1
+    assert lines == 11097
+    assert digest.hexdigest() == (
+        "6d58caa135c0d3205638f40df5e9f04917171f39737aaff1f2b433a4d87529db"
+    )
 
 
 def test_survey_looks_up_each_morphism_once(monkeypatch):
