@@ -8,8 +8,6 @@ sets.  Everything is arbitrary-precision rational; nothing here floats.
 
 from .lefschetz import (
     InapplicablePointError,
-    PointClass,
-    classify_point,
     gradient_rank,
     hessian_inertia,
     hrr1,
@@ -59,7 +57,6 @@ from .morphisms import (
     morphism_bases,
     morphism_from_json_dict,
     morphism_poly,
-    phi_decomposition,
     validate_morphism,
 )
 from .polynomials import (

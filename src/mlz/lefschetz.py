@@ -50,7 +50,6 @@ them without taking them; only inputs that fail it are sampled.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from functools import reduce
 from math import comb, factorial, perm
@@ -66,12 +65,6 @@ class InapplicablePointError(ValueError):
     """The point check assumes a positive value; this point gives <= 0."""
 
 
-class PointClass(enum.Enum):
-    STRICT_LORENTZ = "strict-lorentz"
-    LORENTZ_DEGENERATE = "lorentz-degenerate"
-    NOT_LOG_CONCAVE = "not-log-concave"
-
-
 def hessian_inertia(p: HomogPoly, point: Sequence) -> Inertia:
     """The inertia of p's Hessian at the point: the plan's upper rows,
     filled at the cleared point and eliminated."""
@@ -81,14 +74,6 @@ def hessian_inertia(p: HomogPoly, point: Sequence) -> Inertia:
 
 def gradient_rank(p: HomogPoly) -> int:
     return p.grad_rank
-
-
-def classify_point(p: HomogPoly, point: Sequence) -> PointClass:
-    """Log-concavity class of the Hessian inertia at the point."""
-    ine = hessian_inertia(p, point)
-    if ine.pos != 1:
-        return PointClass.NOT_LOG_CONCAVE
-    return PointClass.STRICT_LORENTZ if ine.zero == 0 else PointClass.LORENTZ_DEGENERATE
 
 
 @dataclass(frozen=True)

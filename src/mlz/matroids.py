@@ -6,12 +6,14 @@ i-1).  All derived data (independent sets, rank function, closure, flats,
 circuits, parallel classes) is computed exactly and cached on the object.
 
 Ground sets are deliberately tiny: the catalog builder enumerates every
-labeled matroid on up to six elements by filtering r-subset families
-through the basis-exchange axiom, which is what the verification suites
-iterate over.  Constructors (uniform, graphic, direct sums, minors) work
-at any size that fits in memory; the tables over all 2^n subsets (rank,
-closure, circuits) and the list of independent sets refuse ground sets
-above TABLE_MAX_GROUND elements.
+labeled matroid on up to six elements, which is what the verification
+suites iterate over.  It extends each matroid on {1..n-1} by element n as
+a loop, a coloop or neither, pairing a deletion with a contraction and
+keeping the pairs that pass the basis-exchange test.  Constructors
+(uniform, graphic, direct sums, minors) work at any size that fits in
+memory; the tables over all 2^n subsets (rank, closure, circuits) and the
+list of independent sets refuse ground sets above TABLE_MAX_GROUND
+elements.
 """
 
 from __future__ import annotations
@@ -586,11 +588,11 @@ def _relabel(n: int, keep: Mask, bases: Iterable[Mask]) -> tuple[Matroid, tuple[
 
 def contract(m: Matroid, e: int) -> tuple[Matroid, tuple[int, ...]]:
     """M/e for a non-loop e; ground relabeled to {1..n-1}."""
+    if not 1 <= e <= m.n:
+        raise MatroidError(f"element {e} out of range")
     bit = 1 << (e - 1)
     if m.loops & bit:
         raise MatroidError(f"cannot contract the loop {e}")
-    if not 1 <= e <= m.n:
-        raise MatroidError(f"element {e} out of range")
     new_bases = {b ^ bit for b in m.bases if b & bit}
     return _relabel(m.n, m.ground_mask & ~bit, new_bases)
 
@@ -645,94 +647,54 @@ def simplify(m: Matroid) -> tuple[Matroid, tuple[int, ...]]:
 # -- exhaustive enumeration ---------------------------------------------------
 
 
-def _exchange_need_table(n: int, r: int):
-    """Precomputed exchange constraints for rank-r families on {1..n}.
-
-    subs lists all r-subset masks (ascending).  For ordered pair (i, j),
-    need[i][j] holds one bitmask (over subset indices) per x in subs[i]\\subs[j]:
-    the candidate replacements (subs[i]-x)+y for y in subs[j]\\subs[i].  A
-    family F (bitset over indices) containing i and j satisfies the axiom
-    for the pair iff every such mask intersects F.  Masks containing i or j
-    are dropped: they are satisfied whenever the pair is present (only the
-    t=1 case, where the replacement is subs[j] itself).
-    """
-    subs = [mask_of(c) for c in combinations(range(1, n + 1), r)]
-    subs.sort()
-    index = {s: k for k, s in enumerate(subs)}
-    k_count = len(subs)
-    need = [[() for _ in range(k_count)] for _ in range(k_count)]
-    for i, a in enumerate(subs):
-        for j, b in enumerate(subs):
-            if i == j:
-                continue
-            only_a = a & ~b
-            only_b = b & ~a
-            entries = []
-            for xb in bits_of(only_a):
-                stripped = a ^ (1 << xb)
-                cand = 0
-                for yb in bits_of(only_b):
-                    cand |= 1 << index[stripped | (1 << yb)]
-                if not (cand >> i) & 1 and not (cand >> j) & 1:
-                    entries.append(cand)
-            need[i][j] = tuple(entries)
-    return subs, need
-
-
 @lru_cache(maxsize=None)
-def _enumerate_rank(n: int, r: int) -> tuple[Matroid, ...]:
-    """All labeled rank-r matroids on {1..n}, lexicographic by basis list."""
-    subs, need = _exchange_need_table(n, r)
-    k_count = len(subs)
-    found = []
-    for fam in range(1, 1 << k_count):
-        members = []
-        rem = fam
-        ok = True
-        while rem:
-            low = rem & -rem
-            i = low.bit_length() - 1
-            ni = need[i]
-            for j in members:
-                for msk in ni[j]:
-                    if not msk & fam:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                for msk in need[j][i]:
-                    if not msk & fam:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-            members.append(i)
-            rem ^= low
-        if ok:
-            found.append(frozenset(subs[i] for i in members))
-    found.sort(key=lambda bs: sorted(bs))
-    return tuple(Matroid(n, bs, _trusted=True) for bs in found)
+def catalog(n: int, rank: Optional[int] = None) -> tuple[Matroid, ...]:
+    """Every labeled matroid on {1..n} (of the given rank), in the order of
+    `enumerate_matroids`; memoized, so the suites share one tuple.
 
-
-def enumerate_matroids(n: int, rank: Optional[int] = None) -> Iterator[Matroid]:
-    """Every labeled matroid on {1..n}, rank ascending then lexicographic.
-
-    Hard-capped at n <= 6: rank r scans all 2^C(n,r) basis families.
+    Built by recursion on element n, which is a loop, a coloop or neither.
+    The rank-r bases are X | {B + n : B in Y}, with X the bases of the
+    deletion (a rank-r matroid on {1..n-1}; none when n is a coloop) and Y
+    those of the contraction (rank r-1; none when n is a loop).  A loop or
+    coloop extension is always a matroid.  Otherwise every basis in Y is
+    independent in X's matroid, and the pair is kept when
+    `exchange_violation` accepts the union.
     """
     if not 1 <= n <= ENUMERATION_MAX_GROUND:
         raise MatroidError(
             f"enumeration supports 1 <= n <= {ENUMERATION_MAX_GROUND}, got {n}"
         )
-    ranks = range(n + 1) if rank is None else [rank]
-    for r in ranks:
-        if not 0 <= r <= n:
-            raise MatroidError(f"rank {r} out of range for n={n}")
-        yield from _enumerate_rank(n, r)
+    if rank is None:
+        return tuple(m for r in range(n + 1) for m in catalog(n, r))
+    if not 0 <= rank <= n:
+        raise MatroidError(f"rank {rank} out of range for n={n}")
+
+    def minors(r: int) -> tuple[Matroid, ...]:
+        """The rank-r matroids on {1..n-1}."""
+        if not 0 <= r < n:
+            return ()
+        if n == 1:
+            return (Matroid(0, frozenset([0]), _trusted=True),)
+        return catalog(n - 1, r)
+
+    top = 1 << (n - 1)
+    found = [d.bases for d in minors(rank)]  # n a loop
+    for c in minors(rank - 1):
+        lifted = frozenset(b | top for b in c.bases)
+        found.append(lifted)  # n a coloop
+        for d in minors(rank):
+            if c.bases <= d.independent_masks:
+                bases = d.bases | lifted
+                if exchange_violation(n, bases) is None:
+                    found.append(bases)
+    found.sort(key=sorted)
+    return tuple(Matroid(n, bases, _trusted=True) for bases in found)
 
 
-@lru_cache(maxsize=None)
-def catalog(n: int, rank: Optional[int] = None) -> tuple[Matroid, ...]:
-    """Materialized enumerate_matroids stream (shared across the suites)."""
-    return tuple(enumerate_matroids(n, rank))
+def enumerate_matroids(n: int, rank: Optional[int] = None) -> Iterator[Matroid]:
+    """Every labeled matroid on {1..n}, rank ascending, then lexicographic
+    by the sorted list of basis masks.
+
+    Hard-capped at n <= 6; the matroids are those of `catalog`.
+    """
+    yield from catalog(n, rank)

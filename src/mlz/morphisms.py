@@ -40,7 +40,6 @@ from .matroids import (
     Mask,
     Matroid,
     MatroidError,
-    ParallelDecomposition,
     check_exchange,
     check_table_size,
     elems_of,
@@ -169,20 +168,6 @@ def validate_morphism(m: Matroid, n: Matroid, phi: Sequence[int]) -> MatroidMorp
             "the image of the ground set does not span the target"
         )
     return MatroidMorphism(m, n, phi)
-
-
-def phi_decomposition(phi: MatroidMorphism) -> ParallelDecomposition:
-    """Pull the target's loop/parallel structure back to the source."""
-    classes = []
-    for cls in phi.target.parallel_decomposition.classes:
-        pre = 0
-        for i, t in enumerate(phi.map):
-            if cls & (1 << (t - 1)):
-                pre |= 1 << i
-        if pre:
-            classes.append(pre)
-    classes.sort(key=lambda c: c & -c)
-    return ParallelDecomposition(phi.phi_loops, tuple(classes))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,7 @@ import pytest
 
 from mlz.lefschetz import (
     InapplicablePointError,
-    PointClass,
     WitnessFailure,
-    classify_point,
     gradient_rank,
     hessian_inertia,
     hessian_matrix,
@@ -23,17 +21,6 @@ from mlz.polynomials import HomogPoly, basis_poly, indep_poly, reduced_indep_pol
 # x0^2 + x1*x2: a non-negative quadratic whose Hessian has two positive
 # eigenvalues, the in-representation analogue of a sum of squares
 NOT_LOG_CONCAVE_QUADRATIC = HomogPoly((0, 1, 2), 2, {(2, 0): 1, (0, 0b11): 1})
-
-
-def test_point_class_examples():
-    f = basis_poly(uniform(2, 3))
-    assert classify_point(f, (1, 1, 1)) is PointClass.STRICT_LORENTZ
-    reduced = reduced_indep_poly(uniform(2, 3))
-    assert classify_point(reduced, (1, 1, 1, 1)) is PointClass.LORENTZ_DEGENERATE
-    assert (
-        classify_point(NOT_LOG_CONCAVE_QUADRATIC, (1, 1, 1))
-        is PointClass.NOT_LOG_CONCAVE
-    )
 
 
 def test_hessian_inertia_sc037():

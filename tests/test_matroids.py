@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from itertools import combinations
@@ -415,6 +417,12 @@ def test_contract_loop_rejected():
         contract(direct_sum(uniform(0, 1), uniform(1, 1)), 1)
 
 
+@pytest.mark.parametrize("e", [0, -1, 4])
+def test_contract_out_of_range_rejected(e):
+    with pytest.raises(MatroidError, match=f"element {e} out of range"):
+        contract(uniform(2, 3), e)
+
+
 def test_delete_uniform():
     sub, old_of = delete(uniform(2, 3), 3)
     assert sub == uniform(2, 2)
@@ -501,6 +509,18 @@ def test_indep_profile_free():
 def test_enumeration_counts():
     # labeled matroid counts on 1..5 elements
     assert [len(catalog(n)) for n in range(1, 6)] == [2, 5, 16, 68, 406]
+
+
+def test_enumeration_n6_counts_and_order():
+    # 3807 in all (OEIS A058673); the sha256 pins the order the survey's rows follow
+    assert [len(catalog(6, r)) for r in range(7)] == [1, 63, 813, 2053, 813, 63, 1]
+    assert len(catalog(6)) == 3807
+    lines = "\n".join(
+        json.dumps(m.to_json_dict(), separators=(",", ":")) for m in catalog(6)
+    )
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "43bfd19fe2335da1d8d4542220db2f964d2b3535e57aea1e4c279f6240acbcae"
+    )
 
 
 def test_enumeration_n1():

@@ -21,7 +21,6 @@ from mlz.morphisms import (
     morphism_bases,
     morphism_from_json_dict,
     morphism_poly,
-    phi_decomposition,
     validate_morphism,
 )
 from mlz.polynomials import linear_apply, partial, poly_str
@@ -92,31 +91,6 @@ def test_validation_routes_agree_exhaustively():
                         phi,
                     )
     assert (count, rejected) == (300688, 179544)
-
-
-# -- pulled-back structure ----------------------------------------------------------
-
-
-def test_phi_decomposition_all_loops():
-    phi = validate_morphism(uniform(2, 3), uniform(0, 1), [1, 1, 1])
-    pd = phi_decomposition(phi)
-    assert elems_of(pd.loops) == (1, 2, 3)
-    assert pd.classes == ()
-
-
-def test_phi_decomposition_mixed():
-    phi = validate_morphism(uniform(2, 3), LOOP_COLOOP, [1, 2, 2])
-    pd = phi_decomposition(phi)
-    assert elems_of(pd.loops) == (1,)
-    assert [elems_of(c) for c in pd.classes] == [(2, 3)]
-
-
-def test_phi_decomposition_identity_simple():
-    m = uniform(2, 3)
-    phi = validate_morphism(m, m, [1, 2, 3])
-    pd = phi_decomposition(phi)
-    assert pd.loops == 0
-    assert [elems_of(c) for c in pd.classes] == [(1,), (2,), (3,)]
 
 
 # -- morphism bases ------------------------------------------------------------------
