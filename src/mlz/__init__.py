@@ -64,7 +64,6 @@ from .polynomials import (
     HomogPoly,
     basis_poly,
     evaluate,
-    f_slice,
     gradient_matrix,
     hessian_matrix,
     indep_poly,

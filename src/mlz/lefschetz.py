@@ -57,7 +57,7 @@ from operator import mul, or_
 from typing import Optional, Sequence
 
 from .linalg import Inertia, clear_denominators, inertia
-from .matroids import exchange_violation, popcount
+from .matroids import exchange_violation, submasks
 from .polynomials import HomogPoly, hessian_matrix  # noqa: F401 -- public here too
 
 
@@ -157,22 +157,13 @@ class WitnessReport:
         return not self.failures
 
 
-def _submasks(mask: int):
-    """Every sub-mask of mask, from mask itself down to 0."""
-    s = mask
-    while s:
-        yield s
-        s = (s - 1) & mask
-    yield 0
-
-
 def _top_x0_powers(terms) -> dict[int, int]:
     """For every mask S under some term mask, the highest x0 power among the
     terms whose mask contains S: d0^b0 d_S p != 0 exactly when S is a key
     and b0 is at most its value."""
     top: dict[int, int] = {}
     for e0, mask, _ in terms:
-        for s in _submasks(mask):
+        for s in submasks(mask):
             if top.get(s, -1) < e0:
                 top[s] = e0
     return top
@@ -201,13 +192,13 @@ def _derivative_values(terms, degree: int, active: Sequence[int], point: Sequenc
     for e0, mask, c in terms:
         # the factor of x_(M - S) in d0^b0 of the term, for b0 = 0..e0
         factors = [c * perm(e0, b0) * x0_pow[e0 - b0] for b0 in range(e0 + 1)]
-        for s in _submasks(mask):
+        for s in submasks(mask):
             rest = mask ^ s
             prod = prods.get(rest)
             if prod is None:
                 low = rest & -rest
                 prod = prods[rest] = prods[rest ^ low] * coord[low]
-            k = popcount(s)
+            k = s.bit_count()
             for b0 in range(max(0, 2 - k), min(e0, degree - 1 - k) + 1):
                 key = (b0, s)
                 values[key] = values.get(key, 0) + factors[b0] * prod
@@ -239,12 +230,12 @@ def _exact_layer(p: HomogPoly):
     alphas = sorted(
         (tuple(b0 if v == 0 else s >> (v - 1) & 1 for v in p.active), b0, s)
         for s, e in top.items()
-        for b0 in range(min(e, d - 2 - popcount(s)) + 1)
+        for b0 in range(min(e, d - 2 - s.bit_count()) + 1)
     )
     constants = {(e0, mask): c * factorial(e0) for e0, mask, c in terms}
     layer2 = {}
     for k, (orders, b0, s) in enumerate(alphas):
-        if b0 + popcount(s) == d - 2:
+        if b0 + s.bit_count() == d - 2:
             units = _depends_on(p.active, top, b0, s)
             pos = inertia(_hessian_of(constants, b0, s, units)).pos
             if pos > 1:
@@ -343,13 +334,13 @@ def lorentzian_witness(p: HomogPoly, points: Sequence[Sequence]) -> WitnessRepor
     report = WitnessReport(degree=d, checked=comb(len(active) + d - 2, d - 2))
     terms, top, alphas, layer2 = _exact_layer(p)
     report.identically_zero = report.checked - len(alphas)
-    report.exact_degree2 = sum(b0 + popcount(s) == d - 2 for _, b0, s in alphas)
+    report.exact_degree2 = sum(b0 + s.bit_count() == d - 2 for _, b0, s in alphas)
     if _decided(terms, layer2):
         report.sampled = len(points) * (len(alphas) - report.exact_degree2)
         return report
     tables = [_derivative_values(terms, d, active, a) for a in scaled]
     for k, (orders, b0, s) in enumerate(alphas):
-        if b0 + popcount(s) == d - 2:
+        if b0 + s.bit_count() == d - 2:
             if k in layer2:
                 report.failures.append(layer2[k])
             continue

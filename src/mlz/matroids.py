@@ -3,7 +3,11 @@
 A matroid on {1..n} is stored as its ground-set size together with the
 family of bases, each basis encoded as an n-bit mask (element i <-> bit
 i-1).  All derived data (independent sets, rank function, closure, flats,
-circuits, parallel classes) is computed exactly and cached on the object.
+circuits, parallel classes) is computed exactly on first use and kept on
+the object.  `kept` is the package's one per-object memo: it turns a
+function of an object into a getter that stores the value in the object's
+`_cache` dict under the function's name, so a matroid, a polynomial and a
+morphism's basis family keep their derived facts the same way.
 
 Ground sets are deliberately tiny: the catalog builder enumerates every
 labeled matroid on up to six elements, which is what the verification
@@ -18,10 +22,10 @@ elements.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -95,8 +99,32 @@ def bits_of(mask: Mask) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: Mask) -> int:
-    return mask.bit_count()
+def submasks(mask: Mask) -> Iterator[Mask]:
+    """Every sub-mask of mask, from mask itself down to 0."""
+    s = mask
+    while s:
+        yield s
+        s = (s - 1) & mask
+    yield 0
+
+
+def kept(build):
+    """A getter that calls `build(obj)` once and keeps the value.
+
+    The value is stored in the dict `obj._cache` under `build.__name__`;
+    a build that raises stores nothing.  Stack `@property` on top for an
+    attribute, or call the getter as a function of the object.
+    """
+    name = build.__name__
+
+    @functools.wraps(build)
+    def get(obj):
+        cache = obj._cache
+        if name not in cache:
+            cache[name] = build(obj)
+        return cache[name]
+
+    return get
 
 
 @dataclass(frozen=True)
@@ -133,7 +161,7 @@ class Matroid:
             check_exchange(n, bases)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bases", frozenset(bases))
-        object.__setattr__(self, "rank", popcount(next(iter(bases))))
+        object.__setattr__(self, "rank", next(iter(bases)).bit_count())
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, *a):  # pragma: no cover - guard
@@ -157,68 +185,54 @@ class Matroid:
     def ground_mask(self) -> Mask:
         return (1 << self.n) - 1
 
-    def _cached(self, key, builder):
-        cache = self._cache
-        if key not in cache:
-            cache[key] = builder()
-        return cache[key]
-
     # -- independence ----------------------------------------------------
 
     @property
+    @kept
     def independent_masks(self) -> frozenset[Mask]:
         """All independent sets, as masks (downward closure of the bases).
 
         There can be 2^n of them, so ground sets above TABLE_MAX_GROUND
         elements raise MatroidError, as for the 2^n tables."""
-
-        def build():
-            check_table_size(self.n)
-            seen = set(self.bases)
-            frontier = list(self.bases)
-            while frontier:
-                s = frontier.pop()
-                for b in bits_of(s):
-                    t = s ^ (1 << b)
-                    if t not in seen:
-                        seen.add(t)
-                        frontier.append(t)
-            return frozenset(seen)
-
-        return self._cached("indep", build)
+        check_table_size(self.n)
+        seen = set(self.bases)
+        frontier = list(self.bases)
+        while frontier:
+            s = frontier.pop()
+            for b in bits_of(s):
+                t = s ^ (1 << b)
+                if t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+        return frozenset(seen)
 
     @property
+    @kept
     def rank_table(self) -> Sequence[int]:
         """rank(S) for every S in 0..2^n-1; rank(S) = max over bases |B & S|."""
-
-        def build():
-            check_table_size(self.n)
-            bases = tuple(self.bases)
-            return [
-                max(popcount(b & s) for b in bases) for s in range(1 << self.n)
-            ]
-
-        return self._cached("rank_table", build)
+        check_table_size(self.n)
+        bases = tuple(self.bases)
+        return [
+            max((b & s).bit_count() for b in bases) for s in range(1 << self.n)
+        ]
 
     def rank_of(self, subset: Mask) -> int:
         return self.rank_table[subset]
 
     @property
+    @kept
     def closure_table(self) -> Sequence[Mask]:
-        def build():
-            rank = self.rank_table  # raises first on a too-large ground set
-            out = []
-            for s in range(1 << self.n):
-                cl = s
-                r = rank[s]
-                rest = self.ground_mask & ~s
-                for b in bits_of(rest):
-                    if rank[s | (1 << b)] == r:
-                        cl |= 1 << b
-                out.append(cl)
-            return out
-
-        return self._cached("closure_table", build)
+        rank = self.rank_table  # raises first on a too-large ground set
+        out = []
+        for s in range(1 << self.n):
+            cl = s
+            r = rank[s]
+            rest = self.ground_mask & ~s
+            for b in bits_of(rest):
+                if rank[s | (1 << b)] == r:
+                    cl |= 1 << b
+            out.append(cl)
+        return out
 
     def closure(self, subset: Mask) -> Mask:
         return self.closure_table[subset]
@@ -226,65 +240,55 @@ class Matroid:
     # -- loops, parallelism ----------------------------------------------
 
     @property
+    @kept
     def loops(self) -> Mask:
         """Mask of loops.  A non-loop always lies in some basis."""
-
-        def build():
-            union = 0
-            for b in self.bases:
-                union |= b
-            return self.ground_mask & ~union
-
-        return self._cached("loops", build)
+        union = 0
+        for b in self.bases:
+            union |= b
+        return self.ground_mask & ~union
 
     @property
+    @kept
     def coloops(self) -> Mask:
-        def build():
-            inter = self.ground_mask
-            for b in self.bases:
-                inter &= b
-            return inter
-
-        return self._cached("coloops", build)
+        inter = self.ground_mask
+        for b in self.bases:
+            inter &= b
+        return inter
 
     @property
+    @kept
     def cooccurrence(self) -> tuple[Mask, ...]:
         """Entry e-1 is the union of the bases containing e (0 for a loop).
 
         Distinct elements i and j form an independent pair exactly when j
         lies in entry i-1; two non-loops are parallel exactly when not.
         """
-
-        def build():
-            out = [0] * self.n
-            for b in self.bases:
-                for e in bits_of(b):
-                    out[e] |= b
-            return tuple(out)
-
-        return self._cached("cooccurrence", build)
+        out = [0] * self.n
+        for b in self.bases:
+            for e in bits_of(b):
+                out[e] |= b
+        return tuple(out)
 
     @property
+    @kept
     def parallel_decomposition(self) -> ParallelDecomposition:
-        def build():
-            cooc = self.cooccurrence
-            loops = self.loops
-            classes = []
-            assigned = loops
-            for e in range(1, self.n + 1):
-                bit = 1 << (e - 1)
-                if assigned & bit:
-                    continue
-                cls = bit
-                for f in range(e + 1, self.n + 1):
-                    fbit = 1 << (f - 1)
-                    if not (assigned & fbit) and not (cooc[e - 1] & fbit):
-                        cls |= fbit
-                assigned |= cls
-                classes.append(cls)
-            return ParallelDecomposition(loops, tuple(classes))
-
-        return self._cached("pardec", build)
+        cooc = self.cooccurrence
+        loops = self.loops
+        classes = []
+        assigned = loops
+        for e in range(1, self.n + 1):
+            bit = 1 << (e - 1)
+            if assigned & bit:
+                continue
+            cls = bit
+            for f in range(e + 1, self.n + 1):
+                fbit = 1 << (f - 1)
+                if not (assigned & fbit) and not (cooc[e - 1] & fbit):
+                    cls |= fbit
+            assigned |= cls
+            classes.append(cls)
+        return ParallelDecomposition(loops, tuple(classes))
 
     @property
     def is_loopless(self) -> bool:
@@ -293,7 +297,7 @@ class Matroid:
     @property
     def is_simple(self) -> bool:
         pd = self.parallel_decomposition
-        return pd.loops == 0 and all(popcount(c) == 1 for c in pd.classes)
+        return pd.loops == 0 and all(c.bit_count() == 1 for c in pd.classes)
 
     @property
     def is_uniform(self) -> bool:
@@ -302,17 +306,10 @@ class Matroid:
     # -- flats -------------------------------------------------------------
 
     @property
+    @kept
     def flats(self) -> tuple[Mask, ...]:
         """All flats, sorted by (size, mask)."""
-
-        def build():
-            cl = self.closure_table
-            fl = sorted(
-                {c for c in cl}, key=lambda m: (popcount(m), m)
-            )
-            return tuple(fl)
-
-        return self._cached("flats", build)
+        return tuple(sorted(set(self.closure_table), key=lambda m: (m.bit_count(), m)))
 
     def is_flat(self, subset: Mask) -> bool:
         return self.closure(subset) == subset
@@ -326,48 +323,43 @@ class Matroid:
             raise NotAFlatError(f"{sorted(elems_of(flat))} is not a flat")
         cl = self.closure_table
         out = {cl[flat | (1 << b)] for b in bits_of(self.ground_mask & ~flat)}
-        return tuple(sorted(out, key=lambda m: (popcount(m), m)))
+        return tuple(sorted(out, key=lambda m: (m.bit_count(), m)))
 
     # -- circuits ----------------------------------------------------------
 
     @property
+    @kept
     def circuits(self) -> tuple[Mask, ...]:
         """Minimal dependent sets, sorted by (size, mask)."""
-
-        def build():
-            check_table_size(self.n)
-            indep = self.independent_masks
-            out = []
-            for s in range(1, 1 << self.n):
-                if s in indep:
-                    continue
-                if all((s ^ (1 << b)) in indep for b in bits_of(s)):
-                    out.append(s)
-            return tuple(sorted(out, key=lambda m: (popcount(m), m)))
-
-        return self._cached("circuits", build)
+        check_table_size(self.n)
+        indep = self.independent_masks
+        out = []
+        for s in range(1, 1 << self.n):
+            if s in indep:
+                continue
+            if all((s ^ (1 << b)) in indep for b in bits_of(s)):
+                out.append(s)
+        return tuple(sorted(out, key=lambda m: (m.bit_count(), m)))
 
     @property
     def girth(self):
         """Size of a smallest circuit; math.inf when every set is independent."""
         circ = self.circuits
-        return popcount(circ[0]) if circ else math.inf
+        return circ[0].bit_count() if circ else math.inf
 
     # -- counting ----------------------------------------------------------
 
     @property
+    @kept
     def indep_profile(self) -> IndepProfile:
-        def build():
-            counts = [0] * (self.rank + 1)
-            for s in self.independent_masks:
-                counts[popcount(s)] += 1
-            normalized = tuple(
-                Fraction(counts[k], math.comb(self.n, k))
-                for k in range(self.rank + 1)
-            )
-            return IndepProfile(tuple(counts), normalized)
-
-        return self._cached("profile", build)
+        counts = [0] * (self.rank + 1)
+        for s in self.independent_masks:
+            counts[s.bit_count()] += 1
+        normalized = tuple(
+            Fraction(counts[k], math.comb(self.n, k))
+            for k in range(self.rank + 1)
+        )
+        return IndepProfile(tuple(counts), normalized)
 
     # -- serialization -----------------------------------------------------
 
@@ -450,7 +442,7 @@ def check_exchange(n: int, bases: frozenset[Mask]) -> None:
     for b in bases:
         if b & ~ground:
             raise MatroidError(f"basis {sorted(elems_of(b))} leaves {{1..{n}}}")
-    sizes = {popcount(b) for b in bases}
+    sizes = {b.bit_count() for b in bases}
     if len(sizes) > 1:
         raise UnequalCardinalityError(f"basis sizes differ: {sorted(sizes)}")
     violation = exchange_violation(n, bases)
@@ -602,7 +594,7 @@ def restrict(m: Matroid, subset: Mask) -> tuple[Matroid, tuple[int, ...]]:
     subset &= m.ground_mask
     r = m.rank_of(subset)
     new_bases = {
-        s for s in m.independent_masks if s & ~subset == 0 and popcount(s) == r
+        s for s in m.independent_masks if s & ~subset == 0 and s.bit_count() == r
     }
     return _relabel(m.n, subset, new_bases)
 
@@ -623,7 +615,7 @@ def truncate(m: Matroid, steps: int = 1) -> Matroid:
         raise MatroidError(f"truncation steps must lie in 0..rank-1, got {steps}")
     target = m.rank - steps
     bases = frozenset(
-        s for s in m.independent_masks if popcount(s) == target
+        s for s in m.independent_masks if s.bit_count() == target
     )
     return Matroid(m.n, bases, _trusted=True)
 
@@ -647,7 +639,7 @@ def simplify(m: Matroid) -> tuple[Matroid, tuple[int, ...]]:
 # -- exhaustive enumeration ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def catalog(n: int, rank: Optional[int] = None) -> tuple[Matroid, ...]:
     """Every labeled matroid on {1..n} (of the given rank), in the order of
     `enumerate_matroids`; memoized, so the suites share one tuple.

@@ -21,17 +21,19 @@ Many maps share one basis family.  Whatever depends on the bases alone
 (polynomials, level exchange checks, fixed-point verdicts, count profile,
 the degeneracy verdict with its checked annihilator) lives on a
 BasisFamily, memoized by `basis_family` under the hashable MorphismBases
-value; the reduced polynomial keeps its own gradient rank and Hessian
-plan, so they are shared with it.  The source's bases and the loop
-preimage are read off the levels, so the degeneracy verdict needs no map.
+value.  A family computes each fact on first use and keeps it in its
+`_cache` (`matroids.kept`, as a matroid keeps its tables); the reduced
+polynomial keeps its own gradient rank and Hessian plan the same way, so
+they are shared with it.  The source's bases and the loop preimage are
+read off the levels, so the degeneracy verdict needs no map.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
@@ -44,7 +46,7 @@ from .matroids import (
     check_table_size,
     elems_of,
     from_json_dict,
-    popcount,
+    kept,
 )
 from .polynomials import HomogPoly, linear_apply, partial
 
@@ -199,7 +201,7 @@ def morphism_bases(phi: MatroidMorphism) -> MorphismBases:
     img = _image_table(phi.source, phi.map)
     for s in phi.source.independent_masks:
         if rank_n[img[s]] == r_prime:
-            by_size.setdefault(popcount(s), set()).add(s)
+            by_size.setdefault(s.bit_count(), set()).add(s)
     levels = tuple((k, frozenset(v)) for k, v in sorted(by_size.items()))
     return MorphismBases(phi.source.n, phi.r, r_prime, levels)
 
@@ -229,17 +231,20 @@ class BasisFamily:
     """The facts about a morphism that depend only on its MorphismBases.
 
     `basis_family` hands out one instance per distinct family, and each
-    fact is computed on first use.  Nothing here reads a map or a target,
-    so every morphism with these bases may share it.  `suite_rows` keeps
-    the morphism suite's rows that do not depend on the map, keyed by what
-    they read beyond the bases (`verify._shared_rows`).
+    fact is computed on first use and kept in `_cache`.  Nothing here
+    reads a map or a target, so every morphism with these bases may share
+    it.  `suite_rows` keeps the morphism suite's rows that do not depend
+    on the map, keyed by what they read beyond the bases
+    (`verify._shared_rows`).
     """
 
     def __init__(self, bases: MorphismBases):
         self.bases = bases
         self.suite_rows: dict = {}
+        self._cache: dict = {}
 
-    @cached_property
+    @property
+    @kept
     def polys(self) -> tuple[HomogPoly, HomogPoly]:
         """(P, reduced P): x0-padded sum over the bases and its
         (n - r)-fold x0 derivative."""
@@ -251,7 +256,8 @@ class BasisFamily:
             reduced = partial(reduced, 0)
         return p, reduced
 
-    @cached_property
+    @property
+    @kept
     def levels_are_matroids(self) -> bool:
         """Every size bucket satisfies the basis-exchange axiom."""
         for _, bucket in self.bases.levels:
@@ -267,7 +273,8 @@ class BasisFamily:
         plan at its own seeded points."""
         return point_verdicts(self.polys[1], point)
 
-    @cached_property
+    @property
+    @kept
     def fixed_point_verdicts(self) -> tuple[tuple[tuple, PointVerdicts], ...]:
         """(point, verdicts) of the reduced polynomial at (1,...,1) and
         (0,1,...,1); empty when its degree is below 2."""
@@ -278,7 +285,8 @@ class BasisFamily:
             (a, self.verdicts_at(a)) for a in ((1,) + (1,) * n, (0,) + (1,) * n)
         )
 
-    @cached_property
+    @property
+    @kept
     def eur_huh(self) -> tuple[EurHuhEntry, ...]:
         """Normalized log-concavity profile of the basis counts by size.
 
@@ -296,7 +304,8 @@ class BasisFamily:
             out.append(EurHuhEntry(k, lhs, rhs, lhs == rhs))
         return tuple(out)
 
-    @cached_property
+    @property
+    @kept
     def degeneracy(self) -> DegeneracyVerdict:
         """The degeneracy verdict shared by every morphism with these bases
         (see `degeneracy_class`); its annihilator is checked here, once.
@@ -310,7 +319,7 @@ class BasisFamily:
         loops_mask = (1 << n) - 1
         for s in levels[r_prime]:
             loops_mask &= ~s
-        nloops = popcount(loops_mask)
+        nloops = loops_mask.bit_count()
         classes = set()
         if r == r_prime:
             classes.add("A")
@@ -320,8 +329,8 @@ class BasisFamily:
             # the restriction to the loop preimage is uniform when its bases,
             # the largest traces of source bases, are all subsets of that size
             traces = {s & loops_mask for s in source_bases}
-            k = max(map(popcount, traces))
-            if sum(1 for t in traces if popcount(t) == k) == math.comb(nloops, k):
+            k = max(map(int.bit_count, traces))
+            if sum(1 for t in traces if t.bit_count() == k) == math.comb(nloops, k):
                 classes.add("C")
         if not classes:
             return DegeneracyVerdict(frozenset(), None)
@@ -350,7 +359,7 @@ class BasisFamily:
         return DegeneracyVerdict(frozenset(classes), annihilator)
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def basis_family(bases: MorphismBases) -> BasisFamily:
     """The one BasisFamily shared by every morphism with these bases."""
     return BasisFamily(bases)

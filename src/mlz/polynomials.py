@@ -12,7 +12,6 @@ The generating polynomials:
                            degree n.
 * reduced_indep_poly(M) -- indep_poly differentiated (n - rank) times in x0,
                            degree rank.
-* f_slice(M, k)         -- the size-k layer of the independent-set sum.
 
 Calculus (partial derivatives, directional derivatives, evaluation, the
 matrix of first-partial coefficients and its Gram matrix) is exact
@@ -25,11 +24,12 @@ mirrors that fill into the whole matrix, as row lists.  A polynomial
 compiles its plan, builds the Gram matrix of its first partials (G G^T
 over the rows G of `gradient_matrix`) and takes that matrix's rank on
 first use, and keeps all three (`HomogPoly.plan`, `HomogPoly.gram`,
-`HomogPoly.grad_rank`): every Hessian of one polynomial, at any number
-of points and from any caller, comes from one plan, and its gradient
-matrix is built once.  Over the rationals rank G G^T = rank G, and the
-Gram matrix holds every dot product of two first partials, which is
-what the Hodge pair rows of `verify` read to decide proportionality.
+`HomogPoly.grad_rank`, each a `matroids.kept` fact in the polynomial's
+`_cache`): every Hessian of one polynomial, at any number of points and
+from any caller, comes from one plan, and its gradient matrix is built
+once.  Over the rationals rank G G^T = rank G, and the Gram matrix holds
+every dot product of two first partials, which is what the Hodge pair
+rows of `verify` read to decide proportionality.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import clear_denominators, matrix_rank
-from .matroids import Matroid, Mask, bits_of, elems_of, mask_of, popcount
+from .matroids import Matroid, Mask, bits_of, elems_of, kept, mask_of
 
 TermKey = tuple[int, Mask]  # (x0 exponent, support mask over {1..n})
 
@@ -54,18 +54,16 @@ class HomogPoly:
     coefficient.  The zero polynomial is an empty term map with a degree
     tag.  The Hessian plan, the Gram matrix of the first partials and the
     gradient rank depend on the polynomial alone, so each is computed on
-    first use and kept.
+    first use and kept in `_cache` (`matroids.kept`).
     """
 
-    __slots__ = ("active", "degree", "terms", "_plan", "_gram", "_grad_rank")
+    __slots__ = ("active", "degree", "terms", "_cache")
 
     def __init__(self, active: Sequence[int], degree: int, terms: dict):
         self.active = tuple(active)
         self.degree = degree
         self.terms = terms
-        self._plan = None
-        self._gram = None
-        self._grad_rank = None
+        self._cache = {}
         has_x0 = 0 in self.active
         allowed = 0  # mask of the active multilinear variables
         for v in self.active:
@@ -74,7 +72,7 @@ class HomogPoly:
         for (e0, mask), c in terms.items():
             if c == 0:
                 raise ValueError("zero coefficient stored in term map")
-            if e0 + popcount(mask) != degree:
+            if e0 + mask.bit_count() != degree:
                 raise ValueError(f"term {(e0, mask)} is not homogeneous of degree {degree}")
             if e0 and not has_x0:
                 raise ValueError("x0 appears but is not an active variable")
@@ -87,35 +85,32 @@ class HomogPoly:
         return not self.terms
 
     @property
+    @kept
     def plan(self) -> HessianPlan:
         """The second partials compiled once (degree >= 2)."""
-        if self._plan is None:
-            self._plan = HessianPlan(self)
-        return self._plan
+        return HessianPlan(self)
 
     @property
+    @kept
     def gram(self) -> list[list]:
         """G G^T over the rows G of `gradient_matrix` (degree >= 1): entry
         (a, b) is the dot product of the coefficient vectors of the first
         partials along active variables a and b.  G itself is not kept."""
-        if self._gram is None:
-            rows = gradient_matrix(self)
-            size = len(rows)
-            gram = [[0] * size for _ in range(size)]
-            for a, row in enumerate(rows):  # the upper triangle, mirrored
-                for b in range(a, size):
-                    gram[a][b] = gram[b][a] = sum(map(mul, row, rows[b]))
-            self._gram = gram
-        return self._gram
+        rows = gradient_matrix(self)
+        size = len(rows)
+        gram = [[0] * size for _ in range(size)]
+        for a, row in enumerate(rows):  # the upper triangle, mirrored
+            for b in range(a, size):
+                gram[a][b] = gram[b][a] = sum(map(mul, row, rows[b]))
+        return gram
 
     @property
+    @kept
     def grad_rank(self) -> int:
         """The dimension of the span of the first partials (degree >= 1):
         the rank of `gram`, which over the rationals is the rank of
         `gradient_matrix`."""
-        if self._grad_rank is None:
-            self._grad_rank = matrix_rank(self.gram)
-        return self._grad_rank
+        return matrix_rank(self.gram)
 
     def __eq__(self, other) -> bool:
         """Term-level equality; the active declarations may differ."""
@@ -180,7 +175,7 @@ def basis_poly(m: Matroid) -> HomogPoly:
 def indep_poly(m: Matroid) -> HomogPoly:
     """Sum of x0^(n-|I|) x_I over independent sets; degree n, active {0..n}."""
     n = m.n
-    terms = {(n - popcount(s), s): 1 for s in m.independent_masks}
+    terms = {(n - s.bit_count(), s): 1 for s in m.independent_masks}
     return HomogPoly(range(0, n + 1), n, terms)
 
 
@@ -190,16 +185,6 @@ def reduced_indep_poly(m: Matroid) -> HomogPoly:
     for _ in range(m.n - m.rank):
         p = partial(p, 0)
     return p
-
-
-def f_slice(m: Matroid, k: int) -> HomogPoly:
-    """Degree-k layer: sum of x_I over independent k-sets (f_0 = 1)."""
-    if not 0 <= k <= m.rank:
-        raise ValueError(f"slice index {k} out of range 0..{m.rank}")
-    terms = {
-        (0, s): 1 for s in m.independent_masks if popcount(s) == k
-    }
-    return HomogPoly(range(1, m.n + 1), k, terms)
 
 
 # -- calculus -----------------------------------------------------------------
@@ -419,7 +404,7 @@ def rename_vars(p: HomogPoly, new_of_old: dict[int, int]) -> HomogPoly:
     terms: dict[TermKey, object] = {}
     for (e0, mask), c in p.terms.items():
         new_mask = mask_of(new_of_old.get(e, e) for e in elems_of(mask))
-        if popcount(new_mask) != popcount(mask):
+        if new_mask.bit_count() != mask.bit_count():
             raise ValueError("variable renaming collapsed a monomial")
         terms[(e0, new_mask)] = c
     return HomogPoly(sorted(new_active), p.degree, terms)
@@ -458,6 +443,6 @@ def reduced_from_slices(m: Matroid) -> HomogPoly:
     n, r = m.n, m.rank
     terms: dict[TermKey, object] = {}
     for s in m.independent_masks:
-        k = popcount(s)
+        k = s.bit_count()
         terms[(r - k, s)] = factorial(n - k) // factorial(r - k)
     return HomogPoly(range(0, n + 1), r, terms)

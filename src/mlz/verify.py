@@ -22,11 +22,12 @@ pair compares s H_ij with 2 g_i g_j, whose denominator D is shared, and
 level k compares S_(k-1) S_(k+1) C(n, k)^2 with S_k^2 C(n, k-1) C(n, k+1).
 A `Fraction` is built only for what is printed: a survey equality entry,
 and the sides of the one report of `mason_basis_check` or
-`mason_indep_check`.  f_M is kept on its matroid, so the theorem suite
-and the count rows of one matroid compile its plan once; the
-independent-set polynomial and its reduced form are built per suite and
-dropped with it.  The Hodge pair rows decide proportionality on the Gram
-matrix of the first partials that the polynomial keeps
+`mason_indep_check`.  f_M and the matroid's seed key are kept on the
+matroid (`matroids.kept`, in its `_cache` beside its tables), so the
+theorem suite and the count rows of one matroid compile f_M's plan once;
+the independent-set polynomial and its reduced form are built per suite
+and dropped with it.  The Hodge pair rows decide proportionality on the
+Gram matrix of the first partials that the polynomial keeps
 (`HomogPoly.gram`), by Cauchy-Schwarz equality.
 
 A morphism's rows split in two.  Every row but the two seeded points of
@@ -62,7 +63,7 @@ from . import matroids as mt
 from . import morphisms as mo
 from .lefschetz import hessian_inertia, lorentzian_witness, point_verdicts
 from .linalg import clear_denominators
-from .matroids import Matroid, elems_of, popcount
+from .matroids import Matroid, elems_of, kept, submasks
 from .polynomials import (
     HomogPoly,
     basis_poly,
@@ -84,21 +85,19 @@ SEEDED_MASON_POINTS = 5
 # -- facts kept on the matroid ----------------------------------------------
 
 
+@kept
 def _fm(m: Matroid) -> HomogPoly:
     """f_M, kept on the matroid with the plan and rank it computes."""
-    return m._cached("basis_poly", lambda: basis_poly(m))
+    return basis_poly(m)
 
 
+@kept
 def _matroid_key(m: Matroid) -> int:
     """Stable small integer derived from the basis family (order-free)."""
-
-    def key() -> int:
-        acc = 0
-        for b in sorted(m.bases):
-            acc = (acc * 1000003 + b + 1) & ((1 << 64) - 1)
-        return acc
-
-    return m._cached("key", key)
+    acc = 0
+    for b in sorted(m.bases):
+        acc = (acc * 1000003 + b + 1) & ((1 << 64) - 1)
+    return acc
 
 
 # -- second-order jets ------------------------------------------------------------
@@ -257,7 +256,7 @@ def _level_sums(masks: Sequence[int], a: Sequence[int], r: int) -> list[int]:
         if s:
             low = s & -s
             prods[s] = prods[s ^ low] * a[low.bit_length() - 1]
-        sums[popcount(s)] += prods[s]
+        sums[s.bit_count()] += prods[s]
     return sums
 
 
@@ -520,7 +519,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
         partial(f, e).is_zero and partial(p, e).is_zero
         for e in elems_of(m.loops)
     )
-    report.check("loop-partials-vanish", loop_ok, f"loops={popcount(m.loops)}")
+    report.check("loop-partials-vanish", loop_ok, f"loops={m.loops.bit_count()}")
 
     contract_f_ok = True
     contract_p_ok = True
@@ -723,13 +722,7 @@ def _shared_rows(family: mo.BasisFamily, m: Matroid, loops_mask: int) -> _Shared
     # J inside the loop preimage stays a basis exactly when J is independent
     ext_ok = True
     bottom = by_size.get(r_prime, frozenset())
-    loop_subsets = []
-    sub = loops_mask
-    while True:
-        loop_subsets.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & loops_mask
+    loop_subsets = list(submasks(loops_mask))
     indep = m.independent_masks
     all_b = {s for bucket in by_size.values() for s in bucket}
     for i_mask in bottom:

@@ -662,12 +662,21 @@ def mason_basis_report(m, i: int, j: int, point=None):
     )
 
 
+def f_slice(m, k: int):
+    """Degree-k layer: sum of x_I over independent k-sets (f_0 = 1)."""
+    from mlz.polynomials import HomogPoly
+
+    if not 0 <= k <= m.rank:
+        raise ValueError(f"slice index {k} out of range 0..{m.rank}")
+    terms = {(0, s): 1 for s in m.independent_masks if popcount(s) == k}
+    return HomogPoly(range(1, m.n + 1), k, terms)
+
+
 def mason_indep_report(m, k: int, point=None):
     """The level-k independent-count report from the slices f_(k-1), f_k
     and f_(k+1), each its own polynomial evaluated at the point."""
     from math import comb
 
-    from mlz.polynomials import f_slice
     from mlz.verify import MasonIndepReport
 
     n, r = m.n, m.rank

@@ -389,14 +389,17 @@ def test_subset_tables_refuse_large_ground_sets():
     from mlz.morphisms import _image_table
 
     big = validate_bases(40, [[1]])
-    for table in ("rank_table", "closure_table", "circuits", "flats"):
+    tables = ("independent_masks", "rank_table", "closure_table", "circuits", "flats")
+    for table in tables:
         with pytest.raises(MatroidError, match="2\\^40 subsets"):
             getattr(big, table)
+        # a build that raises keeps nothing, so the next read raises again
+        assert table not in big._cache
     with pytest.raises(MatroidError):
         big.girth
     with pytest.raises(MatroidError):
         _image_table(big, [1] * 40)
-    assert big._cache.keys().isdisjoint({"rank_table", "closure_table", "circuits"})
+    assert big._cache.keys().isdisjoint(tables)
     # the largest admitted ground set still passes the guard
     mt.check_table_size(mt.TABLE_MAX_GROUND)
     with pytest.raises(MatroidError):

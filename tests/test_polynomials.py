@@ -20,7 +20,6 @@ from mlz.polynomials import (
     basis_poly,
     evaluate,
     expand_class_sums,
-    f_slice,
     gradient_matrix,
     hessian_matrix,
     indep_poly,
@@ -38,6 +37,7 @@ from mlz.sampling import derive, seeded_point
 
 from _oracles import (
     berkowitz_inertia,
+    f_slice,
     fraction_point,
     partial_gradient_matrix,
     second_partials_hessian,
