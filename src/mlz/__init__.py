@@ -19,7 +19,6 @@ from .linalg import Inertia, char_poly, inertia, matrix_rank
 from .matroids import (
     EmptyBasesError,
     ExchangeViolationError,
-    IndepProfile,
     Matroid,
     MatroidError,
     NotAFlatError,
@@ -30,7 +29,6 @@ from .matroids import (
     delete,
     direct_sum,
     elems_of,
-    enumerate_matroids,
     from_json_dict,
     graphic,
     mask_of,

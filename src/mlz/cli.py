@@ -133,7 +133,7 @@ def _cmd_matroid_info(args) -> int:
             "loops": list(mt.elems_of(m.loops)),
             "parallel_classes": [list(mt.elems_of(c)) for c in pd.classes],
             "girth": "inf" if girth == float("inf") else girth,
-            "indep_counts": list(m.indep_profile.counts),
+            "indep_counts": list(m.indep_counts),
             "flats": [list(mt.elems_of(f)) for f in m.flats],
         }
         print(json.dumps(out, sort_keys=True))
@@ -142,7 +142,7 @@ def _cmd_matroid_info(args) -> int:
         print(f"simple={str(m.is_simple).lower()} loops={list(mt.elems_of(m.loops))}")
         print(f"parallel classes={[list(mt.elems_of(c)) for c in pd.classes]}")
         print(f"girth={girth}")
-        print(f"independent counts={list(m.indep_profile.counts)}")
+        print(f"independent counts={list(m.indep_counts)}")
     return 0
 
 
@@ -246,7 +246,7 @@ def _cmd_mason(args) -> int:
             f"consistent={str(rep.consistent).lower()}"
             + ("" if rep.applicable else " (loop pair: not applicable)")
         )
-        return 0 if (rep.lhs <= rep.rhs and (not rep.applicable or rep.consistent)) else 1
+        return 0 if rep.holds else 1
     if args.k is None:
         raise UsageError("mason indep needs --k")
     try:
@@ -258,7 +258,7 @@ def _cmd_mason(args) -> int:
         f"predicted_equal={str(rep.predicted_equal).lower()} "
         f"consistent={str(rep.consistent).lower()}"
     )
-    return 0 if (rep.lhs <= rep.rhs and rep.consistent) else 1
+    return 0 if rep.holds else 1
 
 
 def _load_morphism(args) -> mo.MatroidMorphism:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -135,23 +134,13 @@ class ParallelDecomposition:
     classes: tuple[Mask, ...]  # disjoint, non-empty, sorted by least element
 
 
-@dataclass(frozen=True)
-class IndepProfile:
-    """Independent-set counts by size and their normalizations.
-
-    counts[k] is the number of independent k-sets; normalized[k] is
-    counts[k] / C(n, k) as an exact rational.
-    """
-
-    counts: tuple[int, ...]
-    normalized: tuple[Fraction, ...]
-
-
 class Matroid:
     """Immutable matroid given by its basis family.
 
-    Use :func:`validate_bases` (or the named constructors) to build one;
-    the raw constructor trusts its input.
+    `Matroid(n, bases)` runs `check_exchange` on the bases; the named
+    constructors and the minors, whose bases are matroid bases by
+    construction, pass `_trusted=True` to skip it.  :func:`validate_bases`
+    also checks the shape of external input (integers, ranges, repeats).
     """
 
     __slots__ = ("n", "bases", "rank", "_cache")
@@ -351,15 +340,12 @@ class Matroid:
 
     @property
     @kept
-    def indep_profile(self) -> IndepProfile:
+    def indep_counts(self) -> tuple[int, ...]:
+        """Entry k is the number of independent k-sets, for k = 0..rank."""
         counts = [0] * (self.rank + 1)
         for s in self.independent_masks:
             counts[s.bit_count()] += 1
-        normalized = tuple(
-            Fraction(counts[k], math.comb(self.n, k))
-            for k in range(self.rank + 1)
-        )
-        return IndepProfile(tuple(counts), normalized)
+        return tuple(counts)
 
     # -- serialization -----------------------------------------------------
 
@@ -641,8 +627,9 @@ def simplify(m: Matroid) -> tuple[Matroid, tuple[int, ...]]:
 
 @functools.cache
 def catalog(n: int, rank: Optional[int] = None) -> tuple[Matroid, ...]:
-    """Every labeled matroid on {1..n} (of the given rank), in the order of
-    `enumerate_matroids`; memoized, so the suites share one tuple.
+    """Every labeled matroid on {1..n} (of the given rank): rank ascending,
+    then lexicographic by the sorted list of basis masks.  Memoized, so the
+    suites share one tuple; hard-capped at n <= ENUMERATION_MAX_GROUND.
 
     Built by recursion on element n, which is a loop, a coloop or neither.
     The rank-r bases are X | {B + n : B in Y}, with X the bases of the
@@ -682,11 +669,3 @@ def catalog(n: int, rank: Optional[int] = None) -> tuple[Matroid, ...]:
     found.sort(key=sorted)
     return tuple(Matroid(n, bases, _trusted=True) for bases in found)
 
-
-def enumerate_matroids(n: int, rank: Optional[int] = None) -> Iterator[Matroid]:
-    """Every labeled matroid on {1..n}, rank ascending, then lexicographic
-    by the sorted list of basis masks.
-
-    Hard-capped at n <= 6; the matroids are those of `catalog`.
-    """
-    yield from catalog(n, rank)

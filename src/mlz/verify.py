@@ -20,14 +20,22 @@ over the independent sets, as the integer sums S_k with
 f_k(a) = S_k / lam^k.  Every pair and level is decided on integers: the
 pair compares s H_ij with 2 g_i g_j, whose denominator D is shared, and
 level k compares S_(k-1) S_(k+1) C(n, k)^2 with S_k^2 C(n, k-1) C(n, k+1).
-A `Fraction` is built only for what is printed: a survey equality entry,
-and the sides of the one report of `mason_basis_check` or
-`mason_indep_check`.  f_M and the matroid's seed key are kept on the
-matroid (`matroids.kept`, in its `_cache` beside its tables), so the
-theorem suite and the count rows of one matroid compile f_M's plan once;
-the independent-set polynomial and its reduced form are built per suite
-and dropped with it.  The Hodge pair rows decide proportionality on the
-Gram matrix of the first partials that the polynomial keeps
+Both inequalities have one rule, `_holds`: lhs <= rhs, and on an
+applicable row (a pair without a loop; every level) lhs = rhs exactly
+when predicted.  A pair is predicted equal when it is independent in a
+matroid with two parallel classes (`_pair_equality`), a level when
+k + 1 < girth and the weights are all equal, or when k + 1 > n
+(`_level_equality`).  The rule gives the reports' `holds`, which is the
+exit code of `mlz mason`, and all three survey count rows.  A `Fraction`
+is built only for what is printed: a survey equality entry, and the
+sides of the one report of `mason_basis_check` or `mason_indep_check`.
+f_M, the pair table `_pairs`, the matroid's seed key and, for the
+reports, f_M's jet at (1, ..., 1) are kept on the matroid
+(`matroids.kept`, in its `_cache` beside its tables), so the theorem
+suite and the count rows of one matroid compile f_M's plan once; the
+independent-set polynomial and its reduced form are built per suite and
+dropped with it.  The Hodge pair rows decide proportionality on the Gram
+matrix of the first partials that the polynomial keeps
 (`HomogPoly.gram`), by Cauchy-Schwarz equality.
 
 A morphism's rows split in two.  Every row but the two seeded points of
@@ -100,6 +108,26 @@ def _matroid_key(m: Matroid) -> int:
     return acc
 
 
+@kept
+def _ones(m: Matroid) -> _Jet:
+    """f_M's jet at (1, ..., 1), which holds the counts |B|, |B_i| and
+    |B_ij| of every report of `mason_basis_check`."""
+    return _jet(_fm(m), (1,) * m.n)
+
+
+@kept
+def _pairs(m: Matroid) -> tuple[tuple[int, int, bool, bool], ...]:
+    """(x, y, applicable, independent) for each pair of 0-based elements
+    x < y, in lexicographic order: applicable when neither is a loop,
+    independent when the pair has rank 2 (read off `cooccurrence`)."""
+    loops, cooc = m.loops, m.cooccurrence
+    return tuple(
+        (x, y, not (loops >> x & 1 or loops >> y & 1), bool(cooc[x] >> y & 1))
+        for x in range(m.n)
+        for y in range(x + 1, m.n)
+    )
+
+
 # -- second-order jets ------------------------------------------------------------
 
 
@@ -120,7 +148,31 @@ def _jet(p: HomogPoly, point: Sequence) -> _Jet:
     return _Jet(lam, a, h, g, sum(map(mul, a, g)))
 
 
-# -- combinatorial inequality checks ------------------------------------------
+# -- the count inequalities: one prediction each, one rule ----------------------
+
+
+def _pair_equality(m: Matroid, independent: bool) -> bool:
+    """The basis form's prediction: equality exactly at an independent pair
+    of a matroid with two parallel classes.  Such a matroid has rank 2 and
+    f_M = (sum C_1)(sum C_2), so the pair is an equality at every positive
+    point, not only at (1, ..., 1)."""
+    return independent and len(m.parallel_decomposition.classes) == 2
+
+
+def _level_equality(k: int, n: int, girth, equal_weights: bool) -> bool:
+    """The normalized independent form's prediction at level k: equality
+    exactly when k + 1 < girth and the weights are all equal, or when
+    k + 1 > n, where both sides are 0.  Below the girth the normalized
+    slices are the elementary symmetric means of the weights, all equal
+    when the weights are, and Newton's inequality between them is strict
+    unless all weights are equal."""
+    return k + 1 < girth and equal_weights or k + 1 > n
+
+
+def _holds(lhs, rhs, applicable: bool, predicted: bool) -> bool:
+    """The one verdict rule of both count inequalities: lhs <= rhs, and on
+    an applicable row lhs = rhs exactly when predicted."""
+    return lhs <= rhs and (not applicable or (lhs == rhs) == predicted)
 
 
 @dataclass(frozen=True)
@@ -147,6 +199,11 @@ class MasonBasisReport:
     applicable: bool
     point: Optional[tuple]
 
+    @property
+    def holds(self) -> bool:
+        """The report's verdict under `_holds`."""
+        return _holds(self.lhs, self.rhs, self.applicable, self.predicted_equal)
+
 
 @dataclass(frozen=True)
 class MasonIndepReport:
@@ -158,10 +215,10 @@ class MasonIndepReport:
     consistent: bool
     point: Optional[tuple]
 
-
-def _not_parallel(m: Matroid, i: int, j: int) -> bool:
-    """rank({i, j}) == 2 for distinct i and j, without the rank table."""
-    return bool(m.cooccurrence[i - 1] >> (j - 1) & 1)
+    @property
+    def holds(self) -> bool:
+        """The report's verdict under `_holds`; every level is applicable."""
+        return _holds(self.lhs, self.rhs, True, self.predicted_equal)
 
 
 def _weights(m: Matroid, point: Optional[Sequence]) -> Optional[tuple]:
@@ -175,14 +232,6 @@ def _weights(m: Matroid, point: Optional[Sequence]) -> Optional[tuple]:
     return at
 
 
-def _basis_jets(m: Matroid, point: Optional[Sequence]):
-    """(weights, jet at (1, ..., 1), jet at the point) of f_M."""
-    at = _weights(m, point)
-    f = _fm(m)
-    ones = _jet(f, (1,) * m.n)
-    return at, ones, ones if at is None else _jet(f, at)
-
-
 def _pair_sides(jet: _Jet, x: int, y: int) -> tuple[int, int]:
     """The Mason pair (x + 1, y + 1) on integers: s H_xy against
     2 g_x g_y, its lhs and rhs times their shared positive denominator
@@ -194,20 +243,29 @@ def _pair_den(r: int, lam: int) -> int:
     return r * (r - 1) * lam ** (2 * r - 2)
 
 
-def _basis_report(
-    m: Matroid, i: int, j: int, at: Optional[tuple], ones: _Jet, jet: _Jet
+def mason_basis_check(
+    m: Matroid, i: int, j: int, point: Optional[Sequence] = None
 ) -> MasonBasisReport:
-    r = m.rank
+    """The basis-count report of the pair (i, j) at the point, or at
+    (1, ..., 1) when there is none: decided by `_pair_sides`, whose
+    integers, over `_pair_den`, are the printed lhs and rhs.  The counts
+    are read off the jet at (1, ..., 1) that the matroid keeps."""
+    n, r = m.n, m.rank
+    if r < 2:
+        raise mt.MatroidError("basis-count check needs rank >= 2")
+    if i == j:
+        raise ValueError("the two elements must be distinct")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError("element out of range")
+    at = _weights(m, point)
+    ones = _ones(m)
+    jet = ones if at is None else _jet(_fm(m), at)
     x, y = i - 1, j - 1
+    pair = (min(x, y), max(x, y))
+    _, _, applicable, independent = next(t for t in _pairs(m) if t[:2] == pair)
     lhs, rhs = _pair_sides(jet, x, y)
     den = _pair_den(r, jet.lam)
-    loops = m.loops
-    applicable = not (loops >> x & 1 or loops >> y & 1)
-    predicted_equal = (
-        applicable
-        and _not_parallel(m, i, j)
-        and len(m.parallel_decomposition.classes) == 2
-    )
+    predicted_equal = _pair_equality(m, independent)
     equal = lhs == rhs
     return MasonBasisReport(
         i=i,
@@ -224,21 +282,6 @@ def _basis_report(
         applicable=applicable,
         point=at,
     )
-
-
-def mason_basis_check(
-    m: Matroid, i: int, j: int, point: Optional[Sequence] = None
-) -> MasonBasisReport:
-    """The basis-count report of the pair (i, j) at the point, or at
-    (1, ..., 1) when there is none: decided by `_pair_sides`, whose
-    integers, over `_pair_den`, are the printed lhs and rhs."""
-    if m.rank < 2:
-        raise mt.MatroidError("basis-count check needs rank >= 2")
-    if i == j:
-        raise ValueError("the two elements must be distinct")
-    if not (1 <= i <= m.n and 1 <= j <= m.n):
-        raise ValueError("element out of range")
-    return _basis_report(m, i, j, *_basis_jets(m, point))
 
 
 def _level_sums(masks: Sequence[int], a: Sequence[int], r: int) -> list[int]:
@@ -292,14 +335,11 @@ def mason_indep_check(
 ) -> MasonIndepReport:
     """Normalized independent-count log-concavity at level k.
 
-    The level r+1 slice is zero, so its normalized value is 0.  The one
-    level with no subsets at all is k+1 = n+1 (reached only by the free
-    matroid at k = r = n): there the comparison degenerates, and the
-    cross-multiplied form k(n-k)f_k^2 vs (n-k+1)(k+1)f_(k+1)f_(k-1) -- the
-    form the strictness argument actually bounds -- vanishes on both
-    sides, so the report carries lhs = rhs = 0 (an equality, matching the
-    infinite-girth prediction).  The verdict is read off `_level_sides`,
-    the printed sides off `_level_fractions`.
+    The level r+1 slice is zero.  At k+1 = n+1 (the free matroid's top
+    level) the cross-multiplied form k(n-k)f_k^2 vs (n-k+1)(k+1)f_(k+1)f_(k-1)
+    vanishes on both sides, so the report carries lhs = rhs = 0, the
+    equality `_level_equality` predicts there.  The verdict is read off
+    `_level_sides`, the printed sides off `_level_fractions`.
     """
     n = m.n
     if not 1 <= k <= m.rank:
@@ -308,11 +348,7 @@ def mason_indep_check(
     lam, a = clear_denominators(at or (1,) * n)
     sums = _level_sums(sorted(m.independent_masks), a, m.rank)
     lhs, rhs = _level_sides(n, sums, k)
-    # Below the girth the normalized slices are elementary symmetric means
-    # of the weights, and Newton's inequality between them is strict
-    # unless all weights are equal; at k + 1 > n both sides are 0.
-    equal_weights = at is None or len(set(at)) == 1
-    predicted_equal = k + 1 < m.girth and (equal_weights or k + 1 > n)
+    predicted_equal = _level_equality(k, n, m.girth, len(set(a)) == 1)
     lhs_value, rhs_value = _level_fractions(n, lam, sums, k)
     equal = lhs == rhs
     return MasonIndepReport(
@@ -641,12 +677,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
     # Hodge pair determinants (strictness engine behind the inequalities)
     if r >= 2:
         nonloops = [e for e in range(1, n + 1) if not m.loops & (1 << (e - 1))]
-        pairs = [
-            (i, j)
-            for ix, i in enumerate(nonloops)
-            for j in nonloops[ix + 1 :]
-            if _not_parallel(m, i, j)
-        ]
+        pairs = [(x + 1, y + 1) for x, y, _, independent in _pairs(m) if independent]
         if pairs:
             _hodge_pair_rows(
                 report,
@@ -658,9 +689,8 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
         # for the reduced polynomial, pair x0 with every non-loop plus a
         # chain of consecutive non-loop pairs; enough to exercise both the
         # truncation route and the elementwise route without quadratic cost
-        pairs_red = [(0, j) for j in nonloops] + [
-            (i, j) for i, j in zip(nonloops, nonloops[1:]) if _not_parallel(m, i, j)
-        ]
+        chain = set(zip(nonloops, nonloops[1:]))
+        pairs_red = [(0, j) for j in nonloops] + [p for p in pairs if p in chain]
         _hodge_pair_rows(
             report,
             "hodge-pair-det-reduced",
@@ -967,97 +997,69 @@ def _mason_rows(
     equality_star: list[dict],
     equality_star2: list[dict],
 ) -> list[CheckRow]:
-    """Unweighted and weighted count inequalities for one matroid.
+    """The survey's three count rows for one matroid, every pair and level
+    decided by `_holds` on the integers of `_pair_sides` and `_level_sides`.
 
-    f_M's jet is filled once at (1, ..., 1) and once per seeded point, and
-    the level sums take one pass per point; every pair and level is then
-    decided on the integers of `_pair_sides` and `_level_sides`.  A
-    `Fraction` is built only for an equality entry, which prints it.
+    `basis-counts-equality-iff` and `indep-counts-equality-iff` take every
+    pair and every level at (1, ..., 1), where the level sums are the
+    counts the matroid keeps; `weighted-strictness` takes both at each
+    seeded point.  The two-sided rule fits the seeded points too: every
+    predicted equality is one at every positive point (with two parallel
+    classes f_M = (sum C_1)(sum C_2); below the girth at equal weights the
+    normalized slices are all equal), and the rest is strict, as the
+    row's name says.  A `Fraction` is built only for an equality entry.
     """
     n, r = m.n, m.rank
     rng = derive(seed, 0xBA5E5, n, _matroid_key(m))
     f = _fm(m)
     masks = sorted(m.independent_masks)
     girth = m.girth
-    loops, cooc = m.loops, m.cooccurrence
-    classes = len(m.parallel_decomposition.classes)
-    # (x, y, applicable, independent): a pair is applicable when neither
-    # element is a loop, and independent when {x + 1, y + 1} has rank 2
     pairs = [
-        (x, y, not (loops >> x & 1 or loops >> y & 1), bool(cooc[x] >> y & 1))
-        for x in range(n)
-        for y in range(x + 1, n)
+        (x, y, applicable, _pair_equality(m, independent))
+        for x, y, applicable, independent in _pairs(m)
     ]
-    out: list[CheckRow] = []
 
-    ones_bad = 0
-    ones = _jet(f, (1,) * n)
+    def rows_at(a, jet, sums):
+        """(label, lhs, rhs, applicable, holds) for every pair (x, y), then
+        every level k, at the integer point a."""
+        for x, y, applicable, predicted in pairs:
+            lhs, rhs = _pair_sides(jet, x, y)
+            yield (x, y), lhs, rhs, applicable, _holds(lhs, rhs, applicable, predicted)
+        equal_weights = len(set(a)) == 1
+        for k in range(1, r + 1):
+            lhs, rhs = _level_sides(n, sums, k)
+            predicted = _level_equality(k, n, girth, equal_weights)
+            yield k, lhs, rhs, True, _holds(lhs, rhs, True, predicted)
+
+    # f_M's jet at (1, ..., 1) is filled here, not kept as `_ones`: the
+    # catalog outlives the survey, and a jet kept per catalog matroid
+    # raised the peak RSS of survey(5, morphisms=False) by about 1.4 MB
+    sums = [*m.indep_counts, 0]
+    ones = list(rows_at((1,) * n, _jet(f, (1,) * n), sums))
+    basis, levels = ones[: len(pairs)], ones[len(pairs) :]
     den = _pair_den(r, 1)
-    for x, y, applicable, independent in pairs:
-        lhs, rhs = _pair_sides(ones, x, y)
-        equal = lhs == rhs
-        if lhs > rhs or (applicable and equal != (independent and classes == 2)):
-            ones_bad += 1
-        if applicable and equal:
+    for (x, y), lhs, rhs, applicable, _ in basis:
+        if applicable and lhs == rhs:
             value = Fraction(lhs, den)
             equality_star.append(
                 {"scope": scope, "i": x + 1, "j": y + 1, "value": str(value)}
             )
-    out.append(
-        CheckRow(
-            scope,
-            "basis-counts-equality-iff",
-            "pass" if ones_bad == 0 else "fail",
-            f"pairs={len(pairs)}",
-        )
-    )
-
-    indep_bad = 0
-    sums = _level_sums(masks, (1,) * n, r)
-    for k in range(1, r + 1):
-        lhs, rhs = _level_sides(n, sums, k)
-        equal = lhs == rhs
-        if lhs > rhs or equal != (k + 1 < girth):
-            indep_bad += 1
-        if equal:
+    for k, lhs, rhs, _, _ in levels:
+        if lhs == rhs:
             value = _level_fractions(n, 1, sums, k)[0]
             equality_star2.append({"scope": scope, "k": k, "value": str(value)})
-    out.append(
-        CheckRow(
-            scope,
-            "indep-counts-equality-iff",
-            "pass" if indep_bad == 0 else "fail",
-            f"levels={r}",
-        )
-    )
 
-    # at a seeded point no independent pair of a matroid with three or
-    # more parallel classes, and no level at or above the girth, is an
-    # equality
-    weighted_bad = 0
-    strict_pairs = classes >= 3
+    weighted = []
     for _ in range(SEEDED_MASON_POINTS):
         _, a = seeded_point(rng, n)
-        jet = _jet(f, a)
-        for x, y, _, independent in pairs:
-            lhs, rhs = _pair_sides(jet, x, y)
-            if lhs > rhs:
-                weighted_bad += 1
-            if strict_pairs and independent and lhs == rhs:
-                weighted_bad += 1
-        sums = _level_sums(masks, a, r)
-        for k in range(1, r + 1):
-            lhs, rhs = _level_sides(n, sums, k)
-            if lhs > rhs:
-                weighted_bad += 1
-            if k + 1 >= girth and lhs == rhs:
-                weighted_bad += 1
-    out.append(
+        weighted.extend(rows_at(a, _jet(f, a), _level_sums(masks, a, r)))
+    return [
         CheckRow(
-            scope,
-            "weighted-strictness",
-            "pass" if weighted_bad == 0 else "fail",
-            f"rows={SEEDED_MASON_POINTS * (len(pairs) + r)}",
+            scope, name, "pass" if all(row[-1] for row in rows) else "fail", detail
         )
-    )
-    return out
+        for name, rows, detail in (
+            ("basis-counts-equality-iff", basis, f"pairs={len(pairs)}"),
+            ("indep-counts-equality-iff", levels, f"levels={r}"),
+            ("weighted-strictness", weighted, f"rows={len(weighted)}"),
+        )
+    ]

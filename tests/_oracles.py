@@ -705,11 +705,16 @@ def mason_indep_report(m, k: int, point=None):
     )
 
 
+def independent_pair(m, i: int, j: int) -> bool:
+    """rank({i, j}) == 2, read off the matroid's rank table."""
+    return m.rank_of((1 << (i - 1)) | (1 << (j - 1))) == 2
+
+
 def jet_basis_rows(m, point=None):
     """The basis-count report of every pair i < j with lhs and rhs built as
     `Fraction`s off f_M's jets at (1, ..., 1) and at the point (a rational
     point, or None for (1, ..., 1))."""
-    from mlz.verify import MasonBasisReport, _fm, _jet, _not_parallel
+    from mlz.verify import MasonBasisReport, _fm, _jet
 
     n, r = m.n, m.rank
     at = None if point is None else tuple(point)
@@ -724,7 +729,9 @@ def jet_basis_rows(m, point=None):
             lhs = Fraction(jet.s * jet.h[x][y], den)
             rhs = Fraction(2 * jet.g[x] * jet.g[y], den)
             applicable = not (m.loops >> x & 1 or m.loops >> y & 1)
-            predicted_equal = applicable and _not_parallel(m, i, j) and classes == 2
+            predicted_equal = (
+                applicable and independent_pair(m, i, j) and classes == 2
+            )
             rows.append(
                 MasonBasisReport(
                     i=i,
@@ -793,7 +800,7 @@ def jet_mason_rows(m, scope: str, seed: int, equality_star: list, equality_star2
     """`verify._mason_rows` from the reports of `jet_basis_rows` and
     `jet_indep_rows`, at seeded points drawn by `fraction_point`."""
     from mlz.sampling import derive
-    from mlz.verify import SEEDED_MASON_POINTS, CheckRow, _matroid_key, _not_parallel
+    from mlz.verify import SEEDED_MASON_POINTS, CheckRow, _matroid_key
 
     n = m.n
     rng = derive(seed, 0xBA5E5, n, _matroid_key(m))
@@ -833,7 +840,7 @@ def jet_mason_rows(m, scope: str, seed: int, equality_star: list, equality_star2
             if (
                 rep.applicable
                 and at_least_three
-                and _not_parallel(m, rep.i, rep.j)
+                and independent_pair(m, rep.i, rep.j)
                 and rep.equal
             ):
                 weighted_bad += 1

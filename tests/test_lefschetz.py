@@ -341,6 +341,32 @@ def test_lorentzian_decide_rejects_negative_controls():
     assert rep.failures == [WitnessFailure((1, 0, 0, 0), None, 2)]
 
 
+def test_lorentzian_decide_matches_exchange_on_every_family():
+    # the sum of x_B over a family of r-subsets is Lorentzian exactly when
+    # the family is a matroid's bases: every non-empty family of 2-subsets
+    # of 4 and 5 elements and of 3-subsets of 5 elements
+    from itertools import combinations
+
+    from _oracles import exchange_violations
+
+    families = rejected = 0
+    for n, r in ((4, 2), (5, 2), (5, 3)):
+        subsets = [sum(1 << e for e in c) for c in combinations(range(n), r)]
+        accepted = set()
+        for pick in range(1, 1 << len(subsets)):
+            bases = frozenset(s for ix, s in enumerate(subsets) if pick >> ix & 1)
+            p = HomogPoly(range(1, n + 1), r, {(0, b): 1 for b in bases})
+            exchange = next(exchange_violations(bases), None) is None
+            assert lorentzian_decide(p) == exchange, (n, sorted(bases))
+            families += 1
+            if exchange:
+                accepted.add(bases)
+            else:
+                rejected += 1
+        assert accepted == {m.bases for m in catalog(n, r)}
+    assert (families, rejected) == (2109, 1731)
+
+
 def test_lorentzian_decide_needs_degree_2():
     with pytest.raises(ValueError):
         lorentzian_decide(basis_poly(uniform(1, 2)))

@@ -1,5 +1,7 @@
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from _oracles import (
@@ -33,6 +35,8 @@ from mlz.verify import (
     _fmt_point,
     _hodge_pair_rows,
     _mason_rows,
+    _matroid_key,
+    _pairs,
     _shared_rows,
     mason_basis_check,
     mason_indep_check,
@@ -133,6 +137,64 @@ def test_mason_indep_range_checked():
         mason_indep_check(uniform(2, 3), 0)
     with pytest.raises(ValueError):
         mason_indep_check(uniform(2, 3), 3)
+
+
+# -- one rule for both count inequalities ----------------------------------------------
+
+
+def test_holds_is_the_one_rule():
+    # lhs <= rhs, and on an applicable row lhs = rhs exactly when predicted
+    rep = mason_basis_check(TWO_CLASS, 1, 3)
+    assert rep.holds and not replace(rep, predicted_equal=False).holds
+    rep = mason_basis_check(TWO_CLASS, 1, 2)
+    assert rep.holds and not replace(rep, predicted_equal=True).holds
+    # a loop pair is inapplicable: only lhs <= rhs is asked of it
+    rep = mason_basis_check(direct_sum(uniform(0, 1), uniform(2, 3)), 1, 2)
+    assert rep.holds and replace(rep, predicted_equal=True).holds
+    rep = mason_indep_check(uniform(3, 4), 2)
+    assert rep.holds and not replace(rep, predicted_equal=False).holds
+    assert not mason_basis_check(NOT_A_MATROID, 1, 2).holds
+
+
+def test_pair_table_matches_rank_of():
+    for m in SMALL_CATALOG:
+        want = tuple(
+            (
+                x,
+                y,
+                m.rank_of(1 << x) == m.rank_of(1 << y) == 1,
+                m.rank_of(1 << x | 1 << y) == 2,
+            )
+            for x, y in combinations(range(m.n), 2)
+        )
+        assert _pairs(m) == want, m
+
+
+def test_count_rule_holds_at_seeded_points_for_every_pair_and_level():
+    # the reports' verdict at two seeded points and one point of equal
+    # weights per matroid, over every pair and every level; the predicted
+    # equalities away from (1, ..., 1) are the independent pairs of the
+    # two-class matroids, the levels below the girth at equal weights and
+    # the free matroids' top levels, where both sides are 0
+    rows = pair_equalities = level_equalities = 0
+    for m in SMALL_CATALOG:
+        n = m.n
+        rng = derive(23, n, _matroid_key(m))
+        equal = (Fraction(3, 2),) * n
+        for a in (fraction_point(rng, n), fraction_point(rng, n), equal):
+            reports = [mason_indep_check(m, k, a) for k in range(1, m.rank + 1)]
+            level_equalities += sum(rep.predicted_equal for rep in reports)
+            if m.rank >= 2:
+                pairs = [
+                    mason_basis_check(m, i, j, a)
+                    for i, j in combinations(range(1, n + 1), 2)
+                ]
+                pair_equalities += sum(rep.predicted_equal for rep in pairs)
+                reports += pairs
+            for rep in reports:
+                assert rep.holds, (m, a, rep)
+                rows += 1
+    assert (rows, pair_equalities, level_equalities) == (15774, 3 * 334, 89)
 
 
 # -- jets against one polynomial per quantity ----------------------------------------
@@ -536,6 +598,19 @@ def test_survey_looks_up_each_morphism_once(monkeypatch):
     rep = survey(3, seed=1)
     assert rep.morphism_count > 0
     assert len(calls) == rep.morphism_count
+
+
+def test_survey_calls_theorem_suite_through_the_module_once_per_matroid(monkeypatch):
+    # the benchmark times each matroid by wrapping `verify.theorem_suite`
+    import mlz.verify as verify
+
+    suite, seen = verify.theorem_suite, []
+    monkeypatch.setattr(
+        verify, "theorem_suite", lambda m, seed: seen.append(m) or suite(m, seed)
+    )
+    report = verify.survey(3, seed=1, morphisms=False)
+    assert seen == [m for n in range(1, 4) for m in catalog(n)]
+    assert report.matroid_count == len(seen)
 
 
 def test_survey_bounds():
