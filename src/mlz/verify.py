@@ -29,10 +29,10 @@ k + 1 < girth and the weights are all equal, or when k + 1 > n
 exit code of `mlz mason`, and all three survey count rows.  A `Fraction`
 is built only for what is printed: a survey equality entry, and the
 sides of the one report of `mason_basis_check` or `mason_indep_check`.
-f_M, the pair table `_pairs`, the matroid's seed key and, for the
-reports, f_M's jet at (1, ..., 1) are kept on the matroid
-(`matroids.kept`, in its `_cache` beside its tables), so the theorem
-suite and the count rows of one matroid compile f_M's plan once; the
+f_M, the pair table `_pairs` and the matroid's seed key are kept on the
+matroid (`matroids.kept`, in its `_cache` beside its tables), so the
+theorem suite and the count rows of one matroid compile f_M's plan once.
+No jet is kept, since catalog matroids outlive the survey.  The
 independent-set polynomial and its reduced form are built per suite and
 dropped with it.  The Hodge pair rows decide proportionality on the Gram
 matrix of the first partials that the polynomial keeps
@@ -108,24 +108,19 @@ def _matroid_key(m: Matroid) -> int:
     return acc
 
 
-@kept
-def _ones(m: Matroid) -> _Jet:
-    """f_M's jet at (1, ..., 1), which holds the counts |B|, |B_i| and
-    |B_ij| of every report of `mason_basis_check`."""
-    return _jet(_fm(m), (1,) * m.n)
+def _pair_row(m: Matroid, x: int, y: int) -> tuple[int, int, bool, bool]:
+    """(x, y, applicable, independent) for distinct 0-based elements:
+    applicable when neither is a loop, independent when the pair has
+    rank 2 (read off `cooccurrence`)."""
+    loops = m.loops
+    applicable = not (loops >> x & 1 or loops >> y & 1)
+    return x, y, applicable, bool(m.cooccurrence[x] >> y & 1)
 
 
 @kept
 def _pairs(m: Matroid) -> tuple[tuple[int, int, bool, bool], ...]:
-    """(x, y, applicable, independent) for each pair of 0-based elements
-    x < y, in lexicographic order: applicable when neither is a loop,
-    independent when the pair has rank 2 (read off `cooccurrence`)."""
-    loops, cooc = m.loops, m.cooccurrence
-    return tuple(
-        (x, y, not (loops >> x & 1 or loops >> y & 1), bool(cooc[x] >> y & 1))
-        for x in range(m.n)
-        for y in range(x + 1, m.n)
-    )
+    """`_pair_row` for each pair x < y, in lexicographic order."""
+    return tuple(_pair_row(m, x, y) for x in range(m.n) for y in range(x + 1, m.n))
 
 
 # -- second-order jets ------------------------------------------------------------
@@ -249,7 +244,7 @@ def mason_basis_check(
     """The basis-count report of the pair (i, j) at the point, or at
     (1, ..., 1) when there is none: decided by `_pair_sides`, whose
     integers, over `_pair_den`, are the printed lhs and rhs.  The counts
-    are read off the jet at (1, ..., 1) that the matroid keeps."""
+    are read off the jet at (1, ..., 1)."""
     n, r = m.n, m.rank
     if r < 2:
         raise mt.MatroidError("basis-count check needs rank >= 2")
@@ -258,11 +253,10 @@ def mason_basis_check(
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("element out of range")
     at = _weights(m, point)
-    ones = _ones(m)
+    ones = _jet(_fm(m), (1,) * n)
     jet = ones if at is None else _jet(_fm(m), at)
     x, y = i - 1, j - 1
-    pair = (min(x, y), max(x, y))
-    _, _, applicable, independent = next(t for t in _pairs(m) if t[:2] == pair)
+    _, _, applicable, independent = _pair_row(m, x, y)
     lhs, rhs = _pair_sides(jet, x, y)
     den = _pair_den(r, jet.lam)
     predicted_equal = _pair_equality(m, independent)
@@ -689,8 +683,11 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
         # for the reduced polynomial, pair x0 with every non-loop plus a
         # chain of consecutive non-loop pairs; enough to exercise both the
         # truncation route and the elementwise route without quadratic cost
-        chain = set(zip(nonloops, nonloops[1:]))
-        pairs_red = [(0, j) for j in nonloops] + [p for p in pairs if p in chain]
+        pairs_red = [(0, j) for j in nonloops] + [
+            (i, j)
+            for i, j in zip(nonloops, nonloops[1:])
+            if _pair_row(m, i - 1, j - 1)[3]
+        ]
         _hodge_pair_rows(
             report,
             "hodge-pair-det-reduced",
@@ -1031,9 +1028,6 @@ def _mason_rows(
             predicted = _level_equality(k, n, girth, equal_weights)
             yield k, lhs, rhs, True, _holds(lhs, rhs, True, predicted)
 
-    # f_M's jet at (1, ..., 1) is filled here, not kept as `_ones`: the
-    # catalog outlives the survey, and a jet kept per catalog matroid
-    # raised the peak RSS of survey(5, morphisms=False) by about 1.4 MB
     sums = [*m.indep_counts, 0]
     ones = list(rows_at((1,) * n, _jet(f, (1,) * n), sums))
     basis, levels = ones[: len(pairs)], ones[len(pairs) :]
@@ -1049,10 +1043,11 @@ def _mason_rows(
             value = _level_fractions(n, 1, sums, k)[0]
             equality_star2.append({"scope": scope, "k": k, "value": str(value)})
 
-    weighted = []
-    for _ in range(SEEDED_MASON_POINTS):
-        _, a = seeded_point(rng, n)
-        weighted.extend(rows_at(a, _jet(f, a), _level_sums(masks, a, r)))
+    def weighted():
+        for _ in range(SEEDED_MASON_POINTS):
+            _, a = seeded_point(rng, n)
+            yield from rows_at(a, _jet(f, a), _level_sums(masks, a, r))
+
     return [
         CheckRow(
             scope, name, "pass" if all(row[-1] for row in rows) else "fail", detail
@@ -1060,6 +1055,10 @@ def _mason_rows(
         for name, rows, detail in (
             ("basis-counts-equality-iff", basis, f"pairs={len(pairs)}"),
             ("indep-counts-equality-iff", levels, f"levels={r}"),
-            ("weighted-strictness", weighted, f"rows={len(weighted)}"),
+            (
+                "weighted-strictness",
+                weighted(),
+                f"rows={SEEDED_MASON_POINTS * (len(pairs) + r)}",
+            ),
         )
     ]

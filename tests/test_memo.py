@@ -8,7 +8,7 @@ from pathlib import Path
 from mlz.matroids import Matroid, uniform, validate_bases
 from mlz.morphisms import BasisFamily, morphism_bases, validate_morphism
 from mlz.polynomials import HomogPoly, basis_poly
-from mlz.verify import _fm, _matroid_key, _ones, _pairs
+from mlz.verify import _fm, _matroid_key, _pairs
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mlz"
 
@@ -64,7 +64,6 @@ def test_matroid_facts_are_built_once_and_kept_under_their_names():
         _assert_kept(m, name, lambda: getattr(m, name))
     _assert_kept(m, "_fm", lambda: _fm(m))
     _assert_kept(m, "_matroid_key", lambda: _matroid_key(m))
-    _assert_kept(m, "_ones", lambda: _ones(m))
     _assert_kept(m, "_pairs", lambda: _pairs(m))
 
 
