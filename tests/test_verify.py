@@ -36,6 +36,7 @@ from mlz.verify import (
     _hodge_pair_rows,
     _mason_rows,
     _matroid_key,
+    _pair_row,
     _pairs,
     _shared_rows,
     mason_basis_check,
@@ -168,6 +169,9 @@ def test_pair_table_matches_rank_of():
             for x, y in combinations(range(m.n), 2)
         )
         assert _pairs(m) == want, m
+        # mason_basis_check reads a single row with the pair in either order
+        for x, y, applicable, independent in want:
+            assert _pair_row(m, y, x) == (y, x, applicable, independent), m
 
 
 def test_count_rule_holds_at_seeded_points_for_every_pair_and_level():
