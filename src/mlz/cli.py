@@ -99,14 +99,7 @@ def _load_matroid(args) -> mt.Matroid:
         raise UsageError(f"invalid matroid: {exc}") from exc
 
 
-def _pick_poly(m: mt.Matroid, kind: str):
-    if kind == "basis":
-        return basis_poly(m)
-    if kind == "indep":
-        return indep_poly(m)
-    if kind == "reduced":
-        return reduced_indep_poly(m)
-    raise UsageError(f"unknown polynomial kind {kind!r}")
+_POLYS = {"basis": basis_poly, "indep": indep_poly, "reduced": reduced_indep_poly}
 
 
 def _point_for(args, p) -> tuple[Fraction, ...]:
@@ -148,7 +141,7 @@ def _cmd_matroid_info(args) -> int:
 
 def _cmd_poly(args) -> int:
     m = _load_matroid(args)
-    p = _pick_poly(m, args.kind)
+    p = _POLYS[args.kind](m)
     if args.format == "json":
         print(json.dumps(poly_json(p), sort_keys=True))
     else:
@@ -158,7 +151,7 @@ def _cmd_poly(args) -> int:
 
 def _cmd_hessian(args) -> int:
     m = _load_matroid(args)
-    p = _pick_poly(m, args.kind)
+    p = _POLYS[args.kind](m)
     if p.degree < 2:
         raise UsageError(f"the {args.kind} polynomial has degree {p.degree} < 2")
     point = _point_for(args, p)
@@ -183,7 +176,7 @@ def _cmd_hessian(args) -> int:
 
 def _cmd_check(args) -> int:
     m = _load_matroid(args)
-    p = _pick_poly(m, args.kind)
+    p = _POLYS[args.kind](m)
     if p.degree < 2:
         raise UsageError(f"the {args.kind} polynomial has degree {p.degree} < 2")
     if args.what == "lorentz-exact":
@@ -230,8 +223,6 @@ def _cmd_mason(args) -> int:
     m = _load_matroid(args)
     point = _parse_point(args.at) if args.at is not None else None
     if args.what == "basis":
-        if args.i is None or args.j is None:
-            raise UsageError("mason basis needs --i and --j")
         try:
             rep = verify.mason_basis_check(m, args.i, args.j, point)
         except (ValueError, mt.MatroidError) as exc:
@@ -247,8 +238,6 @@ def _cmd_mason(args) -> int:
             + ("" if rep.applicable else " (loop pair: not applicable)")
         )
         return 0 if rep.holds else 1
-    if args.k is None:
-        raise UsageError("mason indep needs --k")
     try:
         rep = verify.mason_indep_check(m, args.k, point)
     except ValueError as exc:
@@ -335,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("poly", help="print a generating polynomial")
     add_matroid_source(sp)
-    sp.add_argument("--kind", choices=("basis", "indep", "reduced"), default="basis")
+    sp.add_argument("--kind", choices=tuple(_POLYS), default="basis")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=_cmd_poly)
 
     sp = sub.add_parser("hessian", help="exact Hessian and its inertia at a point")
     add_matroid_source(sp)
-    sp.add_argument("--kind", choices=("basis", "indep", "reduced"), default="basis")
+    sp.add_argument("--kind", choices=tuple(_POLYS), default="basis")
     sp.add_argument("--at", help="comma-separated rationals (p/q or integers)")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=_cmd_hessian)
@@ -354,11 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     for what in ("slp1", "hrr1", "lorentz-witness", "lorentz-exact"):
         vp = variants.add_parser(what)
         add_matroid_source(vp)
-        vp.add_argument(
-            "--kind", choices=("basis", "indep", "reduced"), default="basis"
-        )
+        vp.add_argument("--kind", choices=tuple(_POLYS), default="basis")
         vp.add_argument("--at", help="evaluation point (comma-separated rationals)")
-        vp.add_argument("--seed", type=int, default=1, help="seed for sampled points")
+        if what == "lorentz-witness":
+            vp.add_argument(
+                "--seed", type=int, default=1, help="seed for sampled points"
+            )
         vp.set_defaults(func=_cmd_check)
 
     sp = sub.add_parser("mason", help="count log-concavity checks")
@@ -366,9 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     for what in ("basis", "indep"):
         vp = variants.add_parser(what)
         add_matroid_source(vp)
-        vp.add_argument("--i", type=int, help="first element (basis variant)")
-        vp.add_argument("--j", type=int, help="second element (basis variant)")
-        vp.add_argument("--k", type=int, help="level (indep variant)")
+        if what == "basis":
+            vp.add_argument("--i", type=int, required=True, help="first element")
+            vp.add_argument("--j", type=int, required=True, help="second element")
+        else:
+            vp.add_argument("--k", type=int, required=True, help="level")
         vp.add_argument("--at", help="positive weights (comma-separated rationals)")
         vp.set_defaults(func=_cmd_mason)
 

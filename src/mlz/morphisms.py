@@ -17,15 +17,18 @@ element; loop-preimage part uniform and spanning complement), each with an
 explicit annihilating linear form that is verified exactly on
 construction.
 
-Many maps share one basis family.  Whatever depends on the bases alone
-(polynomials, level exchange checks, fixed-point verdicts, count profile,
-the degeneracy verdict with its checked annihilator) lives on a
-BasisFamily, memoized by `basis_family` under the hashable MorphismBases
-value.  A family computes each fact on first use and keeps it in its
-`_cache` (`matroids.kept`, as a matroid keeps its tables); the reduced
-polynomial keeps its own gradient rank and Hessian plan the same way, so
-they are shared with it.  The source's bases and the loop preimage are
-read off the levels, so the degeneracy verdict needs no map.
+Many maps share one basis family.  Its key, the hashable MorphismBases
+value, holds the source, the target rank, the loop preimage and the
+levels, and `basis_family` memoizes one BasisFamily under it.  Whatever
+depends on the key alone (polynomials, level exchange checks, count
+profile, the degeneracy verdict with its checked annihilator, and the
+morphism suite's map-free rows, `verify._shared_rows`) is a fact of the
+family: computed on first use and kept in its `_cache` (`matroids.kept`,
+as a matroid keeps its tables).  The reduced polynomial keeps its own
+gradient rank and Hessian plan the same way, so they are shared with it.
+The suite's level and extension rows check the levels against the key's
+source and loop preimage, so neither is derived from the levels; only the
+degeneracy verdict reads them off the levels.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .lefschetz import PointVerdicts, point_verdicts
 from .matroids import (
     Mask,
     Matroid,
@@ -174,16 +176,26 @@ def validate_morphism(m: Matroid, n: Matroid, phi: Sequence[int]) -> MatroidMorp
 
 @dataclass(frozen=True)
 class MorphismBases:
-    """Bases of a morphism, bucketed by size (r' .. r).
+    """Bases of a morphism, bucketed by size (r' .. r), with the source and
+    the loop preimage of the map they were read from.
 
     Hashable by value, so it keys the basis-family memo: morphisms with
-    equal n, r, r' and equal buckets share one BasisFamily.
+    equal sources, target ranks, loop preimages and buckets share one
+    BasisFamily.
     """
 
-    n: int
-    r: int
+    source: Matroid
     r_prime: int
+    loops: Mask  # source elements whose image is a loop of the target
     levels: tuple[tuple[int, frozenset[Mask]], ...]  # (size, bases), by size
+
+    @property
+    def n(self) -> int:
+        return self.source.n
+
+    @property
+    def r(self) -> int:
+        return self.source.rank
 
     @property
     def by_size(self) -> dict[int, frozenset[Mask]]:
@@ -194,7 +206,7 @@ def morphism_bases(phi: MatroidMorphism) -> MorphismBases:
     """Independent sets of the source whose image spans the target.
 
     Not cached: each caller looks a map up once and keeps its family
-    (`basis_family`), which shares everything that depends on the bases."""
+    (`basis_family`), which shares everything that depends on the key."""
     rank_n = phi.target.rank_table
     r_prime = phi.r_prime
     by_size: dict[int, set[Mask]] = {}
@@ -203,7 +215,7 @@ def morphism_bases(phi: MatroidMorphism) -> MorphismBases:
         if rank_n[img[s]] == r_prime:
             by_size.setdefault(s.bit_count(), set()).add(s)
     levels = tuple((k, frozenset(v)) for k, v in sorted(by_size.items()))
-    return MorphismBases(phi.source.n, phi.r, r_prime, levels)
+    return MorphismBases(phi.source, r_prime, phi.phi_loops, levels)
 
 
 @dataclass(frozen=True)
@@ -230,17 +242,14 @@ class DegeneracyVerdict:
 class BasisFamily:
     """The facts about a morphism that depend only on its MorphismBases.
 
-    `basis_family` hands out one instance per distinct family, and each
-    fact is computed on first use and kept in `_cache`.  Nothing here
-    reads a map or a target, so every morphism with these bases may share
-    it.  `suite_rows` keeps the morphism suite's rows that do not depend
-    on the map, keyed by what they read beyond the bases
-    (`verify._shared_rows`).
+    `basis_family` hands out one instance per distinct key, and each fact
+    is computed on first use and kept in `_cache`.  Nothing here reads a
+    map or a target beyond the key, so every morphism with this key may
+    share it.
     """
 
     def __init__(self, bases: MorphismBases):
         self.bases = bases
-        self.suite_rows: dict = {}
         self._cache: dict = {}
 
     @property
@@ -266,24 +275,6 @@ class BasisFamily:
             except MatroidError:
                 return False
         return True
-
-    def verdicts_at(self, point: Sequence) -> PointVerdicts:
-        """slp1/hrr1 verdicts of the reduced polynomial (degree >= 2) at the
-        point; every map of the family fills the reduced polynomial's one
-        plan at its own seeded points."""
-        return point_verdicts(self.polys[1], point)
-
-    @property
-    @kept
-    def fixed_point_verdicts(self) -> tuple[tuple[tuple, PointVerdicts], ...]:
-        """(point, verdicts) of the reduced polynomial at (1,...,1) and
-        (0,1,...,1); empty when its degree is below 2."""
-        if self.polys[1].degree < 2:
-            return ()
-        n = self.bases.n
-        return tuple(
-            (a, self.verdicts_at(a)) for a in ((1,) + (1,) * n, (0,) + (1,) * n)
-        )
 
     @property
     @kept
@@ -311,7 +302,10 @@ class BasisFamily:
         (see `degeneracy_class`); its annihilator is checked here, once.
 
         The source's bases are the top level, and the loop preimage is the
-        ground set minus the union of the bottom-level bases.
+        ground set minus the union of the bottom-level bases.  Both are
+        read off the levels, not the key's `source` and `loops`: a key that
+        disagrees with its levels then fails the suite's level or extension
+        row, not this annihilator check.
         """
         n, r, r_prime = self.bases.n, self.bases.r, self.bases.r_prime
         levels = self.bases.by_size

@@ -39,13 +39,13 @@ matrix of the first partials that the polynomial keeps
 (`HomogPoly.gram`), by Cauchy-Schwarz equality.
 
 A morphism's rows split in two.  Every row but the two seeded points of
-`reduced-point-verdicts` reads only the map's basis family, its source
-and its loop preimage; those rows are built once per such key and kept
-on the family.  Per map, `morphism_suite` derives the map's stream,
-draws its two seeded points, stamps its scope on the shared rows and
-checks the points: `sampling.seeded_point` gives the text the row prints
-and the integers at which the reduced polynomial's plan fills the upper
-triangle that `point_verdicts` reads.
+`reduced-point-verdicts` reads only the map's basis family, whose key
+holds the source and the loop preimage; those rows are a fact kept on
+the family (`_shared_rows`).  Per map, `morphism_suite` derives the
+map's stream, draws its two seeded points, stamps its scope on the
+shared rows and checks the points: `sampling.seeded_point` gives the
+text the row prints and the integers at which the reduced polynomial's
+plan fills the upper triangle that `point_verdicts` reads.
 
 All decisions are exact rational comparisons; there is no tolerance
 anywhere.  Suites emit CheckRow records (pass / fail / skip / recorded);
@@ -70,7 +70,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import matroids as mt
 from . import morphisms as mo
 from .lefschetz import hessian_inertia, lorentzian_witness, point_verdicts
-from .linalg import clear_denominators
+from .linalg import Inertia, clear_denominators
 from .matroids import Matroid, elems_of, kept, submasks
 from .polynomials import (
     HomogPoly,
@@ -410,19 +410,19 @@ def _kernel_vector_annihilates(p: HomogPoly) -> bool:
 def _signature_row(
     report: SuiteReport,
     name: str,
-    p: HomogPoly,
-    points: Sequence[tuple[str, tuple[int, ...]]],
+    inertias: Sequence[tuple[str, Optional[Inertia]]],
     expect: tuple[int, int, int],
 ):
-    """Hessian inertia of p against `expect` at each (text, ints) point; a
-    failure names its first bad point by its text and inertia."""
+    """Each point's Hessian inertia, given with the point's text, against
+    `expect`; an inertia of None (the value there is not positive) fails
+    the row.  A failure names its first bad point by its text and inertia."""
     bad = ""
-    for text, a in points:
-        got = hessian_inertia(p, a)
-        if got.as_tuple() != expect:
-            bad = f" first-bad=@({text}):{got.render()}"
+    for text, got in inertias:
+        if got is None or got.as_tuple() != expect:
+            bad = f" first-bad=@({text}):"
+            bad += "inapplicable" if got is None else got.render()
             break
-    report.check(name, not bad, f"points={len(points)}{bad}")
+    report.check(name, not bad, f"points={len(inertias)}{bad}")
 
 
 def _hodge_pair_rows(
@@ -506,20 +506,27 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
         pts = [(_fmt_point((1,) * n), (1,) * n)] + [
             seeded_point(rng, n) for _ in range(SEEDED_HESSIAN_POINTS)
         ]
-        _signature_row(report, "hessian-basis-signature", f, pts, (1, n - 1, 0))
+        inertias = [(text, hessian_inertia(f, a)) for text, a in pts]
+        _signature_row(report, "hessian-basis-signature", inertias, (1, n - 1, 0))
     else:
         report.add("hessian-basis-signature", "skip", "needs simple, rank >= 2")
+
+    # the reduced polynomial's verdicts at (0, 1, ..., 1) and (1, ..., 1),
+    # read by both the signature row and the quotient Hodge-Riemann row
+    fixed_pts = ((0,) + (1,) * n, (1,) * (n + 1))
+    fixed = {a: point_verdicts(reduced, a) for a in fixed_pts} if r >= 2 else {}
 
     # Hessian signature of the reduced polynomial on the closed x0 >= 0 slab
     if simple and r >= 2 and not m.is_uniform:
         pts = [
-            (_fmt_point(a), a) for a in ((0,) + (1,) * n, (1,) + (1,) * n)
-        ] + [
             seeded_point(rng, n + 1, zeros=1),
             seeded_point(rng, n + 1),
             seeded_point(rng, n + 1),
         ]
-        _signature_row(report, "hessian-reduced-signature", reduced, pts, (1, n, 0))
+        inertias = [(_fmt_point(a), v.inertia) for a, v in fixed.items()] + [
+            (text, hessian_inertia(reduced, a)) for text, a in pts
+        ]
+        _signature_row(report, "hessian-reduced-signature", inertias, (1, n, 0))
     else:
         report.add(
             "hessian-reduced-signature", "skip", "needs simple non-uniform rank >= 2"
@@ -527,19 +534,12 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
 
     # quotient Hodge-Riemann verdicts hold for every matroid of rank >= 2
     if r >= 2:
-        pts = [
-            (1,) + (1,) * n,
-            (0,) + (1,) * n,
-            seeded_point(rng, n + 1)[1],
-        ]
-        bad = []
-        for a in pts:
-            if not point_verdicts(reduced, a).hrr1:
-                bad.append(a)
+        seeded = point_verdicts(reduced, seeded_point(rng, n + 1)[1])
+        verdicts = [*fixed.values(), seeded]
         report.check(
             "hrr1-reduced-quotient",
-            not bad,
-            f"grad_rank={reduced.grad_rank} points={len(pts)}",
+            all(v.hrr1 for v in verdicts),
+            f"grad_rank={reduced.grad_rank} points={len(verdicts)}",
         )
     else:
         report.add("hrr1-reduced-quotient", "skip", "rank < 2")
@@ -716,25 +716,23 @@ class _SharedRows(NamedTuple):
     fixed: Optional[str]  # fixed-point verdicts; None below degree 2
 
 
-def _shared_rows(family: mo.BasisFamily, m: Matroid, loops_mask: int) -> _SharedRows:
-    """Every row of `morphism_suite` but its seeded points, for a map from
-    m with basis family `family` and loop preimage `loops_mask`.
+@kept
+def _shared_rows(family: mo.BasisFamily) -> _SharedRows:
+    """Every row of `morphism_suite` but its seeded points, for the maps
+    with this basis family.
 
-    The rows read the family and, beyond its bases, the source (its bases,
-    independent sets and simplicity) and the loop preimage, so they are
-    kept on the family under (m, loops_mask): every map with that key gets
-    the same rows, and `basis_family.cache_clear()` drops them.
+    The rows read the family's levels, source (its bases, independent sets
+    and simplicity) and loop preimage, all of them in the family's key, so
+    they are a fact of the family: every map with that key gets the same
+    rows, and `basis_family.cache_clear()` drops them.
     """
-    key = (m, loops_mask)
-    shared = family.suite_rows.get(key)
-    if shared is not None:
-        return shared
     rows = []
 
     def check(name: str, ok: bool, detail: str = ""):
         rows.append((name, "pass" if ok else "fail", detail))
 
     bases = family.bases
+    m, loops_mask = bases.source, bases.loops
     n, r, r_prime = bases.n, bases.r, bases.r_prime
     by_size = bases.by_size
     levels_ok = set(by_size) == set(range(r_prime, r + 1))
@@ -798,11 +796,10 @@ def _shared_rows(family: mo.BasisFamily, m: Matroid, loops_mask: int) -> _Shared
     fixed = None
     if reduced.degree >= 2:
         fixed = " ".join(
-            _render_point_verdicts(_fmt_point(a), v)
-            for a, v in family.fixed_point_verdicts
+            _render_point_verdicts(_fmt_point(a), point_verdicts(reduced, a))
+            for a in ((1,) * (n + 1), (0,) + (1,) * n)
         )
-    shared = family.suite_rows[key] = _SharedRows(tuple(rows), fixed)
-    return shared
+    return _SharedRows(tuple(rows), fixed)
 
 
 def _morphism_rows(
@@ -813,16 +810,17 @@ def _morphism_rows(
     family's fixed points and the two points seeded by this map."""
     family = mo.basis_family(mo.morphism_bases(phi))
     m = phi.source
-    shared = _shared_rows(family, m, phi.phi_loops)
+    shared = _shared_rows(family)
     rows = [CheckRow(scope, *row) for row in shared.rows]
     if shared.fixed is None:
         detail = "degree<2"
     else:
         rng = derive(seed, m.n, _matroid_key(m), _matroid_key(phi.target), *phi.map)
+        reduced = family.polys[1]
         verdicts = [shared.fixed]
         for zeros in (0, 1):
             text, a = seeded_point(rng, m.n + 1, zeros=zeros)
-            verdicts.append(_render_point_verdicts(text, family.verdicts_at(a)))
+            verdicts.append(_render_point_verdicts(text, point_verdicts(reduced, a)))
         detail = " ".join(verdicts)
     rows.append(CheckRow(scope, "reduced-point-verdicts", "recorded", detail))
     return family, rows
@@ -832,9 +830,10 @@ def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
     """The checks of one morphism of matroids.
 
     Every row but the two seeded points of `reduced-point-verdicts` is a
-    function of the map's basis family, its source and its loop preimage,
-    and is computed once per such key (`_shared_rows`); per map only the
-    seeded points are drawn from the map's own stream and checked."""
+    function of the map's basis family, whose key holds the source and the
+    loop preimage, and is kept once per family (`_shared_rows`); per map
+    only the seeded points are drawn from the map's own stream and
+    checked."""
     scope = f"morphism(n={phi.source.n},map={','.join(map(str, phi.map))})"
     return SuiteReport(scope, seed, _morphism_rows(phi, seed, scope)[1])
 

@@ -326,6 +326,8 @@ def test_check_lines_and_exit_codes(capsys, u23_file, what):
         ["poly", "U23", "--kind", "bogus"],
         ["mason", "basis", "U23", "--i", "x", "--j", "2"],
         ["check", "hrr1", "U23", "--at"],
+        ["check", "slp1", "U23", "--seed", "3"],
+        ["mason", "indep", "U23", "--k", "1", "--i", "1"],
     ],
 )
 def test_usage_errors_exit_2_with_one_line(capsys, u23_file, argv):

@@ -8,7 +8,7 @@ from pathlib import Path
 from mlz.matroids import Matroid, uniform, validate_bases
 from mlz.morphisms import BasisFamily, morphism_bases, validate_morphism
 from mlz.polynomials import HomogPoly, basis_poly
-from mlz.verify import _fm, _matroid_key, _pairs
+from mlz.verify import _fm, _matroid_key, _pairs, _shared_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mlz"
 
@@ -28,7 +28,6 @@ POLY_FACTS = ("plan", "gram", "grad_rank")
 FAMILY_FACTS = (
     "polys",
     "levels_are_matroids",
-    "fixed_point_verdicts",
     "eur_huh",
     "degeneracy",
 )
@@ -80,14 +79,46 @@ def test_family_facts_are_built_once_and_kept_under_their_names():
     family = BasisFamily(morphism_bases(phi))
     for name in FAMILY_FACTS:
         _assert_kept(family, name, lambda: getattr(family, name))
+    _assert_kept(family, "_shared_rows", lambda: _shared_rows(family))
+    assert set(vars(family)) == {"bases", "_cache"}
+
+
+def _dict_attributes(init: ast.FunctionDef) -> set:
+    """Attributes that `init` sets to a dict: by assignment, or through
+    `object.__setattr__` as the frozen classes do."""
+    names = set()
+    for node in ast.walk(init):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            pairs = [
+                (t.attr, node.value) for t in targets if isinstance(t, ast.Attribute)
+            ]
+        elif (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "object.__setattr__"
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            pairs = [(node.args[1].value, node.args[2])]
+        else:
+            continue
+        for name, value in pairs:
+            if isinstance(value, (ast.Dict, ast.DictComp)) or (
+                isinstance(value, ast.Call) and ast.unparse(value.func) == "dict"
+            ):
+                names.add(name)
+    return names
 
 
 def test_source_has_one_per_object_memo():
     # a fact is kept through `kept` and a module memo is `functools.cache`:
-    # no `cached_property`, no `lru_cache` and no `_cached` helper
+    # no `cached_property`, no `lru_cache`, no `_cached` helper, and no
+    # `__init__` that gives an object a dict other than its `_cache`
     offences = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                for name in _dict_attributes(node) - {"_cache"}:
+                    offences.append(f"{path.name}:{node.lineno} {name}")
             if isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names}
             elif isinstance(node, ast.Attribute):

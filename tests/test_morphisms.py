@@ -195,7 +195,7 @@ def test_family_keeps_one_plan_that_matches_fresh_hessians():
         points = [(0,) + (1,) * (k - 1), fraction_point(rng, k), fraction_point(rng, k, 1)]
         for a in points:
             assert hessian_matrix(reduced, a) == hessian_matrix(fresh, a), (family.bases, a)
-            assert family.verdicts_at(a) == point_verdicts(fresh, a), family.bases
+            assert point_verdicts(reduced, a) == point_verdicts(fresh, a), family.bases
         assert family.polys[1].plan is plan
         assert fresh.plan is not plan
 

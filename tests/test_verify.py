@@ -365,17 +365,25 @@ def test_theorem_suite_uniform_2_3():
 def test_failing_signature_rows_name_their_point(monkeypatch):
     # a wrong inertia away from (1, ..., 1): U(2,3)'s basis row fails at
     # its first seeded point, and the reduced row of U(2,3) + U(1,1) at
-    # its first fixed point; each names the point's text and the inertia
+    # its first fixed point, whose inertia comes from the point verdicts;
+    # each names the point's text and the inertia
     import mlz.verify as verify
+    from mlz.lefschetz import PointVerdicts
     from mlz.linalg import Inertia
 
-    real = verify.hessian_inertia
+    inertia_at, verdicts_at = verify.hessian_inertia, verify.point_verdicts
 
-    def off_by_one(p, a):
-        got = real(p, a)
+    def off(got, a):
         return got if set(a) == {1} else Inertia(got.pos + 1, got.neg - 1, got.zero)
 
-    monkeypatch.setattr(verify, "hessian_inertia", off_by_one)
+    def off_verdicts(p, a):
+        v = verdicts_at(p, a)
+        return replace(v, inertia=off(v.inertia, a))
+
+    monkeypatch.setattr(
+        verify, "hessian_inertia", lambda p, a: off(inertia_at(p, a), a)
+    )
+    monkeypatch.setattr(verify, "point_verdicts", off_verdicts)
     m = uniform(2, 3)
     seeded = _fmt_point(fraction_point(derive(1, 3, verify._matroid_key(m)), 3))
     assert seeded == "7/9,15,15/11"
@@ -385,6 +393,12 @@ def test_failing_signature_rows_name_their_point(monkeypatch):
     row = {r.name: r for r in theorem_suite(SUM_M, 1).rows}["hessian-reduced-signature"]
     assert row.status == "fail"
     assert row.detail == "points=5 first-bad=@(0,1,1,1,1):(+2,-3,0z)"
+    # a value that is not positive at a fixed point fails the row too
+    inapplicable = PointVerdicts(False, None, None, None)
+    monkeypatch.setattr(verify, "point_verdicts", lambda p, a: inapplicable)
+    row = {r.name: r for r in theorem_suite(SUM_M, 1).rows}["hessian-reduced-signature"]
+    assert row.status == "fail"
+    assert row.detail == "points=5 first-bad=@(0,1,1,1,1):inapplicable"
 
 
 def test_theorem_suite_direct_sum():
@@ -483,24 +497,42 @@ def test_morphism_suite_memo_matches_cold_runs():
 
 
 def test_shared_morphism_rows_key_on_source_and_loop_preimage():
-    # real maps cannot tell a key without the source or the loop preimage
-    # (both follow from the family), so the rows are asked for directly
+    # real maps cannot give a key whose source or loop preimage disagrees
+    # with its levels, so such keys are made from a real one by hand
     m = uniform(2, 3)
-    phi = validate_morphism(m, uniform(1, 1), [1, 1, 1])
-    assert phi.phi_loops == 0
+    bases = morphism_bases(validate_morphism(m, uniform(1, 1), [1, 1, 1]))
+    assert bases.source is m and bases.loops == 0
     other = validate_bases(3, [[1, 2], [1, 3]])  # rank 2 on three elements
     basis_family.cache_clear()
-    family = basis_family(morphism_bases(phi))
-
-    def statuses(source, loops_mask):
-        rows = _shared_rows(family, source, loops_mask).rows
-        return {name: status for name, status, _ in rows}
-
-    for _ in range(2):  # cold, then after the map's own rows are kept
+    family = basis_family(bases)
+    changed = {
         # element 1 lies in the bottom-level basis {1}
-        assert statuses(m, 0b001)["morphism-bases-extension"] == "fail"
-        assert statuses(other, 0)["morphism-bases-levels"] == "fail"
-        assert set(statuses(m, 0).values()) == {"pass"}
+        "morphism-bases-extension": replace(bases, loops=0b001),
+        "morphism-bases-levels": replace(bases, source=other),
+    }
+
+    def statuses(family):
+        return {name: status for name, status, _ in _shared_rows(family).rows}
+
+    for _ in range(2):  # cold, then kept
+        assert set(statuses(family).values()) == {"pass"}
+        for name, key in changed.items():
+            assert basis_family(key) is not family
+            assert statuses(basis_family(key))[name] == "fail"
+    assert basis_family.cache_info().currsize == 3
+
+
+def test_equal_sources_share_one_morphism_family():
+    # a catalog source and an equal copy built from its bases key one family
+    source = next(m for m in catalog(3) if m == uniform(2, 3))
+    copy = validate_bases(3, [[1, 2], [1, 3], [2, 3]])
+    assert copy is not source
+    phis = [validate_morphism(m, uniform(1, 2), [1, 2, 2]) for m in (source, copy)]
+    basis_family.cache_clear()
+    family = basis_family(morphism_bases(phis[0]))
+    assert basis_family(morphism_bases(phis[1])) is family
+    rows = [morphism_suite(phi, seed=3).rows for phi in phis]
+    assert rows[0] == rows[1]
 
 
 def test_maps_sharing_a_basis_family_share_facts_but_not_seeded_rows():
