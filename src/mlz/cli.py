@@ -117,7 +117,7 @@ def _point_for(args, p) -> tuple[Fraction, ...]:
 def _cmd_matroid_info(args) -> int:
     m = _load_matroid(args)
     pd = m.parallel_decomposition
-    girth = m.girth  # before any output: it needs the 2^n circuit scan
+    girth = m.girth  # before any output: above 15 elements it raises
     if args.format == "json":
         out = {
             "matroid": m.to_json_dict(),

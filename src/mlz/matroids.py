@@ -2,12 +2,13 @@
 
 A matroid on {1..n} is stored as its ground-set size together with the
 family of bases, each basis encoded as an n-bit mask (element i <-> bit
-i-1).  All derived data (independent sets, rank function, closure, flats,
-circuits, parallel classes) is computed exactly on first use and kept on
-the object.  `kept` is the package's one per-object memo: it turns a
-function of an object into a getter that stores the value in the object's
-`_cache` dict under the function's name, so a matroid, a polynomial and a
-morphism's basis family keep their derived facts the same way.
+i-1).  All derived data (independent sets and their counts, rank
+function, closure, flats, parallel classes) is computed exactly on first
+use and kept on the object; the girth is read off the counts.  `kept` is
+the package's one per-object memo: it turns a function of an object into
+a getter that stores the value in the object's `_cache` dict under the
+function's name, so a matroid, a polynomial and a morphism's basis family
+keep their derived facts the same way.
 
 Ground sets are deliberately tiny: the catalog builder enumerates every
 labeled matroid on up to six elements, which is what the verification
@@ -15,9 +16,9 @@ suites iterate over.  It extends each matroid on {1..n-1} by element n as
 a loop, a coloop or neither, pairing a deletion with a contraction and
 keeping the pairs that pass the basis-exchange test.  Constructors
 (uniform, graphic, direct sums, minors) work at any size that fits in
-memory; the tables over all 2^n subsets (rank, closure, circuits) and the
-list of independent sets refuse ground sets above TABLE_MAX_GROUND
-elements.
+memory; the tables over all 2^n subsets (rank, closure, flats) and the
+list of independent sets, with the counts and the girth read off it,
+refuse ground sets above TABLE_MAX_GROUND elements.
 """
 
 from __future__ import annotations
@@ -314,28 +315,6 @@ class Matroid:
         out = {cl[flat | (1 << b)] for b in bits_of(self.ground_mask & ~flat)}
         return tuple(sorted(out, key=lambda m: (m.bit_count(), m)))
 
-    # -- circuits ----------------------------------------------------------
-
-    @property
-    @kept
-    def circuits(self) -> tuple[Mask, ...]:
-        """Minimal dependent sets, sorted by (size, mask)."""
-        check_table_size(self.n)
-        indep = self.independent_masks
-        out = []
-        for s in range(1, 1 << self.n):
-            if s in indep:
-                continue
-            if all((s ^ (1 << b)) in indep for b in bits_of(s)):
-                out.append(s)
-        return tuple(sorted(out, key=lambda m: (m.bit_count(), m)))
-
-    @property
-    def girth(self):
-        """Size of a smallest circuit; math.inf when every set is independent."""
-        circ = self.circuits
-        return circ[0].bit_count() if circ else math.inf
-
     # -- counting ----------------------------------------------------------
 
     @property
@@ -346,6 +325,19 @@ class Matroid:
         for s in self.independent_masks:
             counts[s.bit_count()] += 1
         return tuple(counts)
+
+    @property
+    def girth(self):
+        """Size of a smallest circuit; math.inf when every set is independent.
+
+        A smallest dependent set is a circuit, and the subsets of an
+        independent set are independent, so the girth is the least k with
+        fewer than C(n, k) independent k-sets, else rank + 1 when rank < n.
+        """
+        for k, count in enumerate(self.indep_counts):
+            if count < math.comb(self.n, k):
+                return k
+        return self.rank + 1 if self.rank < self.n else math.inf
 
     # -- serialization -----------------------------------------------------
 
@@ -367,58 +359,70 @@ def exchange_violation(n: int, support) -> Optional[tuple[int, int, int]]:
     axiom: for alpha, beta in the set and i with alpha_i > beta_i, some j
     with alpha_j < beta_j has alpha - e_i + e_j in the set.
 
-    It is tested grouped by (alpha, i): with S = {j : alpha - e_i + e_j in
-    the set}, the vectors violating it at (alpha, i) are those with
-    beta_i < alpha_i and beta_j <= alpha_j for every j in S.  Over the
-    indices of the sorted keys these are ANDs of bitsets: "beta_v = 0" is
-    one bitset per v >= 1 (for v in S, alpha_v = 0), and "beta_0 <= t" is
-    a prefix, since the keys sort by beta_0 first.  Cost: |support| * r *
-    (n - r + 1) set lookups plus as many |support|-bit ANDs, r the largest
-    mask size.  Returns (alpha, beta, i), i = 0 for x0 and v for x_v, with
-    the least alpha, then the least i, then the least beta.
+    The test at (alpha, i) depends only on the shadow gamma = alpha - e_i:
+    with S = {j : gamma + e_j in the set}, which holds i, the vectors
+    violating it are those with beta_j <= gamma_j for every j in S.  Over
+    the indices of the sorted keys these are ANDs of bitsets: "beta_v = 0"
+    is one bitset per v >= 1 (for v in S, gamma_v = 0), and "beta_0 <= t"
+    is a prefix, since the keys sort by beta_0 first.  The pairs are taken
+    by alpha, then i, and each shadow is tested the first time one reaches
+    it; a failing shadow returns at once, so every shadow met again has
+    passed.  Cost: one set test per (alpha, i), and per shadow one set
+    lookup and one |support|-bit AND for each v >= 1 outside it (n - r + 1
+    of them on a basis family of rank r), plus one for x0 when some key
+    has beta_0 > 0.  U(3, 12) has 660 pairs and 66 shadows.  Returns
+    (alpha, beta, i), i = 0 for x0 and v for x_v, with the least alpha,
+    then the least i, then the least beta.
     """
     ground = (1 << n) - 1
     lift = 1 << n  # + e_0
     order = sorted(support)
     full = (1 << len(order)) - 1
-    without = [full] * n  # without[v - 1]: the keys with beta_v = 0
+    without = {1 << v: full for v in range(n)}  # without[bit]: the keys missing it
     below = []  # below[t]: the keys with beta_0 <= t
     for k, key in enumerate(order):
         while len(below) < key >> n:
             below.append((1 << k) - 1)
-        for e in bits_of(key & ground):
-            without[e] ^= 1 << k
+        rest = key & ground
+        while rest:
+            bit = rest & -rest
+            without[bit] ^= 1 << k
+            rest ^= bit
     below.append(full)
     lifts = len(below) > 1  # some key has beta_0 > 0
+    passed = set()  # the shadows tested so far
     for alpha in order:
-        e0 = alpha >> n
-        outside = tuple(bits_of(ground & ~alpha))
-        # i = b + 1 for every i with alpha_i > 0: b = -1 is x0
-        for b in ([-1] if e0 else []) + list(bits_of(alpha & ground)):
-            if b < 0:
-                stripped, violators = alpha - lift, below[e0 - 1]
-            else:
-                stripped, violators = alpha ^ (1 << b), without[b]
-                if lifts and stripped + lift in support:  # j = x0
-                    violators &= below[e0]
-            for yb in outside:
-                if stripped | (1 << yb) in support:
-                    violators &= without[yb]
-                    if not violators:
-                        break
-            if violators:
-                return alpha, order[(violators & -violators).bit_length() - 1], b + 1
+        rest = alpha & ground
+        step = lift if alpha >= lift else rest & -rest  # e_i: e_0 first, then by v
+        while step:
+            gamma = alpha - step
+            if gamma not in passed:
+                violators = below[gamma >> n] if lifts and gamma + lift in support else full
+                outside = ground & ~gamma
+                while outside and violators:
+                    bit = outside & -outside
+                    if gamma | bit in support:
+                        violators &= without[bit]
+                    outside ^= bit
+                if violators:
+                    beta = order[(violators & -violators).bit_length() - 1]
+                    return alpha, beta, 0 if step == lift else step.bit_length()
+                passed.add(gamma)
+            rest &= ~step
+            step = rest & -rest
     return None
 
 
 def check_exchange(n: int, bases: frozenset[Mask]) -> None:
     """Raise unless `bases` is a valid basis family on {1..n}.
 
-    The exchange axiom is `exchange_violation` on the basis masks (no x0):
-    for each basis B and x in B, with S = {y not in B : B - x + y is a
-    basis}, it holds at (B, x) exactly when every basis avoiding x meets S.
-    A failure names the least B, then the least x, then the least violating
-    basis, so it is deterministic.
+    The exchange axiom is `exchange_violation` on the basis masks (no x0).
+    It is tested once per independent (r-1)-set I = B - x: with S = {y not
+    in I : I + y is a basis}, it holds at every (B, x) reaching I exactly
+    when every basis meets S.  That is n - r + 1 lookups per such I,
+    against n - r per (B, x) when each pair is tested apart.  A failure
+    names the least B, then the least x, then the least violating basis,
+    so it is deterministic.
     """
     if n < 0:
         raise MatroidError("ground-set size must be non-negative")

@@ -5,7 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
-from _oracles import exchange_violations, m_convex_violations
+from _oracles import brute_circuits, exchange_violations, m_convex_violations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -150,6 +150,29 @@ def test_check_exchange_matches_oracle_on_sampled_six_element_families():
         if len(m.bases) < len(pool):
             extra = rng.choice(sorted(set(pool) - m.bases))
             _assert_exchange_matches_oracle(6, m.bases | {extra})
+
+
+def test_check_exchange_matches_oracle_at_command_line_sizes():
+    # matroids on 8 to 10 elements, as the command line checks them:
+    # intact, less one basis, and with one dependent r-set added
+    rng = random.Random(22)
+    wheel4 = graphic(5, [(1, v) for v in range(2, 6)] + [(2, 3), (3, 4), (4, 5), (5, 2)])
+    k5 = graphic(5, list(combinations(range(1, 6), 2)))
+    outcomes = []
+    for m in (uniform(3, 8), wheel4, k5, direct_sum(uniform(3, 6), uniform(1, 3))):
+        assert _assert_exchange_matches_oracle(m.n, m.bases)
+        outcomes.append(
+            _assert_exchange_matches_oracle(m.n, m.bases - {rng.choice(sorted(m.bases))})
+        )
+        dependent = [mask_of(c) for c in combinations(range(1, m.n + 1), m.rank)]
+        dependent = sorted(set(dependent) - m.bases)
+        if dependent:
+            outcomes.append(
+                _assert_exchange_matches_oracle(m.n, m.bases | {rng.choice(dependent)})
+            )
+    # U(3, 8) less a basis is still a matroid: the removed basis becomes a
+    # circuit-hyperplane; every other variant breaks the axiom
+    assert outcomes == [True] + [False] * 6
 
 
 def test_check_exchange_matches_oracle_on_morphism_levels():
@@ -314,7 +337,7 @@ def test_minimal_superflats_partition():
 
 def test_circuits_uniform():
     m = uniform(2, 3)
-    assert [elems_of(c) for c in m.circuits] == [(1, 2, 3)]
+    assert [elems_of(c) for c in brute_circuits(m.n, m.bases)] == [(1, 2, 3)]
     assert m.girth == 3
 
 
@@ -325,23 +348,25 @@ def test_girth_with_loop():
 
 def test_free_matroid_has_no_circuits():
     m = uniform(4, 4)
-    assert m.circuits == ()
+    assert brute_circuits(m.n, m.bases) == set()
     assert m.girth == math.inf
 
 
-def test_girth_matches_count_characterization():
-    for n in range(1, 5):
-        for m in catalog(n):
-            profile = m.indep_counts
-            from_counts = math.inf
-            for k in range(m.rank + 1):
-                if profile[k] < math.comb(m.n, k):
-                    from_counts = k
-                    break
-            else:
-                if m.rank < m.n:
-                    from_counts = m.rank + 1
-            assert m.girth == from_counts, m
+def test_girth_matches_smallest_circuit():
+    """The girth read off the independent counts is the size of the
+    smallest circuit the powerset scan finds, or inf without one."""
+    shapes = [m for n in range(1, 6) for m in catalog(n)] + [
+        direct_sum(uniform(0, 1), uniform(2, 3)),  # a loop
+        graphic(3, [(1, 2), (1, 2), (2, 3), (1, 3)]),  # a parallel pair
+        graphic(5, list(combinations(range(1, 6), 2))),  # K5
+    ]
+    girths = []
+    for m in shapes:
+        circuits = brute_circuits(m.n, m.bases)
+        girths.append(min((c.bit_count() for c in circuits), default=math.inf))
+        assert m.girth == girths[-1], m
+    assert girths[-3:] == [1, 2, 3]
+    assert set(girths) == {1, 2, 3, 4, 5, math.inf}
 
 
 # -- parallel decomposition ----------------------------------------------------------
@@ -388,7 +413,7 @@ def test_subset_tables_refuse_large_ground_sets():
     from mlz.morphisms import _image_table
 
     big = validate_bases(40, [[1]])
-    tables = ("independent_masks", "rank_table", "closure_table", "circuits", "flats")
+    tables = ("independent_masks", "rank_table", "closure_table", "flats")
     for table in tables:
         with pytest.raises(MatroidError, match="2\\^40 subsets"):
             getattr(big, table)
@@ -590,14 +615,6 @@ def test_rank_closure_match_bruteforce(ms):
     m, s = ms
     assert m.rank_of(s) == brute_rank(m.n, m.bases, s)
     assert m.closure(s) == brute_closure(m.n, m.bases, s)
-
-
-def test_circuits_match_bruteforce():
-    from _oracles import brute_circuits
-
-    for n in range(1, 5):
-        for m in catalog(n):
-            assert set(m.circuits) == brute_circuits(m.n, m.bases)
 
 
 def test_flat_partition_catalog():

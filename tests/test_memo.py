@@ -21,7 +21,6 @@ MATROID_FACTS = (
     "cooccurrence",
     "parallel_decomposition",
     "flats",
-    "circuits",
     "indep_counts",
 )
 POLY_FACTS = ("plan", "gram", "grad_rank")
