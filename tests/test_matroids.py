@@ -352,7 +352,7 @@ def test_free_matroid_has_no_circuits():
     assert m.girth == math.inf
 
 
-def test_girth_matches_smallest_circuit():
+def test_girth_matches_count_characterization():
     """The girth read off the independent counts is the size of the
     smallest circuit the powerset scan finds, or inf without one."""
     shapes = [m for n in range(1, 6) for m in catalog(n)] + [
@@ -615,6 +615,20 @@ def test_rank_closure_match_bruteforce(ms):
     m, s = ms
     assert m.rank_of(s) == brute_rank(m.n, m.bases, s)
     assert m.closure(s) == brute_closure(m.n, m.bases, s)
+
+
+def test_circuits_match_bruteforce():
+    """The minimal dependent sets of `independent_masks` are the circuits
+    the brute-force oracle finds from the bases alone."""
+    for n in range(1, 5):
+        for m in catalog(n):
+            indep = m.independent_masks
+            minimal_dependent = {
+                s
+                for s in range(1, 1 << m.n)
+                if s not in indep and all(s ^ (1 << e) in indep for e in range(m.n) if (s >> e) & 1)
+            }
+            assert minimal_dependent == brute_circuits(m.n, m.bases), m
 
 
 def test_flat_partition_catalog():
