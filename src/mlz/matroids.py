@@ -189,8 +189,11 @@ class Matroid:
         frontier = list(self.bases)
         while frontier:
             s = frontier.pop()
-            for b in bits_of(s):
-                t = s ^ (1 << b)
+            rest = s
+            while rest:  # each element of s, lowest first
+                low = rest & -rest
+                rest ^= low
+                t = s ^ low
                 if t not in seen:
                     seen.add(t)
                     frontier.append(t)
@@ -463,6 +466,8 @@ def validate_bases(n: int, candidate: Iterable[Iterable[int]]) -> Matroid:
         raise MatroidError("field 'bases' must be a list of element lists") from None
     for basis in bases:
         for e in basis:
+            if type(e) is int and 1 <= e <= n:
+                continue
             if not 1 <= _require_int(e, "bases") <= n:
                 raise MatroidError(f"field 'bases': element {e} is outside 1..{n}")
         if len(set(basis)) < len(basis):

@@ -11,13 +11,16 @@ The generating polynomials:
 * indep_poly(M)         -- sum over independent sets I of x0^(n-|I|) * x_I,
                            degree n.
 * reduced_indep_poly(M) -- indep_poly differentiated (n - rank) times in x0,
-                           degree rank.
+                           degree rank, built in one pass over the
+                           independent sets as the sum of
+                           (n-|I|)!/(r-|I|)! * x0^(r-|I|) * x_I.
 
 Calculus (partial derivatives, directional derivatives, evaluation, the
 matrix of first-partial coefficients and its Gram matrix) is exact
 throughout; no floating point exists in this package.  `HessianPlan` is
 the package's only Hessian: it compiles a polynomial's second
-derivatives once into flat contributions grouped by x0 power, with no
+derivatives once, in one walk over its terms with a few flat operations
+per contribution, into flat contributions grouped by x0 power, with no
 second-partial polynomials, and fills the upper triangle at each point
 from a table of subset products (`HessianPlan.upper`); `hessian_matrix`
 mirrors that fill into the whole matrix, as row lists.  A polynomial
@@ -34,9 +37,11 @@ rows of `verify` read to decide proportionality.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from itertools import combinations, starmap
 from math import factorial
-from operator import mul
+from operator import mul, or_
 from typing import Iterable, Sequence
 
 from .linalg import clear_denominators, matrix_rank
@@ -180,11 +185,16 @@ def indep_poly(m: Matroid) -> HomogPoly:
 
 
 def reduced_indep_poly(m: Matroid) -> HomogPoly:
-    """indep_poly hit with d/dx0 exactly (n - rank) times."""
-    p = indep_poly(m)
-    for _ in range(m.n - m.rank):
-        p = partial(p, 0)
-    return p
+    """indep_poly hit with d/dx0 exactly (n - rank) times, built in one pass
+    over the independent sets: sum of (n-|I|)!/(r-|I|)! x0^(r-|I|) x_I;
+    degree rank, active {0..n}."""
+    n, r = m.n, m.rank
+    coeff = [factorial(n - k) // factorial(r - k) for k in range(r + 1)]
+    terms = {}
+    for s in m.independent_masks:
+        k = s.bit_count()
+        terms[(r - k, s)] = coeff[k]
+    return HomogPoly(range(0, n + 1), r, terms)
 
 
 # -- calculus -----------------------------------------------------------------
@@ -251,14 +261,20 @@ class HessianPlan:
     contribution (row * size + col, coefficient, product index) in the
     group of its x0 power, where the index names the subset of S left
     after removing x_a and x_b in a table of subset products; removing
-    rather than dividing keeps zero coordinates exact.  The table lists
-    every subset used together with the chain of subsets it is built from
-    (drop the lowest element), so a point fills it with one multiplication
-    per subset.  A fill skips every group whose x0 power is 0 at the point
-    (at x0 = 0 only the x0-free group is left) and multiplies by no x0
-    power equal to 1.  Contributions and chain links are stored flat, three
-    and two values at a time, since a plan kept for every morphism family
-    costs memory per tuple.
+    rather than dividing keeps zero coordinates exact.  A term is split
+    into its bits inline and fetches each of its groups once; each
+    contribution reads its cell from one of two tables built once per
+    polynomial (pair mask -> cell, bit -> x0 cell) and records its
+    remainder as a mask.  After the walk, every remainder and every subset
+    its product is built from (drop the lowest element) gets a slot in
+    ascending mask order, so a parent always comes first, and each
+    remainder mask is replaced by its slot.  The table thus lists every
+    subset used together with the chain of subsets it is built from, so a
+    point fills it with one multiplication per subset.  A fill skips every group
+    whose x0 power is 0 at the point (at x0 = 0 only the x0-free group is
+    left) and multiplies by no x0 power equal to 1.  Contributions and
+    chain links are stored flat, three and two values at a time, since a
+    plan kept for every morphism family costs memory per tuple.
 
     Each contribution is stored at row <= column, so `upper`, the plan's
     only fill, writes the upper triangle alone: `inertia` reads no more,
@@ -273,46 +289,70 @@ class HessianPlan:
         if p.degree < 2:
             raise ValueError("Hessian needs degree >= 2")
         size = len(p.active)
-        pos = {v: k for k, v in enumerate(p.active)}
-        x = pos.get(0)
-        index = {0: 0}  # subset mask -> slot in the products table
-        # slot t >= 1 is chain[2t-2 : 2t]: the slot of the subset without
-        # its lowest element, and that element's position
-        chain = []
+        x = None
+        kpos = {}  # bit of an active multilinear variable -> its position
+        for k, v in enumerate(p.active):
+            if v:
+                kpos[1 << (v - 1)] = k
+            else:
+                x = k
 
         def cell(a: int, b: int) -> int:
             return a * size + b if a <= b else b * size + a
 
-        def slot(mask: Mask) -> int:
-            t = index.get(mask)
-            if t is None:
-                low = mask & -mask
-                chain.extend((slot(mask ^ low), pos[low.bit_length()]))
-                t = index[mask] = len(chain) // 2
-            return t
-
-        groups: dict[int, list] = {}  # x0 power -> flat contributions
+        # pair mask -> cell, and bit -> cell at (x0, bit)
+        pcell = {
+            a | b: cell(ka, kb)
+            for a, ka in kpos.items()
+            for b, kb in kpos.items()
+            if a < b
+        }
+        xcell = {} if x is None else {a: cell(x, ka) for a, ka in kpos.items()}
+        # x0 power -> flat contributions, each naming its remainder by mask
+        groups: dict[int, list] = defaultdict(list)
         for (e0, mask), c in p.terms.items():
-            bits = list(bits_of(mask))
-            ks = [pos[b + 1] for b in bits]
-            for i, b in enumerate(bits):
-                rest = mask ^ (1 << b)
-                if e0:
-                    groups.setdefault(e0 - 1, []).extend(
-                        (cell(x, ks[i]), c * e0, slot(rest))
-                    )
-                for j in range(i + 1, len(bits)):
-                    groups.setdefault(e0, []).extend(
-                        (cell(ks[i], ks[j]), c, slot(rest ^ (1 << bits[j])))
-                    )
-            if e0 >= 2:
-                groups.setdefault(e0 - 2, []).extend(
-                    (x * size + x, c * e0 * (e0 - 1), slot(mask))
-                )
+            bits = []
+            rest = mask
+            while rest:
+                low = rest & -rest
+                bits.append(low)
+                rest ^= low
+            flat = groups[e0]
+            for pair in starmap(or_, combinations(bits, 2)):
+                flat += (pcell[pair], c, mask ^ pair)
+            if e0:
+                flat = groups[e0 - 1]
+                ce = c * e0
+                for b in bits:
+                    flat += (xcell[b], ce, mask ^ b)
+                if e0 >= 2:
+                    groups[e0 - 2] += (cell(x, x), ce * (e0 - 1), mask)
+        # every remainder and the subsets its products are built from
+        # (drop the lowest element), given slots in ascending mask order,
+        # so a subset's parent always has the lower slot
+        level = set()
+        for flat in groups.values():
+            level.update(flat[2::3])
+        subsets = set()
+        while level:
+            subsets |= level
+            level = {s & (s - 1) for s in level} - subsets
+        index = {0: 0}  # subset mask -> slot in the products table
+        # slot t >= 1 is chain[2t-2 : 2t]: the slot of the subset without
+        # its lowest element, and that element's position
+        chain = []
+        for s in sorted(subsets):
+            if s:
+                chain += (index[s & (s - 1)], kpos[s & -s])
+                index[s] = len(chain) >> 1
+        for flat in groups.values():
+            flat[2::3] = map(index.__getitem__, flat[2::3])
         self.size = size
         self.x0 = x
         self.chain = tuple(chain)
-        self.groups = tuple((e, tuple(flat)) for e, flat in sorted(groups.items()))
+        self.groups = tuple(
+            (e, tuple(flat)) for e, flat in sorted(groups.items()) if flat
+        )
         self.integral = set(map(type, p.terms.values())) <= {int}
 
     def upper(self, point: Sequence) -> list[list]:
@@ -434,15 +474,3 @@ def expand_class_sums(
     active = range(0, nvars + 1) if 0 in p.active else range(1, nvars + 1)
     return HomogPoly(active, p.degree, {k: v for k, v in terms.items() if v != 0})
 
-
-def reduced_from_slices(m: Matroid) -> HomogPoly:
-    """Closed-form reduced polynomial: sum_k (n-k)!/(r-k)! x0^(r-k) f_k.
-
-    Used as a cross-check against the derivative route.
-    """
-    n, r = m.n, m.rank
-    terms: dict[TermKey, object] = {}
-    for s in m.independent_masks:
-        k = s.bit_count()
-        terms[(r - k, s)] = factorial(n - k) // factorial(r - k)
-    return HomogPoly(range(0, n + 1), r, terms)

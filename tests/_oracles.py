@@ -18,9 +18,11 @@ degeneracy verdict of its basis family, and each map's morphism suite
 rows computed for that map alone, with its point verdicts from the
 mirrored Hessian, instead of rows shared by key and an upper-triangle
 check, the gradient matrix from one first-partial polynomial per
-variable instead of rows read off the term map, and seeded points as
+variable instead of rows read off the term map, seeded points as
 `Fraction`s read off the stream instead of integers from the table of
-the 256 draws.
+the 256 draws, and the reduced polynomial as n - r derivatives of the
+independent-set polynomial, one `partial` polynomial each, instead of
+its one-pass closed form.
 """
 
 from __future__ import annotations
@@ -425,6 +427,17 @@ def second_partials_hessian(p, point) -> list[list]:
     return [
         [evaluate(partial(first, j), point) for j in p.active] for first in firsts
     ]
+
+
+def reduced_by_derivatives(m):
+    """indep_poly(m) differentiated in x0 n - rank times, one validated
+    `partial` polynomial per derivative."""
+    from mlz.polynomials import indep_poly, partial
+
+    p = indep_poly(m)
+    for _ in range(m.n - m.rank):
+        p = partial(p, 0)
+    return p
 
 
 def partial_gradient_matrix(p) -> list[list]:

@@ -92,6 +92,22 @@ def test_malformed_fields_rejected(n, bases, field):
         mt.from_json_dict({"n": n, "bases": bases})
 
 
+@pytest.mark.parametrize(
+    "bases, message",
+    [
+        ([[True, 2]], "field 'bases': expected an integer, got True"),
+        ([[1, 2], [1.0, 3]], "field 'bases': expected an integer, got 1.0"),
+        # the first offender in input order names the error
+        ([[1, 2], [2, False], [4, 1]], "field 'bases': expected an integer, got False"),
+        ([[1, 2], [1, 4], [2.0, 3]], "field 'bases': element 4 is outside 1..3"),
+    ],
+)
+def test_non_integer_elements_rejected_in_input_order(bases, message):
+    with pytest.raises(MatroidError) as err:
+        validate_bases(3, bases)
+    assert str(err.value) == message
+
+
 def test_repeated_basis_element_rejected():
     # used to collapse into the rank-1 matroid with bases {1} and {2}
     with pytest.raises(MatroidError, match="field 'bases': element 1 repeats in \\[1, 1\\]"):

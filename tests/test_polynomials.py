@@ -8,6 +8,7 @@ from mlz.matroids import (
     catalog,
     contract,
     direct_sum,
+    graphic,
     mask_of,
     simplify,
     truncate,
@@ -27,7 +28,6 @@ from mlz.polynomials import (
     partial,
     poly_json,
     poly_str,
-    reduced_from_slices,
     reduced_indep_poly,
     rename_vars,
 )
@@ -40,6 +40,7 @@ from _oracles import (
     f_slice,
     fraction_point,
     partial_gradient_matrix,
+    reduced_by_derivatives,
     second_partials_hessian,
 )
 
@@ -105,13 +106,44 @@ def test_reduced_poly_direct_sum():
     assert p.coefficient(1, mask_of([1, 2])) == 2
     assert p.coefficient(0, mask_of([1, 2, 4])) == 1
     assert p.coefficient(0, mask_of([1, 2, 3])) == 0
-    assert p == reduced_from_slices(m)
+    assert p == reduced_by_derivatives(m)
+
+
+def _wheel(spokes):
+    """The wheel graph: hub 1, rim 2..spokes+1."""
+    rim = list(range(2, spokes + 2))
+    return graphic(spokes + 1, [(1, v) for v in rim] + list(zip(rim, rim[1:] + rim[:1])))
+
+
+def _complete(v):
+    return graphic(v, [(a, b) for a in range(1, v + 1) for b in range(a + 1, v + 1)])
+
+
+def _command_line_matroids():
+    """The matroids on 8 to 12 elements that the command-line benchmark
+    queries: U(3,8), U(2,12), U(4,10), U(3,12), W4, U(4,9), K5, W5,
+    K4 + U(2,5) and U(3,6) + U(1,3)."""
+    return [
+        uniform(3, 8),
+        uniform(2, 12),
+        uniform(4, 10),
+        uniform(3, 12),
+        _wheel(4),
+        uniform(4, 9),
+        _complete(5),
+        _wheel(5),
+        direct_sum(_complete(4), uniform(2, 5)),
+        direct_sum(uniform(3, 6), uniform(1, 3)),
+    ]
 
 
 def test_reduced_matches_closed_form_catalog():
-    for n in range(1, 5):
+    # the one-pass closed form against n - r derivatives of indep_poly
+    for n in range(1, 6):
         for m in catalog(n):
-            assert reduced_indep_poly(m) == reduced_from_slices(m)
+            assert reduced_indep_poly(m) == reduced_by_derivatives(m), m
+    for m in _command_line_matroids():
+        assert reduced_indep_poly(m) == reduced_by_derivatives(m), m
 
 
 def test_f_slice():
@@ -303,6 +335,33 @@ def test_hessian_matrix_matches_second_partials_oracle_at_fraction_points():
     shuffled = HomogPoly((3, 0, 1, 2), 3, {(3, 0): 2, (1, 0b11): 5, (0, 0b111): -1})
     for a in ((2, 3, 5, 7), (1, 0, -2, 4)):
         assert hessian_matrix(shuffled, a) == second_partials_hessian(shuffled, a)
+
+
+def test_plan_matches_second_partials_oracle_at_command_line_sizes():
+    # the basis and reduced polynomials of matroids on 8 to 10 elements, at
+    # a seeded positive point, (0, 1, ..., 1) and a seeded point with a
+    # zero multilinear coordinate
+    checked = 0
+    for m in (uniform(3, 8), _wheel(4), _complete(5), direct_sum(uniform(3, 6), uniform(1, 3))):
+        for p in (basis_poly(m), reduced_indep_poly(m)):
+            k = len(p.active)
+            rng = derive(23, k, len(p.terms))
+            zero = 1 << (k - 1)  # the last coordinate, never x0
+            points = [
+                seeded_point(rng, k)[1],
+                (0,) + (1,) * (k - 1),
+                seeded_point(rng, k, zeros=zero)[1],
+            ]
+            plan = HessianPlan(p)
+            for a in points:
+                assert plan.upper(a) == _upper(second_partials_hessian(p, a)), (m, p.degree, a)
+                checked += 1
+    assert checked == 24
+    # active variables out of order: each contribution at row <= column
+    shuffled = HomogPoly((3, 0, 1, 2), 3, {(3, 0): 2, (1, 0b11): 5, (0, 0b111): -1})
+    plan = HessianPlan(shuffled)
+    for a in ((2, 3, 5, 7), (0, 1, 1, 1), (1, 0, -2, 4), (4, 3, 0, 2)):
+        assert plan.upper(a) == _upper(second_partials_hessian(shuffled, a)), a
 
 
 def test_hessian_matches_second_partials_oracle_on_morphism_families():
