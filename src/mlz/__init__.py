@@ -40,7 +40,6 @@ from .matroids import (
 )
 from .morphisms import (
     AnnihilatorCheckFailed,
-    BasisFamily,
     DegeneracyVerdict,
     EurHuhEntry,
     FlatPreimageViolation,

@@ -351,6 +351,17 @@ class Matroid:
         }
 
 
+def normalized_sides(n: int, counts: Sequence[int], k: int) -> tuple[int, int, int]:
+    """Normalized log-concavity of counts of subsets of {1..n} by size, at k:
+    (counts[k-1] / C(n, k-1)) (counts[k+1] / C(n, k+1)) against
+    (counts[k] / C(n, k))^2, as (lhs, rhs, den) with both sides times
+    their shared denominator den = C(n, k-1) C(n, k)^2 C(n, k+1).  At
+    k + 1 > n, counts[k+1] and C(n, k+1) are 0: both sides are 0, den 1."""
+    below, at, above = math.comb(n, k - 1), math.comb(n, k), math.comb(n, k + 1)
+    lhs = counts[k - 1] * counts[k + 1] * at * at
+    return lhs, counts[k] ** 2 * below * above, below * at * at * above or 1
+
+
 def exchange_violation(n: int, support) -> Optional[tuple[int, int, int]]:
     """The least violation of the exchange axiom on a set of exponent
     vectors, or None when the set is M-convex.

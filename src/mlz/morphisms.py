@@ -17,25 +17,29 @@ element; loop-preimage part uniform and spanning complement), each with an
 explicit annihilating linear form that is verified exactly on
 construction.
 
-Many maps share one basis family.  Its key, the hashable MorphismBases
-value, holds the source, the target rank, the loop preimage and the
-levels, and `basis_family` memoizes one BasisFamily under it.  Whatever
-depends on the key alone (polynomials, level exchange checks, count
+Many maps share one basis family, one hashable MorphismBases value: the
+source, the target rank, the loop preimage and the levels.
+`basis_family` hands out the first family equal to a given one.  What
+depends on those fields alone (polynomials, level exchange checks, count
 profile, the degeneracy verdict with its checked annihilator, and the
 morphism suite's map-free rows, `verify._shared_rows`) is a fact of the
-family: computed on first use and kept in its `_cache` (`matroids.kept`,
-as a matroid keeps its tables).  The reduced polynomial keeps its own
-gradient rank and Hessian plan the same way, so they are shared with it.
-The suite's level and extension rows check the levels against the key's
-source and loop preimage, so neither is derived from the levels; only the
-degeneracy verdict reads them off the levels.
+family, computed on first use and kept in its `_cache` (`matroids.kept`,
+as a matroid keeps its tables).  The polynomials come from the builders
+of the independent-set polynomials (`polynomials.padded_poly` and
+`reduced_poly`), the count profile from the normalized count inequality
+of the independent counts (`matroids.normalized_sides`).  The reduced
+polynomial keeps its own gradient rank and Hessian plan the same way, so
+they are shared with it.  The suite's level and extension rows check the
+levels against the family's source and loop preimage, so neither is
+derived from the levels; only the degeneracy verdict reads them off the
+levels.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Sequence
@@ -49,8 +53,9 @@ from .matroids import (
     elems_of,
     from_json_dict,
     kept,
+    normalized_sides,
 )
-from .polynomials import HomogPoly, linear_apply, partial
+from .polynomials import HomogPoly, linear_apply, padded_poly, reduced_poly
 
 
 MORPHISM_SOURCE_MAX = 5
@@ -175,50 +180,6 @@ def validate_morphism(m: Matroid, n: Matroid, phi: Sequence[int]) -> MatroidMorp
 
 
 @dataclass(frozen=True)
-class MorphismBases:
-    """Bases of a morphism, bucketed by size (r' .. r), with the source and
-    the loop preimage of the map they were read from.
-
-    Hashable by value, so it keys the basis-family memo: morphisms with
-    equal sources, target ranks, loop preimages and buckets share one
-    BasisFamily.
-    """
-
-    source: Matroid
-    r_prime: int
-    loops: Mask  # source elements whose image is a loop of the target
-    levels: tuple[tuple[int, frozenset[Mask]], ...]  # (size, bases), by size
-
-    @property
-    def n(self) -> int:
-        return self.source.n
-
-    @property
-    def r(self) -> int:
-        return self.source.rank
-
-    @property
-    def by_size(self) -> dict[int, frozenset[Mask]]:
-        return dict(self.levels)
-
-
-def morphism_bases(phi: MatroidMorphism) -> MorphismBases:
-    """Independent sets of the source whose image spans the target.
-
-    Not cached: each caller looks a map up once and keeps its family
-    (`basis_family`), which shares everything that depends on the key."""
-    rank_n = phi.target.rank_table
-    r_prime = phi.r_prime
-    by_size: dict[int, set[Mask]] = {}
-    img = _image_table(phi.source, phi.map)
-    for s in phi.source.independent_masks:
-        if rank_n[img[s]] == r_prime:
-            by_size.setdefault(s.bit_count(), set()).add(s)
-    levels = tuple((k, frozenset(v)) for k, v in sorted(by_size.items()))
-    return MorphismBases(phi.source, r_prime, phi.phi_loops, levels)
-
-
-@dataclass(frozen=True)
 class EurHuhEntry:
     k: int
     lhs: Fraction
@@ -239,39 +200,55 @@ class DegeneracyVerdict:
     annihilator: Optional[tuple[int, ...]]
 
 
-class BasisFamily:
-    """The facts about a morphism that depend only on its MorphismBases.
+@dataclass(frozen=True)
+class MorphismBases:
+    """Bases of a morphism, bucketed by size (r' .. r), with the source and
+    the loop preimage of the map they were read from: a basis family.
 
-    `basis_family` hands out one instance per distinct key, and each fact
-    is computed on first use and kept in `_cache`.  Nothing here reads a
-    map or a target beyond the key, so every morphism with this key may
-    share it.
+    Hashable and compared by those four fields, so it keys its own memo:
+    `basis_family` hands out the first family equal to a given one, and
+    every morphism with equal sources, target ranks, loop preimages and
+    buckets shares it.  The facts below read the fields alone, never a map
+    or a target; each is computed on first use and kept in `_cache`, which
+    takes no part in equality, hashing or the repr.
     """
 
-    def __init__(self, bases: MorphismBases):
-        self.bases = bases
-        self._cache: dict = {}
+    source: Matroid
+    r_prime: int
+    loops: Mask  # source elements whose image is a loop of the target
+    levels: tuple[tuple[int, frozenset[Mask]], ...]  # (size, bases), by size
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.source.n
+
+    @property
+    def r(self) -> int:
+        return self.source.rank
+
+    @property
+    def by_size(self) -> dict[int, frozenset[Mask]]:
+        return dict(self.levels)
 
     @property
     @kept
     def polys(self) -> tuple[HomogPoly, HomogPoly]:
         """(P, reduced P): x0-padded sum over the bases and its
-        (n - r)-fold x0 derivative."""
-        n = self.bases.n
-        terms = {(n - k, s): 1 for k, bucket in self.bases.levels for s in bucket}
-        p = HomogPoly(range(0, n + 1), n, terms)
-        reduced = p
-        for _ in range(n - self.bases.r):
-            reduced = partial(reduced, 0)
-        return p, reduced
+        (n - r)-fold x0 derivative, by the builders of the independent-set
+        polynomials.  At r = n no derivative is taken, and reduced P is P,
+        one polynomial with one kept plan."""
+        bases = [s for _, bucket in self.levels for s in bucket]
+        p = padded_poly(self.n, bases)
+        return p, (p if self.r == self.n else reduced_poly(self.n, self.r, bases))
 
     @property
     @kept
     def levels_are_matroids(self) -> bool:
         """Every size bucket satisfies the basis-exchange axiom."""
-        for _, bucket in self.bases.levels:
+        for _, bucket in self.levels:
             try:
-                check_exchange(self.bases.n, bucket)
+                check_exchange(self.n, bucket)
             except MatroidError:
                 return False
         return True
@@ -279,20 +256,20 @@ class BasisFamily:
     @property
     @kept
     def eur_huh(self) -> tuple[EurHuhEntry, ...]:
-        """Normalized log-concavity profile of the basis counts by size.
-
-        For each interior size k (r' < k < r) compares
+        """Normalized log-concavity profile of the basis counts by size:
+        `normalized_sides` of the counts at each interior size k
+        (r' < k < r), which compares
         (count[k-1]/C(n,k-1)) * (count[k+1]/C(n,k+1)) against (count[k]/C(n,k))^2.
         """
-        n = self.bases.n
-        counts = {k: len(bucket) for k, bucket in self.bases.levels}
+        counts = [0] * (self.r + 1)
+        for k, bucket in self.levels:
+            counts[k] = len(bucket)
         out = []
-        for k in range(self.bases.r_prime + 1, self.bases.r):
-            lhs = Fraction(counts.get(k - 1, 0), math.comb(n, k - 1)) * Fraction(
-                counts.get(k + 1, 0), math.comb(n, k + 1)
+        for k in range(self.r_prime + 1, self.r):
+            lhs, rhs, den = normalized_sides(self.n, counts, k)
+            out.append(
+                EurHuhEntry(k, Fraction(lhs, den), Fraction(rhs, den), lhs == rhs)
             )
-            rhs = Fraction(counts.get(k, 0), math.comb(n, k)) ** 2
-            out.append(EurHuhEntry(k, lhs, rhs, lhs == rhs))
         return tuple(out)
 
     @property
@@ -303,12 +280,12 @@ class BasisFamily:
 
         The source's bases are the top level, and the loop preimage is the
         ground set minus the union of the bottom-level bases.  Both are
-        read off the levels, not the key's `source` and `loops`: a key that
-        disagrees with its levels then fails the suite's level or extension
-        row, not this annihilator check.
+        read off the levels, not the fields `source` and `loops`: a family
+        that disagrees with its levels then fails the suite's level or
+        extension row, not this annihilator check.
         """
-        n, r, r_prime = self.bases.n, self.bases.r, self.bases.r_prime
-        levels = self.bases.by_size
+        n, r, r_prime = self.n, self.r, self.r_prime
+        levels = self.by_size
         source_bases = levels[r]
         loops_mask = (1 << n) - 1
         for s in levels[r_prime]:
@@ -348,18 +325,35 @@ class BasisFamily:
         if not linear_apply(self.polys[1], annihilator).is_zero:
             raise AnnihilatorCheckFailed(
                 f"predicted annihilator {coeffs} does not kill the reduced "
-                f"polynomial of bases {self.bases}"
+                f"polynomial of bases {self}"
             )
         return DegeneracyVerdict(frozenset(classes), annihilator)
 
 
+def morphism_bases(phi: MatroidMorphism) -> MorphismBases:
+    """Independent sets of the source whose image spans the target.
+
+    Not cached: each caller looks a map up once and keeps the first equal
+    family (`basis_family`), with everything kept on it."""
+    rank_n = phi.target.rank_table
+    r_prime = phi.r_prime
+    by_size: dict[int, set[Mask]] = {}
+    img = _image_table(phi.source, phi.map)
+    for s in phi.source.independent_masks:
+        if rank_n[img[s]] == r_prime:
+            by_size.setdefault(s.bit_count(), set()).add(s)
+    levels = tuple((k, frozenset(v)) for k, v in sorted(by_size.items()))
+    return MorphismBases(phi.source, r_prime, phi.phi_loops, levels)
+
+
 @functools.cache
-def basis_family(bases: MorphismBases) -> BasisFamily:
-    """The one BasisFamily shared by every morphism with these bases."""
-    return BasisFamily(bases)
+def basis_family(bases: MorphismBases) -> MorphismBases:
+    """The first family equal to `bases`, shared with its kept facts by
+    every morphism with these bases."""
+    return bases
 
 
-def _family(phi: MatroidMorphism) -> BasisFamily:
+def _family(phi: MatroidMorphism) -> MorphismBases:
     return basis_family(morphism_bases(phi))
 
 
@@ -381,7 +375,7 @@ def degeneracy_class(phi: MatroidMorphism) -> DegeneracyVerdict:
     checked against the reduced polynomial; failure is an internal error.
 
     The verdict depends on the bases of phi alone, so it is computed once
-    per BasisFamily.  Both facts it reads off the bases follow from the
+    per basis family.  Both facts it reads off the bases follow from the
     rank-difference form rk_N phi(S2) - rk_N phi(S1) <= rk_M S2 - rk_M S1
     for S1 <= S2.  First, every basis B of M spans N (take S1 = B, S2 = E),
     so the size-r level is the set of bases of M.  Second, e lies in a
@@ -396,7 +390,8 @@ def degeneracy_class(phi: MatroidMorphism) -> DegeneracyVerdict:
 
 
 def eur_huh_profile(phi: MatroidMorphism) -> tuple[EurHuhEntry, ...]:
-    """Normalized log-concavity profile of the basis counts (see BasisFamily.eur_huh)."""
+    """Normalized log-concavity profile of the basis counts (see
+    MorphismBases.eur_huh)."""
     return _family(phi).eur_huh
 
 

@@ -8,12 +8,13 @@ pair (e0, mask): the x0 exponent and the squarefree support over {1..n}.
 The generating polynomials:
 
 * basis_poly(M)         -- one squarefree monomial per basis, degree rank.
-* indep_poly(M)         -- sum over independent sets I of x0^(n-|I|) * x_I,
-                           degree n.
-* reduced_indep_poly(M) -- indep_poly differentiated (n - rank) times in x0,
-                           degree rank, built in one pass over the
-                           independent sets as the sum of
-                           (n-|I|)!/(r-|I|)! * x0^(r-|I|) * x_I.
+* padded_poly(n, F)     -- sum over the sets S in F of x0^(n-|S|) * x_S,
+                           degree n: indep_poly(M) over the independent
+                           sets, a morphism's over its bases.
+* reduced_poly(n, r, F) -- padded_poly differentiated (n - r) times in x0,
+                           degree r, built in one pass over F as the sum
+                           of (n-|S|)!/(r-|S|)! * x0^(r-|S|) * x_S:
+                           reduced_indep_poly(M) with r = rank.
 
 Calculus (partial derivatives, directional derivatives, evaluation, the
 matrix of first-partial coefficients and its Gram matrix) is exact
@@ -177,24 +178,33 @@ def basis_poly(m: Matroid) -> HomogPoly:
     return HomogPoly(range(1, m.n + 1), m.rank, terms)
 
 
-def indep_poly(m: Matroid) -> HomogPoly:
-    """Sum of x0^(n-|I|) x_I over independent sets; degree n, active {0..n}."""
-    n = m.n
-    terms = {(n - s.bit_count(), s): 1 for s in m.independent_masks}
+def padded_poly(n: int, sets: Iterable[Mask]) -> HomogPoly:
+    """Sum of x0^(n-|S|) x_S over a family of subsets of {1..n}; degree n,
+    active {0..n}."""
+    terms = {(n - s.bit_count(), s): 1 for s in sets}
     return HomogPoly(range(0, n + 1), n, terms)
 
 
-def reduced_indep_poly(m: Matroid) -> HomogPoly:
-    """indep_poly hit with d/dx0 exactly (n - rank) times, built in one pass
-    over the independent sets: sum of (n-|I|)!/(r-|I|)! x0^(r-|I|) x_I;
-    degree rank, active {0..n}."""
-    n, r = m.n, m.rank
+def reduced_poly(n: int, r: int, sets: Iterable[Mask]) -> HomogPoly:
+    """padded_poly(n, sets) hit with d/dx0 exactly (n - r) times, for sets of
+    at most r elements, built in one pass over them:
+    sum of (n-|S|)!/(r-|S|)! x0^(r-|S|) x_S; degree r, active {0..n}."""
     coeff = [factorial(n - k) // factorial(r - k) for k in range(r + 1)]
     terms = {}
-    for s in m.independent_masks:
+    for s in sets:
         k = s.bit_count()
         terms[(r - k, s)] = coeff[k]
     return HomogPoly(range(0, n + 1), r, terms)
+
+
+def indep_poly(m: Matroid) -> HomogPoly:
+    """Sum of x0^(n-|I|) x_I over independent sets; degree n, active {0..n}."""
+    return padded_poly(m.n, m.independent_masks)
+
+
+def reduced_indep_poly(m: Matroid) -> HomogPoly:
+    """indep_poly hit with d/dx0 exactly (n - rank) times; degree rank."""
+    return reduced_poly(m.n, m.rank, m.independent_masks)
 
 
 # -- calculus -----------------------------------------------------------------
@@ -411,14 +421,20 @@ def gradient_matrix(p: HomogPoly) -> list[list]:
         raise ValueError("gradient needs degree >= 1")
     # the terms of each first partial, read off p's terms as `partial`
     # would give them: d0 sends c x0^e0 x_S to c e0 x0^(e0-1) x_S, and
-    # d_b sends it to c x0^e0 x_(S-b) when b is in S
+    # d_b sends it to c x0^e0 x_(S-b) when b is in S; a term's bits are
+    # walked inline, and row_of keys d_b by the bit of b (d0 by 0)
     firsts = [{} for _ in p.active]
-    row_of = dict(zip(p.active, firsts))
+    row_of = {
+        1 << (v - 1) if v else 0: first for v, first in zip(p.active, firsts)
+    }
     for (e0, mask), c in p.terms.items():
         if e0:
             row_of[0][(e0 - 1, mask)] = c * e0
-        for b in bits_of(mask):
-            row_of[b + 1][(e0, mask ^ 1 << b)] = c
+        rest = mask
+        while rest:
+            low = rest & -rest
+            row_of[low][(e0, mask ^ low)] = c
+            rest ^= low
     keys = sorted(set().union(*firsts), key=lambda k: (-k[0], k[1]))
     pos = {k: j for j, k in enumerate(keys)}
     rows = []

@@ -19,7 +19,8 @@ against rhs = 2 g_i g_j / D with D = r (r - 1) lam^(2r - 2), and the jet at
 over the independent sets, as the integer sums S_k with
 f_k(a) = S_k / lam^k.  Every pair and level is decided on integers: the
 pair compares s H_ij with 2 g_i g_j, whose denominator D is shared, and
-level k compares S_(k-1) S_(k+1) C(n, k)^2 with S_k^2 C(n, k-1) C(n, k+1).
+level k compares S_(k-1) S_(k+1) C(n, k)^2 with S_k^2 C(n, k-1) C(n, k+1)
+(`matroids.normalized_sides`, which a morphism's count profile reads too).
 Both inequalities have one rule, `_holds`: lhs <= rhs, and on an
 applicable row (a pair without a loop; every level) lhs = rhs exactly
 when predicted.  A pair is predicted equal when it is independent in a
@@ -39,8 +40,8 @@ matrix of the first partials that the polynomial keeps
 (`HomogPoly.gram`), by Cauchy-Schwarz equality.
 
 A morphism's rows split in two.  Every row but the two seeded points of
-`reduced-point-verdicts` reads only the map's basis family, whose key
-holds the source and the loop preimage; those rows are a fact kept on
+`reduced-point-verdicts` reads only the map's basis family, which holds
+the source and the loop preimage; those rows are a fact kept on
 the family (`_shared_rows`).  Per map, `morphism_suite` derives the
 map's stream, draws its two seeded points, stamps its scope on the
 shared rows and checks the points: `sampling.seeded_point` gives the
@@ -61,7 +62,6 @@ Hessian-signature row names its first bad point by that sampler's text.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -296,33 +296,6 @@ def _level_sums(masks: Sequence[int], a: Sequence[int], r: int) -> list[int]:
     return sums
 
 
-def _level_sides(n: int, sums: Sequence[int], k: int) -> tuple[int, int]:
-    """Level k on integers: S_(k-1) S_(k+1) C(n, k)^2 against
-    S_k^2 C(n, k-1) C(n, k+1), its lhs and rhs times their shared
-    denominator lam^(2k) C(n, k-1) C(n, k)^2 C(n, k+1).  That is positive
-    but at k + 1 > n, where C(n, k+1) = 0 makes both sides 0."""
-    comb = math.comb
-    return (
-        sums[k - 1] * sums[k + 1] * comb(n, k) ** 2,
-        sums[k] ** 2 * comb(n, k - 1) * comb(n, k + 1),
-    )
-
-
-def _level_fractions(
-    n: int, lam: int, sums: Sequence[int], k: int
-) -> tuple[Fraction, Fraction]:
-    """Level k as printed: lhs = f_(k-1)(a) f_(k+1)(a) / (C(n, k-1) C(n, k+1))
-    and rhs = f_k(a)^2 / C(n, k)^2 at a = A / lam, or 0 and 0 at k + 1 > n."""
-    if k + 1 > n:
-        return Fraction(0), Fraction(0)
-    comb = math.comb
-    scale = lam ** (2 * k)
-    return (
-        Fraction(sums[k - 1] * sums[k + 1], scale * comb(n, k - 1) * comb(n, k + 1)),
-        Fraction(sums[k] ** 2, scale * comb(n, k) ** 2),
-    )
-
-
 def mason_indep_check(
     m: Matroid, k: int, point: Optional[Sequence] = None
 ) -> MasonIndepReport:
@@ -331,8 +304,9 @@ def mason_indep_check(
     The level r+1 slice is zero.  At k+1 = n+1 (the free matroid's top
     level) the cross-multiplied form k(n-k)f_k^2 vs (n-k+1)(k+1)f_(k+1)f_(k-1)
     vanishes on both sides, so the report carries lhs = rhs = 0, the
-    equality `_level_equality` predicts there.  The verdict is read off
-    `_level_sides`, the printed sides off `_level_fractions`.
+    equality `_level_equality` predicts there.  The verdict and the
+    printed sides are `matroids.normalized_sides` of the level sums, the
+    sides over lam^(2k) times its denominator.
     """
     n = m.n
     if not 1 <= k <= m.rank:
@@ -340,14 +314,14 @@ def mason_indep_check(
     at = _weights(m, point)
     lam, a = clear_denominators(at or (1,) * n)
     sums = _level_sums(sorted(m.independent_masks), a, m.rank)
-    lhs, rhs = _level_sides(n, sums, k)
+    lhs, rhs, den = mt.normalized_sides(n, sums, k)
+    den *= lam ** (2 * k)
     predicted_equal = _level_equality(k, n, m.girth, len(set(a)) == 1)
-    lhs_value, rhs_value = _level_fractions(n, lam, sums, k)
     equal = lhs == rhs
     return MasonIndepReport(
         k=k,
-        lhs=lhs_value,
-        rhs=rhs_value,
+        lhs=Fraction(lhs, den),
+        rhs=Fraction(rhs, den),
         equal=equal,
         predicted_equal=predicted_equal,
         consistent=equal == predicted_equal,
@@ -543,11 +517,11 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
     else:
         report.add("hrr1-reduced-quotient", "skip", "rank < 2")
 
-    # derivative identities against minors
-    loop_ok = all(
-        partial(f, e).is_zero and partial(p, e).is_zero
-        for e in elems_of(m.loops)
-    )
+    # derivative identities against minors, on the first partials
+    # d_e f_M and d_e P_M, each built once
+    df = {e: partial(f, e) for e in range(1, n + 1)}
+    dp = {e: partial(p, e) for e in range(1, n + 1)}
+    loop_ok = all(df[e].is_zero and dp[e].is_zero for e in elems_of(m.loops))
     report.check("loop-partials-vanish", loop_ok, f"loops={m.loops.bit_count()}")
 
     contract_f_ok = True
@@ -557,9 +531,9 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
             continue
         sub, old_of = mt.contract(m, e)
         back = {k + 1: old_of[k] for k in range(len(old_of))}
-        if partial(f, e) != rename_vars(_fm(sub), back):
+        if df[e] != rename_vars(_fm(sub), back):
             contract_f_ok = False
-        if partial(p, e) != rename_vars(indep_poly(sub), {0: 0, **back}):
+        if dp[e] != rename_vars(indep_poly(sub), {0: 0, **back}):
             contract_p_ok = False
     report.check("contraction-partial-basis", contract_f_ok)
     report.check("contraction-partial-indep", contract_p_ok)
@@ -569,7 +543,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
     for cls in pd.classes:
         es = elems_of(cls)
         for i, j in zip(es, es[1:]):
-            if partial(f, i) != partial(f, j) or partial(p, i) != partial(p, j):
+            if df[i] != df[j] or dp[i] != dp[j]:
                 par_ok = False
     report.check("parallel-partials-equal", par_ok)
 
@@ -719,24 +693,23 @@ class _SharedRows(NamedTuple):
 
 
 @kept
-def _shared_rows(family: mo.BasisFamily) -> _SharedRows:
+def _shared_rows(family: mo.MorphismBases) -> _SharedRows:
     """Every row of `morphism_suite` but its seeded points, for the maps
     with this basis family.
 
     The rows read the family's levels, source (its bases, independent sets
-    and simplicity) and loop preimage, all of them in the family's key, so
-    they are a fact of the family: every map with that key gets the same
-    rows, and `basis_family.cache_clear()` drops them.
+    and simplicity) and loop preimage, all of them fields of the family,
+    so they are a fact of the family: every map with an equal family gets
+    the same rows, and `basis_family.cache_clear()` drops them.
     """
     rows = []
 
     def check(name: str, ok: bool, detail: str = ""):
         rows.append((name, "pass" if ok else "fail", detail))
 
-    bases = family.bases
-    m, loops_mask = bases.source, bases.loops
-    n, r, r_prime = bases.n, bases.r, bases.r_prime
-    by_size = bases.by_size
+    m, loops_mask = family.source, family.loops
+    n, r, r_prime = family.n, family.r, family.r_prime
+    by_size = family.by_size
     levels_ok = set(by_size) == set(range(r_prime, r + 1))
     top_ok = by_size.get(r, frozenset()) == m.bases
     check(
@@ -806,7 +779,7 @@ def _shared_rows(family: mo.BasisFamily) -> _SharedRows:
 
 def _morphism_rows(
     phi: mo.MatroidMorphism, seed: int, scope: str
-) -> tuple[mo.BasisFamily, list[CheckRow]]:
+) -> tuple[mo.MorphismBases, list[CheckRow]]:
     """The map's basis family and its suite rows under `scope`: the shared
     rows stamped with the scope, then `reduced-point-verdicts` with the
     family's fixed points and the two points seeded by this map."""
@@ -832,7 +805,7 @@ def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
     """The checks of one morphism of matroids.
 
     Every row but the two seeded points of `reduced-point-verdicts` is a
-    function of the map's basis family, whose key holds the source and the
+    function of the map's basis family, which holds the source and the
     loop preimage, and is kept once per family (`_shared_rows`); per map
     only the seeded points are drawn from the map's own stream and
     checked."""
@@ -996,7 +969,8 @@ def _mason_rows(
     equality_star2: list[dict],
 ) -> list[CheckRow]:
     """The survey's three count rows for one matroid, every pair and level
-    decided by `_holds` on the integers of `_pair_sides` and `_level_sides`.
+    decided by `_holds` on the integers of `_pair_sides` and
+    `matroids.normalized_sides`.
 
     `basis-counts-equality-iff` and `indep-counts-equality-iff` take every
     pair and every level at (1, ..., 1), where the level sums are the
@@ -1025,7 +999,7 @@ def _mason_rows(
             yield (x, y), lhs, rhs, applicable, _holds(lhs, rhs, applicable, predicted)
         equal_weights = len(set(a)) == 1
         for k in range(1, r + 1):
-            lhs, rhs = _level_sides(n, sums, k)
+            lhs, rhs, _ = mt.normalized_sides(n, sums, k)
             predicted = _level_equality(k, n, girth, equal_weights)
             yield k, lhs, rhs, True, _holds(lhs, rhs, True, predicted)
 
@@ -1041,7 +1015,7 @@ def _mason_rows(
             )
     for k, lhs, rhs, _, _ in levels:
         if lhs == rhs:
-            value = _level_fractions(n, 1, sums, k)[0]
+            value = Fraction(lhs, mt.normalized_sides(n, sums, k)[2])
             equality_star2.append({"scope": scope, "k": k, "value": str(value)})
 
     def weighted():

@@ -20,9 +20,11 @@ mirrored Hessian, instead of rows shared by key and an upper-triangle
 check, the gradient matrix from one first-partial polynomial per
 variable instead of rows read off the term map, seeded points as
 `Fraction`s read off the stream instead of integers from the table of
-the 256 draws, and the reduced polynomial as n - r derivatives of the
-independent-set polynomial, one `partial` polynomial each, instead of
-its one-pass closed form.
+the 256 draws, the reduced polynomial of a matroid or of a morphism's
+basis family as n - r derivatives of its x0-padded polynomial, one
+`partial` polynomial each, instead of the one-pass closed form, and a
+basis family's normalized count profile as products of `Fraction`s
+instead of the integer sides of `matroids.normalized_sides`.
 """
 
 from __future__ import annotations
@@ -429,15 +431,53 @@ def second_partials_hessian(p, point) -> list[list]:
     ]
 
 
+def _x0_derivatives(p, times: int):
+    """p differentiated in x0 `times` times, one validated `partial`
+    polynomial per derivative."""
+    from mlz.polynomials import partial
+
+    for _ in range(times):
+        p = partial(p, 0)
+    return p
+
+
 def reduced_by_derivatives(m):
     """indep_poly(m) differentiated in x0 n - rank times, one validated
     `partial` polynomial per derivative."""
-    from mlz.polynomials import indep_poly, partial
+    from mlz.polynomials import indep_poly
 
-    p = indep_poly(m)
-    for _ in range(m.n - m.rank):
-        p = partial(p, 0)
-    return p
+    return _x0_derivatives(indep_poly(m), m.n - m.rank)
+
+
+def family_polys_by_derivatives(family):
+    """(P, reduced P) of a morphism's basis family: the x0-padded sum over
+    its bases, term by term, and n - r x0 derivatives of it."""
+    from mlz.polynomials import HomogPoly
+
+    n = family.n
+    terms = {(n - k, s): 1 for k, bucket in family.levels for s in bucket}
+    p = HomogPoly(range(0, n + 1), n, terms)
+    return p, _x0_derivatives(p, n - family.r)
+
+
+def eur_huh_by_fractions(family):
+    """The normalized count profile of a basis family as products of
+    `Fraction`s: at each r' < k < r, (c_(k-1)/C(n,k-1)) * (c_(k+1)/C(n,k+1))
+    against (c_k/C(n,k))^2, with c_k the number of bases of size k."""
+    from math import comb
+
+    from mlz.morphisms import EurHuhEntry
+
+    n = family.n
+    counts = {k: len(bucket) for k, bucket in family.levels}
+    out = []
+    for k in range(family.r_prime + 1, family.r):
+        lhs = Fraction(counts.get(k - 1, 0), comb(n, k - 1)) * Fraction(
+            counts.get(k + 1, 0), comb(n, k + 1)
+        )
+        rhs = Fraction(counts.get(k, 0), comb(n, k)) ** 2
+        out.append(EurHuhEntry(k, lhs, rhs, lhs == rhs))
+    return tuple(out)
 
 
 def partial_gradient_matrix(p) -> list[list]:

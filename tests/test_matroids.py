@@ -540,6 +540,22 @@ def test_indep_profile_free():
     assert uniform(4, 4).indep_counts == (1, 4, 6, 4, 1)
 
 
+def test_normalized_sides_share_one_denominator():
+    # U(2, 4) at level 1: (1/1)(6/6) against (4/4)^2, both sides 1, so each
+    # integer side is the denominator C(4,0) C(4,1)^2 C(4,2) = 96
+    counts = [*uniform(2, 4).indep_counts, 0]
+    assert mt.normalized_sides(4, counts, 1) == (96, 96, 96)
+    # level 2: (4/4)(0/4) against (6/6)^2
+    assert mt.normalized_sides(4, counts, 2) == (0, 36 * 4 * 4, 4 * 36 * 4)
+
+
+def test_normalized_sides_above_the_ground_set_are_zero():
+    # at k = n no (k + 1)-set exists: C(n, k + 1) = 0, so both sides are 0
+    for n in range(1, 7):
+        counts = [*uniform(n, n).indep_counts, 0]
+        assert mt.normalized_sides(n, counts, n) == (0, 0, 1)
+
+
 # -- enumeration --------------------------------------------------------------------
 
 

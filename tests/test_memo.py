@@ -6,7 +6,7 @@ import ast
 from pathlib import Path
 
 from mlz.matroids import Matroid, uniform, validate_bases
-from mlz.morphisms import BasisFamily, morphism_bases, validate_morphism
+from mlz.morphisms import MorphismBases, morphism_bases, validate_morphism
 from mlz.polynomials import HomogPoly, basis_poly
 from mlz.verify import _fm, _matroid_key, _pairs, _shared_rows
 
@@ -50,7 +50,7 @@ def _assert_kept(obj, name: str, read) -> None:
 def test_every_kept_fact_is_listed_and_keeps_its_docstring():
     assert _kept_properties(Matroid) == set(MATROID_FACTS)
     assert _kept_properties(HomogPoly) == set(POLY_FACTS)
-    assert _kept_properties(BasisFamily) == set(FAMILY_FACTS)
+    assert _kept_properties(MorphismBases) == set(FAMILY_FACTS)
     assert Matroid.rank_table.__doc__.startswith("rank(S) for every S")
     assert _fm.__doc__.startswith("f_M, kept on the matroid")
 
@@ -75,11 +75,11 @@ def test_family_facts_are_built_once_and_kept_under_their_names():
     # a fresh family, not the memoized one other tests may have filled
     m = uniform(3, 4)
     phi = validate_morphism(m, uniform(2, 2), (1, 1, 2, 2))
-    family = BasisFamily(morphism_bases(phi))
+    family = morphism_bases(phi)
     for name in FAMILY_FACTS:
         _assert_kept(family, name, lambda: getattr(family, name))
     _assert_kept(family, "_shared_rows", lambda: _shared_rows(family))
-    assert set(vars(family)) == {"bases", "_cache"}
+    assert set(vars(family)) == {"source", "r_prime", "loops", "levels", "_cache"}
 
 
 def _dict_attributes(init: ast.FunctionDef) -> set:
@@ -108,15 +108,33 @@ def _dict_attributes(init: ast.FunctionDef) -> set:
     return names
 
 
+def _dict_fields(cls: ast.ClassDef) -> set:
+    """Fields of a dataclass body whose default factory is `dict`."""
+    return {
+        node.target.id
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign)
+        and isinstance(node.value, ast.Call)
+        and any(
+            kw.arg == "default_factory" and ast.unparse(kw.value) == "dict"
+            for kw in node.value.keywords
+        )
+    }
+
+
 def test_source_has_one_per_object_memo():
     # a fact is kept through `kept` and a module memo is `functools.cache`:
     # no `cached_property`, no `lru_cache`, no `_cached` helper, and no
-    # `__init__` that gives an object a dict other than its `_cache`
+    # `__init__` or dataclass field that gives an object a dict other than
+    # its `_cache`
     offences = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.FunctionDef) and node.name == "__init__":
                 for name in _dict_attributes(node) - {"_cache"}:
+                    offences.append(f"{path.name}:{node.lineno} {name}")
+            if isinstance(node, ast.ClassDef):
+                for name in _dict_fields(node) - {"_cache"}:
                     offences.append(f"{path.name}:{node.lineno} {name}")
             if isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names}

@@ -194,8 +194,8 @@ def test_family_keeps_one_plan_that_matches_fresh_hessians():
         k = len(reduced.active)
         points = [(0,) + (1,) * (k - 1), fraction_point(rng, k), fraction_point(rng, k, 1)]
         for a in points:
-            assert hessian_matrix(reduced, a) == hessian_matrix(fresh, a), (family.bases, a)
-            assert point_verdicts(reduced, a) == point_verdicts(fresh, a), family.bases
+            assert hessian_matrix(reduced, a) == hessian_matrix(fresh, a), (family, a)
+            assert point_verdicts(reduced, a) == point_verdicts(fresh, a), family
         assert family.polys[1].plan is plan
         assert fresh.plan is not plan
 
@@ -342,6 +342,29 @@ def test_profile_equality_example():
     (entry,) = eur_huh_profile(phi)
     assert entry.k == 2
     assert entry.lhs == 1 and entry.rhs == 1 and entry.equal
+
+
+def test_family_facts_match_the_derivative_and_fraction_oracles():
+    # every basis family from a simple source on <= 4 elements to a target
+    # on <= 3: the polynomials against n - r `partial` derivatives of the
+    # padded sum, the count profile against products of Fractions
+    from _oracles import eur_huh_by_fractions, family_polys_by_derivatives
+
+    targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
+    families = {
+        morphism_bases(phi)
+        for n in range(1, 5)
+        for m in catalog(n)
+        if m.is_simple
+        for phi in enumerate_morphisms(m, targets)
+    }
+    assert len(families) == 177
+    for family in families:
+        for got, want in zip(family.polys, family_polys_by_derivatives(family)):
+            assert got == want and poly_str(got) == poly_str(want), family
+        want = eur_huh_by_fractions(family)
+        assert family.eur_huh == want, family
+        assert [str(e.lhs) for e in family.eur_huh] == [str(e.lhs) for e in want]
 
 
 def test_profile_matches_mason_for_rank_zero_target():
