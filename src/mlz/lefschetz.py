@@ -19,16 +19,16 @@ verdict instead of a boolean.
 Points are integerized by `linalg.clear_denominators` before spectra are
 taken: every polynomial here is homogeneous, so a positive rescaling
 multiplies the Hessian by a positive scalar and changes neither inertia
-nor rank nor value signs.  The Hessian H at a comes from the plan the
-polynomial keeps (`HomogPoly.plan`), and g is the rank it keeps
-(`HomogPoly.grad_rank`), so checking one polynomial at many points
-compiles and ranks it once.  The sign of p(a) is read from H by Euler's
-identity a^T H a = d (d - 1) p(a), and H's rank from its inertia
-(rank = pos + neg for symmetric matrices), so one symmetric elimination
-serves both checks.  Both checks, and `hessian_inertia`, eliminate the
-plan's upper rows (`HessianPlan.upper`): the elimination reads H's upper
-triangle alone, and consumes the filled rows when the plan's
-coefficients, and so its rows, are integers.
+nor rank nor value signs.  Both checks read p's jet at a
+(`polynomials.jet`), one fill of the plan the polynomial keeps
+(`HomogPoly.plan`): the sign of p(a) is the sign of its s, and H's rank
+comes from its inertia (rank = pos + neg for symmetric matrices), so one
+symmetric elimination serves both checks.  g is the rank the polynomial
+keeps (`HomogPoly.grad_rank`), so checking one polynomial at many points
+compiles and ranks it once.  `hessian_inertia` reads no value and
+eliminates the plan's upper rows (`HessianPlan.upper`) alone.  The
+elimination reads H's upper triangle only, and consumes the filled rows
+when the plan's coefficients, and so its rows, are integers.
 
 `lorentzian_witness` checks every derivative d^alpha p of order <= d - 2
 without building one.  Per point it fills one integer table of the
@@ -53,12 +53,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from math import comb, factorial, perm
-from operator import mul, or_
+from operator import or_
 from typing import Optional, Sequence
 
 from .linalg import Inertia, clear_denominators, inertia
 from .matroids import exchange_violation, submasks
-from .polynomials import HomogPoly, hessian_matrix  # noqa: F401 -- public here too
+from .polynomials import HomogPoly, hessian_matrix, jet  # noqa: F401 -- public here too
 
 
 class InapplicablePointError(ValueError):
@@ -92,19 +92,11 @@ def point_verdicts(p: HomogPoly, point: Sequence) -> PointVerdicts:
     """
     if p.degree < 2:
         raise ValueError("point checks need degree >= 2")
-    _, scaled = clear_denominators(point)
-    plan = p.plan
-    h = plan.upper(scaled)
-    # Euler: a^T H a = d (d - 1) p(a), and d (d - 1) > 0; with U the upper
-    # triangle of H (0 below the diagonal), a^T H a = 2 a^T U a - sum U_ii a_i^2
-    if (
-        sum(a * (2 * sum(map(mul, row, scaled)) - row[i] * a)
-            for i, (a, row) in enumerate(zip(scaled, h)))
-        <= 0
-    ):
+    jt = jet(p, point)
+    if jt.s <= 0:  # s = d (d - 1) p(A) with d (d - 1) > 0
         return PointVerdicts(False, None, None, None)
     g = gradient_rank(p)
-    ine = inertia(h, consume=plan.integral)
+    ine = inertia(jt.h, consume=p.plan.integral)
     return PointVerdicts(
         True,
         ine,

@@ -58,12 +58,18 @@ def clear_denominators(values: Sequence) -> tuple[int, tuple[int, ...]]:
     positive scale changes no sign, rank or inertia, and a homogeneous
     polynomial of degree d at scale * a is scale**d times its value at a.
     Values that are all `int` come back as they are, after one type scan.
+    A value that is not an exact rational (a `float`, say) raises
+    ValueError naming it.
     """
     if set(map(type, values)) <= {int}:
         return 1, tuple(values)
     scale = 1
     for v in values:
-        scale = scale * v.denominator // gcd(scale, v.denominator)
+        try:
+            den = v.denominator
+        except AttributeError:
+            raise ValueError(f"{v!r} is not an exact rational (int or Fraction)") from None
+        scale = scale * den // gcd(scale, den)
     return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 

@@ -23,8 +23,9 @@ the package's only Hessian: it compiles a polynomial's second
 derivatives once, in one walk over its terms with a few flat operations
 per contribution, into flat contributions grouped by x0 power, with no
 second-partial polynomials, and fills the upper triangle at each point
-from a table of subset products (`HessianPlan.upper`); `hessian_matrix`
-mirrors that fill into the whole matrix, as row lists.  A polynomial
+from a table of subset products (`HessianPlan.upper`).  `jet`, the one
+fill that reads values, mirrors it and reads the gradient and value off
+it; `hessian_matrix` is its Hessian, as row lists.  A polynomial
 compiles its plan, builds the Gram matrix of its first partials (G G^T
 over the rows G of `gradient_matrix`) and takes that matrix's rank on
 first use, and keeps all three (`HomogPoly.plan`, `HomogPoly.gram`,
@@ -43,7 +44,7 @@ from fractions import Fraction
 from itertools import combinations, starmap
 from math import factorial
 from operator import mul, or_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import clear_denominators, matrix_rank
 from .matroids import Matroid, Mask, bits_of, elems_of, kept, mask_of
@@ -288,7 +289,7 @@ class HessianPlan:
 
     Each contribution is stored at row <= column, so `upper`, the plan's
     only fill, writes the upper triangle alone: `inertia` reads no more,
-    and `hessian_matrix` mirrors it.  `integral` says every coefficient is
+    and `jet` mirrors it.  `integral` says every coefficient is
     an `int`, so a fill at an integer point gives `int` rows, which
     `inertia` may eliminate in place.
     """
@@ -391,23 +392,46 @@ class HessianPlan:
         return [h[i * size : (i + 1) * size] for i in range(size)]
 
 
+class Jet(NamedTuple):
+    """A polynomial's second-order jet at the point A / lam (see `jet`)."""
+
+    lam: int
+    a: tuple[int, ...]
+    h: list[list]  # the Hessian at A
+    g: list  # h A = (d - 1) * gradient at A
+    s: object  # A^T h A = d (d - 1) * value at A
+
+
+def jet(p: HomogPoly, point: Sequence) -> Jet:
+    """The second-order jet of p (degree d >= 2) at the point: its value,
+    gradient and Hessian there, from one fill of p's plan.
+
+    With (lam, A) = clear_denominators(point), h is the Hessian at the
+    integer point A: the plan's upper triangle, mirrored in place.  Euler's
+    identity gives the rest with no second pass over the terms: the first
+    partials are homogeneous of degree d - 1, so g = h A = (d - 1) grad p(A),
+    and s = A^T g = d (d - 1) p(A).  A = lam * point with lam > 0, so by
+    homogeneity each has the sign it has at the point.  With `int`
+    coefficients (`HessianPlan.integral`) every field is an `int`, and h is
+    fresh rows that a caller may eliminate in place.
+    """
+    lam, a = clear_denominators(point)
+    h = p.plan.upper(a)
+    for i, row in enumerate(h):
+        for j in range(i):
+            row[j] = h[j][i]
+    g = [sum(map(mul, row, a)) for row in h]
+    return Jet(lam, a, h, g, sum(map(mul, a, g)))
+
+
 def hessian_matrix(p: HomogPoly, point: Sequence) -> list[list]:
     """Matrix of second partials at the point, over the active variables,
-    as row lists: p's plan filled once and mirrored.
-
-    The plan is filled at the integers (lam, A) = clear_denominators(point)
-    and each entry divided once by lam^(d - 2): the second partials are
-    homogeneous of degree d - 2, so H(A) = lam^(d - 2) H(point).
-    """
-    lam, scaled = clear_denominators(point)
-    h = p.plan.upper(scaled)
-    for a, row in enumerate(h):
-        for b in range(a):
-            row[b] = h[b][a]
-    den = lam ** (p.degree - 2)
+    as row lists: the h of p's `jet` there, divided once by lam^(d - 2)."""
+    jt = jet(p, point)
+    den = jt.lam ** (p.degree - 2)
     if den == 1:
-        return h
-    return [[Fraction(v, den) for v in row] for row in h]
+        return jt.h
+    return [[Fraction(v, den) for v in row] for row in jt.h]
 
 
 def gradient_matrix(p: HomogPoly) -> list[list]:

@@ -7,15 +7,13 @@ derivative/contraction identities, flat partitions, the degeneracy trichotomy
 for morphisms, and the normalized morphism-count inequality.
 
 The basis-count inequalities and the Hodge pair determinants read the
-second-order jet of a polynomial p of degree d >= 2 at a point a: its
-value, gradient and Hessian there.  The plan that p keeps
-(`HomogPoly.plan`) gives all three.  With (lam, A) = clear_denominators(a),
-H is the Hessian at the integer point A, and Euler's identity gives the
-rest: g = H A is (d - 1) grad p(A) and s = A^T g is d (d - 1) p(A).  For
-the basis polynomial of rank r, the Mason pair (i, j) at a is lhs = s H_ij / D
-against rhs = 2 g_i g_j / D with D = r (r - 1) lam^(2r - 2), and the jet at
-(1, ..., 1) holds the counts |B_ij| = H_ij, |B_i| = g_i / (r - 1) and
-|B| = s / (r (r - 1)).  The independent-count levels come from one pass
+second-order jet (lam, A, H, g, s) of a polynomial p of degree d >= 2 at
+a point a = A / lam, from one fill of the plan p keeps
+(`polynomials.jet`, which states it with Euler's identity).  For the
+basis polynomial of rank r, the Mason pair (i, j) at a is lhs = s H_ij / D
+against rhs = 2 g_i g_j / D with D = r (r - 1) lam^(2r - 2); the counts
+|B|, |B_i|, |B_j| and |B_ij| that a report prints are read off the
+bases.  The independent-count levels come from one pass
 over the independent sets, as the integer sums S_k with
 f_k(a) = S_k / lam^k.  Every pair and level is decided on integers: the
 pair compares s H_ij with 2 g_i g_j, whose denominator D is shared, and
@@ -74,10 +72,11 @@ from .linalg import Inertia, clear_denominators
 from .matroids import Matroid, elems_of, kept, submasks
 from .polynomials import (
     HomogPoly,
+    Jet,
     basis_poly,
     expand_class_sums,
-    hessian_matrix,
     indep_poly,
+    jet,
     linear_apply,
     partial,
     reduced_indep_poly,
@@ -120,26 +119,6 @@ def _pair_row(m: Matroid, x: int, y: int) -> tuple[int, int, bool, bool]:
 def _pairs(m: Matroid) -> tuple[tuple[int, int, bool, bool], ...]:
     """`_pair_row` for each pair x < y, in lexicographic order."""
     return tuple(_pair_row(m, x, y) for x in range(m.n) for y in range(x + 1, m.n))
-
-
-# -- second-order jets ------------------------------------------------------------
-
-
-class _Jet(NamedTuple):
-    """A polynomial's jet at a / lam, taken at the integer point a."""
-
-    lam: int
-    a: tuple[int, ...]
-    h: list[list[int]]  # the Hessian at a
-    g: list[int]  # h a = (d - 1) * gradient at a
-    s: int  # a^T h a = d (d - 1) * value at a
-
-
-def _jet(p: HomogPoly, point: Sequence) -> _Jet:
-    lam, a = clear_denominators(point)
-    h = hessian_matrix(p, a)
-    g = [sum(map(mul, row, a)) for row in h]
-    return _Jet(lam, a, h, g, sum(map(mul, a, g)))
 
 
 # -- the count inequalities: one prediction each, one rule ----------------------
@@ -226,11 +205,11 @@ def _weights(m: Matroid, point: Optional[Sequence]) -> Optional[tuple]:
     return at
 
 
-def _pair_sides(jet: _Jet, x: int, y: int) -> tuple[int, int]:
+def _pair_sides(jt: Jet, x: int, y: int) -> tuple[int, int]:
     """The Mason pair (x + 1, y + 1) on integers: s H_xy against
     2 g_x g_y, its lhs and rhs times their shared positive denominator
     `_pair_den`."""
-    return jet.s * jet.h[x][y], 2 * jet.g[x] * jet.g[y]
+    return jt.s * jt.h[x][y], 2 * jt.g[x] * jt.g[y]
 
 
 def _pair_den(r: int, lam: int) -> int:
@@ -241,9 +220,9 @@ def mason_basis_check(
     m: Matroid, i: int, j: int, point: Optional[Sequence] = None
 ) -> MasonBasisReport:
     """The basis-count report of the pair (i, j) at the point, or at
-    (1, ..., 1) when there is none: decided by `_pair_sides`, whose
-    integers, over `_pair_den`, are the printed lhs and rhs.  The counts
-    are read off the jet at (1, ..., 1)."""
+    (1, ..., 1) when there is none: decided by `_pair_sides` on f_M's jet
+    there, whose integers, over `_pair_den`, are the printed lhs and rhs.
+    The counts |B|, |B_i|, |B_j| and |B_ij| are read off the bases."""
     n, r = m.n, m.rank
     if r < 2:
         raise mt.MatroidError("basis-count check needs rank >= 2")
@@ -252,21 +231,20 @@ def mason_basis_check(
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("element out of range")
     at = _weights(m, point)
-    ones = _jet(_fm(m), (1,) * n)
-    jet = ones if at is None else _jet(_fm(m), at)
+    jt = jet(_fm(m), at or (1,) * n)
     x, y = i - 1, j - 1
     _, _, applicable, independent = _pair_row(m, x, y)
-    lhs, rhs = _pair_sides(jet, x, y)
-    den = _pair_den(r, jet.lam)
+    lhs, rhs = _pair_sides(jt, x, y)
+    den = _pair_den(r, jt.lam)
     predicted_equal = _pair_equality(m, independent)
     equal = lhs == rhs
     return MasonBasisReport(
         i=i,
         j=j,
-        count_bases=ones.s // (r * (r - 1)),
-        count_i=ones.g[x] // (r - 1),
-        count_j=ones.g[y] // (r - 1),
-        count_ij=ones.h[x][y],
+        count_bases=len(m.bases),
+        count_i=sum(b >> x & 1 for b in m.bases),
+        count_j=sum(b >> y & 1 for b in m.bases),
+        count_ij=sum(b >> x & b >> y & 1 for b in m.bases),
         lhs=Fraction(lhs, den),
         rhs=Fraction(rhs, den),
         equal=equal,
@@ -425,12 +403,11 @@ def _hodge_pair_rows(
     bad = 0
     tested = 0
     for point in points:
-        jet = _jet(p, point)
-        if jet.s <= 0:  # p(a) <= 0
+        _, a, h, g, s = jet(p, point)
+        if s <= 0:  # p(a) <= 0
             continue
-        h, g = jet.h, jet.g
-        ga = [sum(map(mul, row, jet.a)) for row in gram]
-        uu = sum(map(mul, jet.a, ga))
+        ga = [sum(map(mul, row, a)) for row in gram]
+        uu = sum(map(mul, a, ga))
         for i, j in pairs:
             x, y = pos[i], pos[j]
             gxx, gxy, gyy = gram[x][x], gram[x][y], gram[y][y]
@@ -441,7 +418,7 @@ def _hodge_pair_rows(
                 l1l2 = g[x] + t * g[y]
                 l2l2 = h[x][x] + 2 * t * h[x][y] + t * t * h[y][y]
                 tested += 1
-                if jet.s * l2l2 - l1l2 * l1l2 >= 0:
+                if s * l2l2 - l1l2 * l1l2 >= 0:
                     bad += 1
     report.check(name, bad == 0, f"tested={tested} nonneg={bad}")
 
@@ -991,11 +968,11 @@ def _mason_rows(
         for x, y, applicable, independent in _pairs(m)
     ]
 
-    def rows_at(a, jet, sums):
+    def rows_at(a, jt, sums):
         """(label, lhs, rhs, applicable, holds) for every pair (x, y), then
         every level k, at the integer point a."""
         for x, y, applicable, predicted in pairs:
-            lhs, rhs = _pair_sides(jet, x, y)
+            lhs, rhs = _pair_sides(jt, x, y)
             yield (x, y), lhs, rhs, applicable, _holds(lhs, rhs, applicable, predicted)
         equal_weights = len(set(a)) == 1
         for k in range(1, r + 1):
@@ -1004,7 +981,7 @@ def _mason_rows(
             yield k, lhs, rhs, True, _holds(lhs, rhs, True, predicted)
 
     sums = [*m.indep_counts, 0]
-    ones = list(rows_at((1,) * n, _jet(f, (1,) * n), sums))
+    ones = list(rows_at((1,) * n, jet(f, (1,) * n), sums))
     basis, levels = ones[: len(pairs)], ones[len(pairs) :]
     den = _pair_den(r, 1)
     for (x, y), lhs, rhs, applicable, _ in basis:
@@ -1021,7 +998,7 @@ def _mason_rows(
     def weighted():
         for _ in range(SEEDED_MASON_POINTS):
             _, a = seeded_point(rng, n)
-            yield from rows_at(a, _jet(f, a), _level_sums(masks, a, r))
+            yield from rows_at(a, jet(f, a), _level_sums(masks, a, r))
 
     return [
         CheckRow(

@@ -767,12 +767,13 @@ def jet_basis_rows(m, point=None):
     """The basis-count report of every pair i < j with lhs and rhs built as
     `Fraction`s off f_M's jets at (1, ..., 1) and at the point (a rational
     point, or None for (1, ..., 1))."""
-    from mlz.verify import MasonBasisReport, _fm, _jet
+    from mlz.polynomials import jet as fill_jet
+    from mlz.verify import MasonBasisReport, _fm
 
     n, r = m.n, m.rank
     at = None if point is None else tuple(point)
-    ones = _jet(_fm(m), (1,) * n)
-    jet = ones if at is None else _jet(_fm(m), at)
+    ones = fill_jet(_fm(m), (1,) * n)
+    jet = ones if at is None else fill_jet(_fm(m), at)
     den = r * (r - 1) * jet.lam ** (2 * r - 2)
     classes = len(m.parallel_decomposition.classes)
     rows = []

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -240,6 +241,37 @@ def test_clear_denominators_is_the_least_integer_scale(values):
     assert scale >= 1 and all(type(v) is int for v in ints)
     assert list(ints) == [v * scale for v in values]
     assert all(not all((v * k).denominator == 1 for v in values) for k in range(1, scale))
+
+
+def test_float_values_raise_a_value_error_naming_them():
+    # every public entry that clears a point names a coordinate that is not
+    # an exact rational; so do inertia and rank on a float matrix
+    from mlz.lefschetz import hessian_inertia, hrr1, lorentzian_witness, point_verdicts, slp1
+    from mlz.matroids import uniform
+    from mlz.polynomials import basis_poly, hessian_matrix, jet
+    from mlz.verify import mason_basis_check, mason_indep_check
+
+    m = uniform(2, 4)
+    f = basis_poly(m)
+    at = (0.5, 1, 1, 1)
+    entries = (
+        lambda: clear_denominators(at),
+        lambda: clear_denominators((Fraction(1, 3), 0.5)),
+        lambda: jet(f, at),
+        lambda: hessian_matrix(f, at),
+        lambda: hessian_inertia(f, at),
+        lambda: point_verdicts(f, at),
+        lambda: slp1(f, at),
+        lambda: hrr1(f, at),
+        lambda: lorentzian_witness(f, [at]),
+        lambda: mason_basis_check(m, 1, 2, at),
+        lambda: mason_indep_check(m, 1, at),
+        lambda: inertia([[0.5, 1], [1, 2]]),
+        lambda: matrix_rank([[0.5, 1], [1, 2]]),
+    )
+    for entry in entries:
+        with pytest.raises(ValueError, match=r"^0\.5 is not an exact rational"):
+            entry()
 
 
 def test_matrix_rank_on_fraction_rows_matches_gauss():

@@ -24,6 +24,7 @@ from mlz.polynomials import (
     gradient_matrix,
     hessian_matrix,
     indep_poly,
+    jet,
     linear_apply,
     partial,
     poly_json,
@@ -403,6 +404,66 @@ def test_family_plans_match_second_partials_oracle_at_seeded_points():
                     assert hessian_matrix(reduced, a) == want, (phi, a)
                     assert reduced.plan.upper(a) == _upper(want), (phi, a)
     assert len(seen) == 175
+
+
+def _jet_cases():
+    """(polynomial, points) for f, P and Pbar of degree >= 2 of every
+    catalog matroid with n <= 4, and for P and Pbar of degree >= 2 of every
+    basis family from a simple source on <= 4 elements to a target on
+    <= 3: (1,...,1), (0,1,...,1), a seeded integer point, a seeded
+    Fraction point, a seeded Fraction point with a zero coordinate and
+    a Fraction point whose denominators clear to lam = 3."""
+    from mlz.morphisms import basis_family, enumerate_morphisms, morphism_bases
+
+    polys = [
+        p
+        for n in range(1, 5)
+        for m in catalog(n)
+        for p in (basis_poly(m), indep_poly(m), reduced_indep_poly(m))
+    ]
+    targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
+    seen = set()
+    for n in range(1, 5):
+        for m in catalog(n):
+            if m.is_simple:
+                for phi in enumerate_morphisms(m, targets):
+                    family = basis_family(morphism_bases(phi))
+                    if id(family) not in seen:
+                        seen.add(id(family))
+                        polys.extend(family.polys)
+    for idx, p in enumerate(polys):
+        if p.degree < 2:
+            continue
+        k = len(p.active)
+        rng = derive(29, idx)
+        yield p, [
+            (1,) * k,
+            (0,) + (1,) * (k - 1),
+            seeded_point(rng, k)[1],
+            fraction_point(rng, k),
+            fraction_point(rng, k, 1 << (k - 1)),
+            tuple(Fraction(i + 1, 3) for i in range(k)),
+        ]
+
+
+def test_jet_matches_second_partials_and_euler_oracles():
+    # h against one second-partial polynomial per entry, g against
+    # (d - 1) times each first partial evaluated at A, and s against
+    # d (d - 1) p(A) and d (d - 1) lam^d p(point)
+    checked = scaled = 0
+    for p, points in _jet_cases():
+        d = p.degree
+        for point in points:
+            lam, a, h, g, s = jet(p, point)
+            assert lam >= 1 and a == tuple(lam * Fraction(v) for v in point), (p, point)
+            assert all(type(v) is int for v in a)
+            assert h == second_partials_hessian(p, a), (p, point)
+            assert g == [(d - 1) * evaluate(partial(p, i), a) for i in p.active], (p, point)
+            assert s == d * (d - 1) * evaluate(p, a), (p, point)
+            assert s == d * (d - 1) * lam**d * evaluate(p, point), (p, point)
+            checked += 1
+            scaled += lam > 1
+    assert scaled and checked == 3366
 
 
 def test_inertia_matches_berkowitz_on_catalog_hessians():
