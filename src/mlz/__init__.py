@@ -7,13 +7,10 @@ sets.  Everything is arbitrary-precision rational; nothing here floats.
 """
 
 from .lefschetz import (
-    InapplicablePointError,
     gradient_rank,
     hessian_inertia,
-    hrr1,
     lorentzian_decide,
     lorentzian_witness,
-    slp1,
 )
 from .linalg import Inertia, char_poly, inertia, matrix_rank
 from .matroids import (

@@ -12,9 +12,10 @@ and m for the number of active variables:
   exactly (1, g-1, m-g).
 
 When g = m (independent partials) these reduce to "non-singular Hessian"
-and "signature (+,-,...,-)".  Both checks demand p(a) > 0 and raise
-InapplicablePointError otherwise; report layers turn that into a distinct
-verdict instead of a boolean.
+and "signature (+,-,...,-)".  `point_verdicts` takes both from one
+inertia; both need p(a) > 0, and at a point where p(a) <= 0 it returns
+`value_positive` False with no inertia and no verdict (None), which the
+CLI and the survey print as "inapplicable".
 
 Points are integerized by `linalg.clear_denominators` before spectra are
 taken: every polynomial here is homogeneous, so a positive rescaling
@@ -61,10 +62,6 @@ from .matroids import exchange_violation, submasks
 from .polynomials import HomogPoly, hessian_matrix, jet  # noqa: F401 -- public here too
 
 
-class InapplicablePointError(ValueError):
-    """The point check assumes a positive value; this point gives <= 0."""
-
-
 def hessian_inertia(p: HomogPoly, point: Sequence) -> Inertia:
     """The inertia of p's Hessian at the point: the plan's upper rows,
     filled at the cleared point and eliminated."""
@@ -103,20 +100,6 @@ def point_verdicts(p: HomogPoly, point: Sequence) -> PointVerdicts:
         ine.pos + ine.neg == g,
         ine.as_tuple() == (1, g - 1, len(p.active) - g),
     )
-
-
-def slp1(p: HomogPoly, point: Sequence) -> bool:
-    v = point_verdicts(p, point)
-    if not v.value_positive:
-        raise InapplicablePointError("slp1 needs p(a) > 0")
-    return v.slp1
-
-
-def hrr1(p: HomogPoly, point: Sequence) -> bool:
-    v = point_verdicts(p, point)
-    if not v.value_positive:
-        raise InapplicablePointError("hrr1 needs p(a) > 0")
-    return v.hrr1
 
 
 @dataclass(frozen=True)

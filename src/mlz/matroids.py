@@ -243,14 +243,6 @@ class Matroid:
 
     @property
     @kept
-    def coloops(self) -> Mask:
-        inter = self.ground_mask
-        for b in self.bases:
-            inter &= b
-        return inter
-
-    @property
-    @kept
     def cooccurrence(self) -> tuple[Mask, ...]:
         """Entry e-1 is the union of the bases containing e (0 for a loop).
 
@@ -282,10 +274,6 @@ class Matroid:
             assigned |= cls
             classes.append(cls)
         return ParallelDecomposition(loops, tuple(classes))
-
-    @property
-    def is_loopless(self) -> bool:
-        return self.loops == 0
 
     @property
     def is_simple(self) -> bool:

@@ -133,9 +133,6 @@ class HomogPoly:
     def __repr__(self) -> str:
         return f"HomogPoly({poly_str(self)!r})"
 
-    def coefficient(self, e0: int, mask: Mask):
-        return self.terms.get((e0, mask), 0)
-
 
 def _sorted_terms(p: HomogPoly):
     return sorted(p.terms.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
@@ -246,10 +243,13 @@ def linear_apply(p: HomogPoly, coeffs: Sequence) -> HomogPoly:
 
 
 def evaluate(p: HomogPoly, point: Sequence):
-    """Exact value at a point given in active-variable order."""
+    """Exact value at a point given in active-variable order: the value at
+    the integer point A = lam a of `clear_denominators`, divided once by
+    lam ** degree."""
     if len(point) != len(p.active):
         raise ValueError("point length must match active variables")
-    coord = dict(zip(p.active, point))
+    lam, ints = clear_denominators(point)
+    coord = dict(zip(p.active, ints))
     x0 = coord.get(0, 0)
     total = 0
     for (e0, mask), c in p.terms.items():
@@ -259,7 +259,7 @@ def evaluate(p: HomogPoly, point: Sequence):
         for b in bits_of(mask):
             v *= coord[b + 1]
         total += v
-    return total
+    return total if lam == 1 else Fraction(total, lam**p.degree)
 
 
 class HessianPlan:

@@ -31,7 +31,10 @@ sides of the one report of `mason_basis_check` or `mason_indep_check`.
 f_M, the pair table `_pairs` and the matroid's seed key are kept on the
 matroid (`matroids.kept`, in its `_cache` beside its tables), so the
 theorem suite and the count rows of one matroid compile f_M's plan once.
-No jet is kept, since catalog matroids outlive the survey.  The
+Catalog matroids outlive the survey, so `survey` drops f_M and `_pairs`
+from each one once its suite and count rows are out; the seed key stays,
+since every map's seed reads it.  No jet is kept, and a suite's minors
+get their f_M from `basis_poly`, so nothing is kept on a minor.  The
 independent-set polynomial and its reduced form are built per suite and
 dropped with it.  The Hodge pair rows decide proportionality on the Gram
 matrix of the first partials that the polynomial keeps
@@ -508,7 +511,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
             continue
         sub, old_of = mt.contract(m, e)
         back = {k + 1: old_of[k] for k in range(len(old_of))}
-        if df[e] != rename_vars(_fm(sub), back):
+        if df[e] != rename_vars(basis_poly(sub), back):
             contract_f_ok = False
         if dp[e] != rename_vars(indep_poly(sub), {0: 0, **back}):
             contract_p_ok = False
@@ -527,7 +530,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
     if pd.classes:
         simp, reps = mt.simplify(m)
         groups = [elems_of(c) for c in pd.classes]
-        sub_ok = expand_class_sums(_fm(simp), groups, n) == f
+        sub_ok = expand_class_sums(basis_poly(simp), groups, n) == f
         s = len(groups)
         lifted = expand_class_sums(indep_poly(simp), groups, n)
         shifted = HomogPoly(
@@ -540,7 +543,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
     else:
         report.add("parallel-substitution", "skip", "every element is a loop")
 
-    if r >= 2 and m.is_loopless:
+    if r >= 2 and not m.loops:
         trunc = mt.truncate(m, 1)
         report.check(
             "reduced-truncation-partial",
@@ -890,6 +893,8 @@ def survey(n_max: int, seed: int = 1, *, morphisms: bool = True) -> SurveyReport
                 rows.extend(
                     _mason_rows(m, scope, seed, equality_star, equality_star2)
                 )
+            for fact in (_fm, _pairs):  # kept for this matroid's rows only
+                m._cache.pop(fact.__name__, None)
 
     if morphisms:
         targets = [

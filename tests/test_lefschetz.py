@@ -3,16 +3,14 @@ from fractions import Fraction
 import pytest
 
 from mlz.lefschetz import (
-    InapplicablePointError,
+    PointVerdicts,
     WitnessFailure,
     gradient_rank,
     hessian_inertia,
     hessian_matrix,
-    hrr1,
     lorentzian_decide,
     lorentzian_witness,
     point_verdicts,
-    slp1,
 )
 from mlz.matroids import catalog, direct_sum, uniform, validate_bases
 from mlz.polynomials import HomogPoly, basis_poly, indep_poly, reduced_indep_poly
@@ -33,11 +31,11 @@ def test_hessian_inertia_sc037():
 
 def test_slp1_hrr1_uniform_examples():
     f = basis_poly(uniform(2, 3))
-    assert slp1(f, (1, 1, 1)) is True
-    assert hrr1(f, (1, 1, 1)) is True
+    v = point_verdicts(f, (1, 1, 1))
+    assert v.slp1 is True and v.hrr1 is True
     reduced = reduced_indep_poly(uniform(2, 3))
-    assert slp1(reduced, (1, 1, 1, 1)) is True
-    assert hrr1(reduced, (1, 1, 1, 1)) is True
+    v = point_verdicts(reduced, (1, 1, 1, 1))
+    assert v.slp1 is True and v.hrr1 is True
 
 
 def test_hrr1_quotient_with_parallel_elements():
@@ -45,23 +43,23 @@ def test_hrr1_quotient_with_parallel_elements():
     f = basis_poly(m)  # (x1+x2)*x3
     assert gradient_rank(f) == 2
     assert hessian_inertia(f, (1, 1, 1)).as_tuple() == (1, 1, 1)
-    assert hrr1(f, (1, 1, 1)) is True
-    assert slp1(f, (1, 1, 1)) is True
+    v = point_verdicts(f, (1, 1, 1))
+    assert v.hrr1 is True and v.slp1 is True
 
 
-def test_inapplicable_point_raises():
+def test_inapplicable_point_has_no_verdicts():
+    # a point where the value is 0: no inertia and neither verdict
     f = basis_poly(uniform(2, 3))
-    with pytest.raises(InapplicablePointError):
-        slp1(f, (0, 0, 1))
-    with pytest.raises(InapplicablePointError):
-        hrr1(f, (0, 0, 1))
-    v = point_verdicts(f, (0, 0, 1))
-    assert not v.value_positive and v.hrr1 is None
+    assert point_verdicts(f, (0, 0, 1)) == PointVerdicts(False, None, None, None)
+    reduced = reduced_indep_poly(uniform(2, 3))
+    assert point_verdicts(reduced, (0, 0, 0, 1)) == PointVerdicts(
+        False, None, None, None
+    )
 
 
 def test_degree_requirement():
-    with pytest.raises(ValueError):
-        slp1(basis_poly(uniform(1, 2)), (1, 1))
+    with pytest.raises(ValueError, match="degree >= 2"):
+        point_verdicts(basis_poly(uniform(1, 2)), (1, 1))
 
 
 def test_point_verdicts_consistent_with_singletons():

@@ -246,9 +246,9 @@ def test_clear_denominators_is_the_least_integer_scale(values):
 def test_float_values_raise_a_value_error_naming_them():
     # every public entry that clears a point names a coordinate that is not
     # an exact rational; so do inertia and rank on a float matrix
-    from mlz.lefschetz import hessian_inertia, hrr1, lorentzian_witness, point_verdicts, slp1
+    from mlz.lefschetz import hessian_inertia, lorentzian_witness, point_verdicts
     from mlz.matroids import uniform
-    from mlz.polynomials import basis_poly, hessian_matrix, jet
+    from mlz.polynomials import basis_poly, evaluate, hessian_matrix, jet
     from mlz.verify import mason_basis_check, mason_indep_check
 
     m = uniform(2, 4)
@@ -257,12 +257,11 @@ def test_float_values_raise_a_value_error_naming_them():
     entries = (
         lambda: clear_denominators(at),
         lambda: clear_denominators((Fraction(1, 3), 0.5)),
+        lambda: evaluate(f, at),
         lambda: jet(f, at),
         lambda: hessian_matrix(f, at),
         lambda: hessian_inertia(f, at),
         lambda: point_verdicts(f, at),
-        lambda: slp1(f, at),
-        lambda: hrr1(f, at),
         lambda: lorentzian_witness(f, [at]),
         lambda: mason_basis_check(m, 1, 2, at),
         lambda: mason_indep_check(m, 1, at),

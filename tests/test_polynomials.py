@@ -102,11 +102,11 @@ def test_reduced_poly_full_rank_is_indep_poly():
 def test_reduced_poly_direct_sum():
     m = direct_sum(uniform(2, 3), uniform(1, 1))
     p = reduced_indep_poly(m)
-    assert p.coefficient(3, 0) == 4
-    assert p.coefficient(2, mask_of([1])) == 3
-    assert p.coefficient(1, mask_of([1, 2])) == 2
-    assert p.coefficient(0, mask_of([1, 2, 4])) == 1
-    assert p.coefficient(0, mask_of([1, 2, 3])) == 0
+    assert p.terms.get((3, 0)) == 4
+    assert p.terms.get((2, mask_of([1]))) == 3
+    assert p.terms.get((1, mask_of([1, 2]))) == 2
+    assert p.terms.get((0, mask_of([1, 2, 4]))) == 1
+    assert p.terms.get((0, mask_of([1, 2, 3]))) is None
     assert p == reduced_by_derivatives(m)
 
 
