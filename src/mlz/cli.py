@@ -16,12 +16,7 @@ from fractions import Fraction
 from . import matroids as mt
 from . import morphisms as mo
 from . import verify
-from .lefschetz import (
-    gradient_rank,
-    lorentzian_decide,
-    lorentzian_witness,
-    point_verdicts,
-)
+from .lefschetz import lorentzian_decide, lorentzian_witness, point_verdicts
 from .linalg import inertia
 from .polynomials import (
     basis_poly,
@@ -214,7 +209,7 @@ def _cmd_check(args) -> int:
     ine = v.inertia
     print(
         f"{args.what.upper()}: {str(verdict).lower()} "
-        f"inertia=({ine.pos},{ine.neg},{ine.zero}) grad_rank={gradient_rank(p)}"
+        f"inertia=({ine.pos},{ine.neg},{ine.zero}) grad_rank={v.grad_rank}"
     )
     return 0 if verdict else 1
 

@@ -24,9 +24,12 @@ nor rank nor value signs.  Both checks read p's jet at a
 (`polynomials.jet`), one fill of the plan the polynomial keeps
 (`HomogPoly.plan`): the sign of p(a) is the sign of its s, and H's rank
 comes from its inertia (rank = pos + neg for symmetric matrices), so one
-symmetric elimination serves both checks.  g is the rank the polynomial
-keeps (`HomogPoly.grad_rank`), so checking one polynomial at many points
-compiles and ranks it once.  `hessian_inertia` reads no value and
+symmetric elimination serves both checks.  g comes from that same
+inertia when H(a) is non-singular (then g = m; the proof is in
+`point_verdicts`), and otherwise from the rank the polynomial keeps
+(`HomogPoly.grad_rank`), so checking one polynomial at many points
+compiles it once and builds its Gram matrix at most once, and only when
+some point's Hessian is singular.  `hessian_inertia` reads no value and
 eliminates the plan's upper rows (`HessianPlan.upper`) alone.  The
 elimination reads H's upper triangle only, and consumes the filled rows
 when the plan's coefficients, and so its rows, are integers.
@@ -79,6 +82,7 @@ class PointVerdicts:
     inertia: Optional[Inertia]
     slp1: Optional[bool]
     hrr1: Optional[bool]
+    grad_rank: Optional[int] = None  # the g the verdicts used
 
 
 def point_verdicts(p: HomogPoly, point: Sequence) -> PointVerdicts:
@@ -86,19 +90,29 @@ def point_verdicts(p: HomogPoly, point: Sequence) -> PointVerdicts:
 
     Returns verdicts None when the point value is not positive (the checks
     are undefined there).
+
+    g is read off the inertia when H(a) is non-singular, and taken from the
+    polynomial's Gram rank (`gradient_rank`) only when it is singular.
+    Proof: call v an annihilator when D_v p = 0 identically.  Then
+    H(x) v = grad(D_v p)(x) = 0 at every x, so the annihilators, a space of
+    dimension m - g, lie in ker H(a), and rank H(a) <= g <= m for the m
+    active variables.  A non-singular H(a) thus proves g = m: slp1 holds,
+    and hrr1 holds exactly when the inertia is (1, m - 1, 0).
     """
     if p.degree < 2:
         raise ValueError("point checks need degree >= 2")
     jt = jet(p, point)
     if jt.s <= 0:  # s = d (d - 1) p(A) with d (d - 1) > 0
         return PointVerdicts(False, None, None, None)
-    g = gradient_rank(p)
     ine = inertia(jt.h, consume=p.plan.integral)
+    m = len(p.active)
+    g = gradient_rank(p) if ine.zero else m
     return PointVerdicts(
         True,
         ine,
         ine.pos + ine.neg == g,
-        ine.as_tuple() == (1, g - 1, len(p.active) - g),
+        ine.as_tuple() == (1, g - 1, m - g),
+        g,
     )
 
 

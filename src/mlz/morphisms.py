@@ -28,11 +28,11 @@ as a matroid keeps its tables).  The polynomials come from the builders
 of the independent-set polynomials (`polynomials.padded_poly` and
 `reduced_poly`), the count profile from the normalized count inequality
 of the independent counts (`matroids.normalized_sides`).  The reduced
-polynomial keeps its own gradient rank and Hessian plan the same way, so
-they are shared with it.  The suite's level and extension rows check the
-levels against the family's source and loop preimage, so neither is
-derived from the levels; only the degeneracy verdict reads them off the
-levels.
+polynomial keeps its own Hessian plan the same way, and its gradient
+rank once something reads it, so they are shared with it.  The suite's
+level and extension rows check the levels against the family's source
+and loop preimage, so neither is derived from the levels; only the
+degeneracy verdict reads them off the levels.
 """
 
 from __future__ import annotations

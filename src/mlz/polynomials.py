@@ -32,9 +32,12 @@ first use, and keeps all three (`HomogPoly.plan`, `HomogPoly.gram`,
 `HomogPoly.grad_rank`, each a `matroids.kept` fact in the polynomial's
 `_cache`): every Hessian of one polynomial, at any number of points and
 from any caller, comes from one plan, and its gradient matrix is built
-once.  Over the rationals rank G G^T = rank G, and the Gram matrix holds
-every dot product of two first partials, which is what the Hodge pair
-rows of `verify` read to decide proportionality.
+at most once.  The point checks (`lefschetz.point_verdicts`) read
+`grad_rank` only at a point where the Hessian is singular, since a
+non-singular Hessian already proves full gradient rank.  Over the
+rationals rank G G^T = rank G, and the Gram matrix holds every dot
+product of two first partials, which is what the Hodge pair rows of
+`verify` read to decide proportionality.
 """
 
 from __future__ import annotations
@@ -62,15 +65,24 @@ class HomogPoly:
     tag.  The Hessian plan, the Gram matrix of the first partials and the
     gradient rank depend on the polynomial alone, so each is computed on
     first use and kept in `_cache` (`matroids.kept`).
+
+    `HomogPoly(active, degree, terms)` checks every term; the builders
+    here whose terms are valid by construction (`basis_poly`,
+    `padded_poly`, `reduced_poly`, `partial`) pass `_trusted=True` to skip
+    the checks, as the named `Matroid` constructors do.
     """
 
     __slots__ = ("active", "degree", "terms", "_cache")
 
-    def __init__(self, active: Sequence[int], degree: int, terms: dict):
+    def __init__(
+        self, active: Sequence[int], degree: int, terms: dict, *, _trusted: bool = False
+    ):
         self.active = tuple(active)
         self.degree = degree
         self.terms = terms
         self._cache = {}
+        if _trusted:
+            return
         has_x0 = 0 in self.active
         allowed = 0  # mask of the active multilinear variables
         for v in self.active:
@@ -173,26 +185,27 @@ def poly_json(p: HomogPoly) -> list[dict]:
 def basis_poly(m: Matroid) -> HomogPoly:
     """Sum of x_B over bases B; degree rank, active {1..n}."""
     terms = {(0, b): 1 for b in m.bases}
-    return HomogPoly(range(1, m.n + 1), m.rank, terms)
+    return HomogPoly(range(1, m.n + 1), m.rank, terms, _trusted=True)
 
 
 def padded_poly(n: int, sets: Iterable[Mask]) -> HomogPoly:
     """Sum of x0^(n-|S|) x_S over a family of subsets of {1..n}; degree n,
-    active {0..n}."""
+    active {0..n}.  The masks are trusted to lie in {1..n}."""
     terms = {(n - s.bit_count(), s): 1 for s in sets}
-    return HomogPoly(range(0, n + 1), n, terms)
+    return HomogPoly(range(0, n + 1), n, terms, _trusted=True)
 
 
 def reduced_poly(n: int, r: int, sets: Iterable[Mask]) -> HomogPoly:
     """padded_poly(n, sets) hit with d/dx0 exactly (n - r) times, for sets of
     at most r elements, built in one pass over them:
-    sum of (n-|S|)!/(r-|S|)! x0^(r-|S|) x_S; degree r, active {0..n}."""
+    sum of (n-|S|)!/(r-|S|)! x0^(r-|S|) x_S; degree r, active {0..n}.  The
+    masks are trusted to lie in {1..n}."""
     coeff = [factorial(n - k) // factorial(r - k) for k in range(r + 1)]
     terms = {}
     for s in sets:
         k = s.bit_count()
         terms[(r - k, s)] = coeff[k]
-    return HomogPoly(range(0, n + 1), r, terms)
+    return HomogPoly(range(0, n + 1), r, terms, _trusted=True)
 
 
 def indep_poly(m: Matroid) -> HomogPoly:
@@ -222,7 +235,7 @@ def partial(p: HomogPoly, i: int) -> HomogPoly:
         for (e0, mask), c in p.terms.items():
             if mask & bit:
                 terms[(e0, mask ^ bit)] = c
-    return HomogPoly(p.active, p.degree - 1, terms)
+    return HomogPoly(p.active, p.degree - 1, terms, _trusted=True)
 
 
 def linear_apply(p: HomogPoly, coeffs: Sequence) -> HomogPoly:

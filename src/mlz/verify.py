@@ -714,8 +714,17 @@ def _shared_rows(family: mo.MorphismBases) -> _SharedRows:
     check("morphism-bases-extension", ext_ok, f"bottom={len(bottom)}")
 
     p_phi, reduced = family.polys
+    # the fixed points' verdicts come first: at (1, ..., 1), where the
+    # reduced polynomial (positive coefficients) is positive, g is read off
+    # the inertia, and the Gram matrix is built only if H is singular there
+    if reduced.degree >= 2:
+        points = ((1,) * (n + 1), (0,) + (1,) * n)
+        verdicts = [point_verdicts(reduced, a) for a in points]
+        fixed = " ".join(map(_render_point_verdicts, map(_fmt_point, points), verdicts))
+        g = verdicts[0].grad_rank
+    else:
+        fixed, g = None, reduced.grad_rank
     verdict = family.degeneracy
-    g = reduced.grad_rank
     deficient = g < n + 1
     classes = "".join(sorted(verdict.classes)) or "-"
     if m.is_simple:
@@ -748,12 +757,6 @@ def _shared_rows(family: mo.MorphismBases) -> _SharedRows:
         f"levels={len(profile)} equalities={sum(1 for e in profile if e.equal)}",
     )
 
-    fixed = None
-    if reduced.degree >= 2:
-        fixed = " ".join(
-            _render_point_verdicts(_fmt_point(a), point_verdicts(reduced, a))
-            for a in ((1,) * (n + 1), (0,) + (1,) * n)
-        )
     return _SharedRows(tuple(rows), fixed)
 
 

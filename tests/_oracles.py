@@ -22,9 +22,11 @@ variable instead of rows read off the term map, seeded points as
 `Fraction`s read off the stream instead of integers from the table of
 the 256 draws, the reduced polynomial of a matroid or of a morphism's
 basis family as n - r derivatives of its x0-padded polynomial, one
-`partial` polynomial each, instead of the one-pass closed form, and a
+`partial` polynomial each, instead of the one-pass closed form, a
 basis family's normalized count profile as products of `Fraction`s
-instead of the integer sides of `matroids.normalized_sides`.
+instead of the integer sides of `matroids.normalized_sides`, and the
+gradient rank of every point check from the polynomial's Gram matrix
+instead of the Hessian's inertia wherever that Hessian is non-singular.
 """
 
 from __future__ import annotations
@@ -947,20 +949,34 @@ def hodge_pair_counts(p, points, pairs) -> tuple[int, int]:
 # -- per-map morphism suite ------------------------------------------------------
 
 
-def _whole_hessian_verdicts(p, point) -> str:
-    """The `reduced-point-verdicts` entry of p at an integer point, from the
-    mirrored Hessian: p(a) by evaluation, the inertia by whole-matrix
-    elimination."""
+def gram_rank_verdicts(p, point):
+    """`lefschetz.point_verdicts` by the rule without its shortcut: g is
+    always the Gram rank the polynomial keeps (`HomogPoly.grad_rank`),
+    whether or not the Hessian at the point is singular; p(a) by
+    evaluation, the inertia by whole-matrix elimination of the mirrored
+    Hessian."""
+    from mlz.lefschetz import PointVerdicts
     from mlz.linalg import Inertia
     from mlz.polynomials import evaluate, hessian_matrix
 
+    if p.degree < 2:
+        raise ValueError("point checks need degree >= 2")
     if evaluate(p, point) <= 0:
-        return "inapplicable"
+        return PointVerdicts(False, None, None, None)
     g = p.grad_rank
     ine = Inertia(*full_matrix_inertia(hessian_matrix(p, point)))
     slp1 = ine.pos + ine.neg == g
     hrr1 = ine.as_tuple() == (1, g - 1, len(p.active) - g)
-    return f"slp1={slp1},hrr1={hrr1},inertia={ine.render()}"
+    return PointVerdicts(True, ine, slp1, hrr1, g)
+
+
+def _whole_hessian_verdicts(p, point) -> str:
+    """The `reduced-point-verdicts` entry of p at an integer point, from
+    `gram_rank_verdicts`."""
+    v = gram_rank_verdicts(p, point)
+    if not v.value_positive:
+        return "inapplicable"
+    return f"slp1={v.slp1},hrr1={v.hrr1},inertia={v.inertia.render()}"
 
 
 def per_map_morphism_suite(phi, seed: int):

@@ -318,6 +318,19 @@ def test_check_lines_and_exit_codes(capsys, u23_file, what):
 
 
 @pytest.mark.parametrize(
+    "kind, inertia",
+    # the basis Hessian of U(3,8) is non-singular, so g is read off its
+    # inertia; the reduced one has an annihilator, so g is the Gram rank
+    [("basis", "(1,7,0)"), ("reduced", "(1,7,1)")],
+)
+def test_check_grad_rank_from_either_route(capsys, kind, inertia):
+    for what in ("slp1", "hrr1"):
+        assert run(["check", what, "--uniform", "3,8", "--kind", kind]) == 0
+        out = capsys.readouterr().out
+        assert out == f"{what.upper()}: true inertia={inertia} grad_rank=8\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         [],

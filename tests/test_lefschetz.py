@@ -15,6 +15,8 @@ from mlz.lefschetz import (
 from mlz.matroids import catalog, direct_sum, uniform, validate_bases
 from mlz.polynomials import HomogPoly, basis_poly, indep_poly, reduced_indep_poly
 
+from _oracles import gram_rank_verdicts
+
 
 # x0^2 + x1*x2: a non-negative quadratic whose Hessian has two positive
 # eigenvalues, the in-representation analogue of a sum of squares
@@ -39,12 +41,52 @@ def test_slp1_hrr1_uniform_examples():
 
 
 def test_hrr1_quotient_with_parallel_elements():
+    # (x1 + x2) x3 has the annihilator d1 - d2, so its Hessian is singular
+    # at every point and the point checks take g from the Gram matrix
     m = direct_sum(validate_bases(2, [[1], [2]]), uniform(1, 1))
     f = basis_poly(m)  # (x1+x2)*x3
-    assert gradient_rank(f) == 2
     assert hessian_inertia(f, (1, 1, 1)).as_tuple() == (1, 1, 1)
-    v = point_verdicts(f, (1, 1, 1))
-    assert v.hrr1 is True and v.slp1 is True
+    assert "grad_rank" not in f._cache
+    for a in ((1, 1, 1), (2, 1, 3), (Fraction(1, 2), 5, 2)):
+        v = point_verdicts(f, a)
+        assert f._cache["grad_rank"] == 2
+        assert v.hrr1 is True and v.slp1 is True
+        assert v.inertia.as_tuple() == (1, 1, 1) and v.grad_rank == 2, a
+        assert v == gram_rank_verdicts(f, a), a
+    assert gradient_rank(f) == 2
+
+
+def test_point_verdicts_match_the_gram_rank_oracle_on_catalog():
+    """The rank shortcut against the rule that always reads the Gram rank:
+    every field, on the basis, independent-set and reduced polynomials of
+    every matroid on at most five elements, at (1, ..., 1), a seeded
+    interior point and a seeded point with first coordinate 0.  A
+    non-singular Hessian must not build the Gram matrix."""
+    from mlz.sampling import derive, seeded_point
+
+    routes = {"inertia": 0, "gram": 0}
+    for n in range(1, 6):
+        for idx, m in enumerate(catalog(n)):
+            rng = derive(28, n, idx)
+            for p in (basis_poly(m), indep_poly(m), reduced_indep_poly(m)):
+                if p.degree < 2:
+                    continue
+                k = len(p.active)
+                points = [(1,) * k]
+                points += [seeded_point(rng, k, zeros=z)[1] for z in (0, 1)]
+                got = []
+                for a in points:
+                    had = "grad_rank" in p._cache
+                    v = point_verdicts(p, a)
+                    if v.value_positive:
+                        nonsingular = v.inertia.zero == 0
+                        routes["inertia" if nonsingular else "gram"] += 1
+                        if nonsingular:
+                            assert ("grad_rank" in p._cache) == had, (m, a)
+                    got.append(v)
+                for a, v in zip(points, got):
+                    assert v == gram_rank_verdicts(p, a), (m, p, a)
+    assert routes["inertia"] and routes["gram"], routes
 
 
 def test_inapplicable_point_has_no_verdicts():

@@ -660,3 +660,18 @@ def test_homog_poly_rejects_inhomogeneous():
     with pytest.raises(ValueError) as err:
         HomogPoly((0, 1, 2), 3, {(0, mask_of([2, 4, 5])): 1})
     assert str(err.value) == "x4 appears but is not active"
+
+
+def test_trusted_builders_give_polynomials_the_checks_accept():
+    # basis_poly, padded_poly (through indep_poly), reduced_poly (through
+    # reduced_indep_poly) and partial skip the term checks; the validating
+    # constructor must accept every polynomial they build
+    built = 0
+    for n in range(1, 5):
+        for m in catalog(n):
+            for p in (basis_poly(m), indep_poly(m), reduced_indep_poly(m)):
+                for q in (p, *(partial(p, i) for i in p.active)):
+                    checked = HomogPoly(q.active, q.degree, dict(q.terms))
+                    assert checked == q and checked.active == q.active, (m, q)
+                    built += 1
+    assert built > 1000
