@@ -20,8 +20,8 @@ from .lefschetz import lorentzian_decide, lorentzian_witness, point_verdicts
 from .linalg import inertia
 from .polynomials import (
     basis_poly,
-    hessian_matrix,
     indep_poly,
+    jet,
     poly_json,
     poly_str,
     reduced_indep_poly,
@@ -149,22 +149,18 @@ def _cmd_hessian(args) -> int:
     p = _POLYS[args.kind](m)
     if p.degree < 2:
         raise UsageError(f"the {args.kind} polynomial has degree {p.degree} < 2")
-    point = _point_for(args, p)
-    h = hessian_matrix(p, point)
-    ine = inertia(h)
+    # the rows are the jet's integer h divided by lam^(d - 2), as
+    # `hessian_matrix` gives them; the inertia is h's own, eliminated in
+    # place once the rows are rendered
+    jt = jet(p, _point_for(args, p))
+    den = jt.lam ** (p.degree - 2)
+    rows = [[str(Fraction(v, den)) for v in row] for row in jt.h]
+    ine = inertia(jt.h, consume=p.plan.integral)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "rows": [[str(v) for v in row] for row in h],
-                    "inertia": ine.to_json_dict(),
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps({"rows": rows, "inertia": ine.to_json_dict()}, sort_keys=True))
     else:
-        for row in h:
-            print(" ".join(str(v) for v in row))
+        for row in rows:
+            print(" ".join(row))
         print(f"inertia=({ine.pos},{ine.neg},{ine.zero})")
     return 0
 

@@ -20,19 +20,22 @@ CLI and the survey print as "inapplicable".
 Points are integerized by `linalg.clear_denominators` before spectra are
 taken: every polynomial here is homogeneous, so a positive rescaling
 multiplies the Hessian by a positive scalar and changes neither inertia
-nor rank nor value signs.  Both checks read p's jet at a
-(`polynomials.jet`), one fill of the plan the polynomial keeps
-(`HomogPoly.plan`): the sign of p(a) is the sign of its s, and H's rank
-comes from its inertia (rank = pos + neg for symmetric matrices), so one
-symmetric elimination serves both checks.  g comes from that same
-inertia when H(a) is non-singular (then g = m; the proof is in
-`point_verdicts`), and otherwise from the rank the polynomial keeps
-(`HomogPoly.grad_rank`), so checking one polynomial at many points
-compiles it once and builds its Gram matrix at most once, and only when
-some point's Hessian is singular.  `hessian_inertia` reads no value and
-eliminates the plan's upper rows (`HessianPlan.upper`) alone.  The
-elimination reads H's upper triangle only, and consumes the filled rows
-when the plan's coefficients, and so its rows, are integers.
+nor rank nor value signs.  Both checks read one fill of the plan the
+polynomial keeps (`HomogPoly.plan`), its upper rows
+(`HessianPlan.upper`), with no jet: the sign of p(a) comes from the
+term support when every coefficient is positive and no coordinate is
+negative, and otherwise from A^T H A summed off the upper triangle, and
+H's rank comes from its inertia (rank = pos + neg for symmetric
+matrices), so one symmetric elimination serves both checks.  g comes
+from that same inertia when H(a) is non-singular (then g = m; the proof
+is in `point_verdicts`), and otherwise from the rank the polynomial
+keeps (`HomogPoly.grad_rank`, m again when the Hessian at (1, ..., 1) is
+non-singular), so checking one polynomial at many points compiles it
+once and builds its Gram matrix at most once, and only when its Hessian
+at (1, ..., 1) is singular too.  `hessian_inertia` reads no value and
+eliminates the upper rows alone.  The elimination reads H's upper
+triangle only, and consumes the filled rows when the plan's
+coefficients, and so its rows, are integers.
 
 `lorentzian_witness` checks every derivative d^alpha p of order <= d - 2
 without building one.  Per point it fills one integer table of the
@@ -57,12 +60,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from math import comb, factorial, perm
-from operator import or_
+from operator import mul, or_
 from typing import Optional, Sequence
 
 from .linalg import Inertia, clear_denominators, inertia
 from .matroids import exchange_violation, submasks
-from .polynomials import HomogPoly, hessian_matrix, jet  # noqa: F401 -- public here too
+from .polynomials import HomogPoly, hessian_matrix  # noqa: F401 -- public here too
 
 
 def hessian_inertia(p: HomogPoly, point: Sequence) -> Inertia:
@@ -91,8 +94,17 @@ def point_verdicts(p: HomogPoly, point: Sequence) -> PointVerdicts:
     Returns verdicts None when the point value is not positive (the checks
     are undefined there).
 
+    With (lam, A) = clear_denominators(point), the plan's upper triangle is
+    filled at A and eliminated in place; no jet is taken.  The sign of p(a)
+    is that of p(A) (lam > 0).  When every coefficient is positive
+    (`HessianPlan.positive`) and no coordinate of A is negative, each term
+    is >= 0 at A and > 0 exactly when all of its variables are non-zero
+    there, so p(A) > 0 exactly when some term's variables are; the scan
+    stops at the first such term.  Otherwise the sign is that of
+    A^T H A = d (d - 1) p(A) (Euler), summed off the upper triangle.
+
     g is read off the inertia when H(a) is non-singular, and taken from the
-    polynomial's Gram rank (`gradient_rank`) only when it is singular.
+    polynomial's gradient rank (`gradient_rank`) only when it is singular.
     Proof: call v an annihilator when D_v p = 0 identically.  Then
     H(x) v = grad(D_v p)(x) = 0 at every x, so the annihilators, a space of
     dimension m - g, lie in ker H(a), and rank H(a) <= g <= m for the m
@@ -101,10 +113,12 @@ def point_verdicts(p: HomogPoly, point: Sequence) -> PointVerdicts:
     """
     if p.degree < 2:
         raise ValueError("point checks need degree >= 2")
-    jt = jet(p, point)
-    if jt.s <= 0:  # s = d (d - 1) p(A) with d (d - 1) > 0
+    plan = p.plan
+    a = clear_denominators(point)[1]
+    h = plan.upper(a)
+    if not _value_positive(p, a, h):
         return PointVerdicts(False, None, None, None)
-    ine = inertia(jt.h, consume=p.plan.integral)
+    ine = inertia(h, consume=plan.integral)
     m = len(p.active)
     g = gradient_rank(p) if ine.zero else m
     return PointVerdicts(
@@ -114,6 +128,27 @@ def point_verdicts(p: HomogPoly, point: Sequence) -> PointVerdicts:
         ine.as_tuple() == (1, g - 1, m - g),
         g,
     )
+
+
+def _value_positive(p: HomogPoly, a: Sequence[int], h: list[list]) -> bool:
+    """Whether p(A) > 0 at the integer point A, given the upper triangle h
+    of p's Hessian there (see `point_verdicts`)."""
+    if p.plan.positive and min(a, default=0) >= 0:
+        x0 = True  # whether x0 is non-zero at A
+        zeros = 0  # the bits of the multilinear variables that are 0 at A
+        for v, c in zip(p.active, a):
+            if not c:
+                if v:
+                    zeros |= 1 << (v - 1)
+                else:
+                    x0 = False
+        return any(not mask & zeros and (x0 or not e0) for e0, mask in p.terms)
+    # A^T H A: each diagonal entry once, each entry above it twice
+    s = 0
+    for i, row in enumerate(h):
+        if a[i]:
+            s += a[i] * (row[i] * a[i] + 2 * sum(map(mul, row[i + 1 :], a[i + 1 :])))
+    return s > 0
 
 
 @dataclass(frozen=True)

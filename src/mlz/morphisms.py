@@ -5,7 +5,10 @@ A map phi from the ground set of M (rank r) to the ground set of N
 flat of M; equivalently, nested subsets never gain more rank in the image
 than they gain in the source.  Validation decides by the flat-preimage
 form alone; the rank-difference form over all nested pairs is kept as an
-independent oracle in the test suite.
+independent oracle in the test suite.  `enumerate_morphisms` builds its
+maps without `validate_morphism`: it backtracks over the source
+elements and drops a partial map as soon as some flat's partial
+preimage can no longer complete to a flat (`_maps_to`).
 
 A basis of phi is an independent set of M whose image spans N.  Collecting
 them by size gives one matroid per level; summing x0-padded monomials over
@@ -19,7 +22,11 @@ construction.
 
 Many maps share one basis family, one hashable MorphismBases value: the
 source, the target rank, the loop preimage and the levels.
-`basis_family` hands out the first family equal to a given one.  What
+`basis_family` hands out the first family equal to a given one, and
+`morphism_family` finds a map's family by a key that needs no levels
+(`_FamilyKey`: the source, the target rank, the loop preimage and the
+preimages of the target's hyperplanes), so the levels are built once
+per key, not once per map.  What
 depends on those fields alone (polynomials, level exchange checks, count
 profile, the degeneracy verdict with its checked annihilator, and the
 morphism suite's map-free rows, `verify._shared_rows`) is a fact of the
@@ -41,7 +48,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .matroids import (
@@ -333,8 +339,8 @@ class MorphismBases:
 def morphism_bases(phi: MatroidMorphism) -> MorphismBases:
     """Independent sets of the source whose image spans the target.
 
-    Not cached: each caller looks a map up once and keeps the first equal
-    family (`basis_family`), with everything kept on it."""
+    Not cached: `morphism_family` calls it once per family key and keeps
+    the first equal family (`basis_family`), with everything kept on it."""
     rank_n = phi.target.rank_table
     r_prime = phi.r_prime
     by_size: dict[int, set[Mask]] = {}
@@ -353,14 +359,58 @@ def basis_family(bases: MorphismBases) -> MorphismBases:
     return bases
 
 
-def _family(phi: MatroidMorphism) -> MorphismBases:
-    return basis_family(morphism_bases(phi))
+@dataclass(frozen=True, slots=True)
+class _FamilyKey:
+    """What fixes a map's basis family: its source, the target rank, the
+    loop preimage and the set of preimages of the target's hyperplanes.
+    The map rides along to build the family on a miss and takes no part
+    in equality or hashing.
+
+    A set spans the target exactly when it lies in no hyperplane, since
+    every proper flat lies in one (at rank 0 there is none, and every set
+    spans).  So an independent S of the source is a basis of the map
+    exactly when S lies in none of the hyperplane preimages, and equal
+    keys give equal levels, hence equal `MorphismBases`.
+    """
+
+    source: Matroid
+    r_prime: int
+    loops: Mask
+    hyperplanes: frozenset[Mask]
+    phi: MatroidMorphism = field(compare=False, repr=False)
+
+
+@functools.cache
+def _keyed_family(key: _FamilyKey) -> MorphismBases:
+    return basis_family(morphism_bases(key.phi))
+
+
+def _family_key(phi: MatroidMorphism) -> _FamilyKey:
+    target = phi.target
+    rank, top = target.rank_table, target.rank - 1
+    inverse = [0] * (target.n + 1)  # image -> the source elements sent to it
+    for i, t in enumerate(phi.map):
+        inverse[t] |= 1 << i
+    preimages = []
+    for flat in target.flats:
+        if rank[flat] == top:
+            pre = 0
+            for t in elems_of(flat):
+                pre |= inverse[t]
+            preimages.append(pre)
+    return _FamilyKey(phi.source, phi.r_prime, phi.phi_loops, frozenset(preimages), phi)
+
+
+def morphism_family(phi: MatroidMorphism) -> MorphismBases:
+    """The basis family of phi, `basis_family(morphism_bases(phi))`, built
+    once per family key (`_FamilyKey`) rather than once per map."""
+    return _keyed_family(_family_key(phi))
 
 
 def morphism_poly(phi: MatroidMorphism) -> tuple[HomogPoly, HomogPoly]:
     """(P, reduced P): x0-padded sum over morphism bases and its
     (n - r)-fold x0 derivative."""
-    return _family(phi).polys
+    return morphism_family(phi).polys
 
 
 def degeneracy_class(phi: MatroidMorphism) -> DegeneracyVerdict:
@@ -386,13 +436,13 @@ def degeneracy_class(phi: MatroidMorphism) -> DegeneracyVerdict:
     |I| < r' because phi(E) spans N.  S1 = I, S2 = I + f keeps I
     independent, and the growth ends at |I| = r' with phi(I) spanning N.
     """
-    return _family(phi).degeneracy
+    return morphism_family(phi).degeneracy
 
 
 def eur_huh_profile(phi: MatroidMorphism) -> tuple[EurHuhEntry, ...]:
     """Normalized log-concavity profile of the basis counts (see
     MorphismBases.eur_huh)."""
-    return _family(phi).eur_huh
+    return morphism_family(phi).eur_huh
 
 
 def enumerate_morphisms(
@@ -408,8 +458,39 @@ def enumerate_morphisms(
             raise MatroidError(
                 f"morphism enumeration supports targets up to {MORPHISM_TARGET_MAX}"
             )
-        for phi in product(range(1, target.n + 1), repeat=m.n):
-            try:
-                yield validate_morphism(m, target, phi)
-            except MorphismError:
-                continue
+        yield from _maps_to(m, target)
+
+
+def _maps_to(m: Matroid, target: Matroid) -> Iterator[MatroidMorphism]:
+    """The morphisms from m to target in map order, by backtracking.
+
+    Source elements get their images in order, each image in ascending
+    order, so the maps come out as `itertools.product` lists them.  A
+    partial map on the assigned elements A is dropped as soon as some
+    target flat F has a partial preimage P with cl_M(P) & A != P.  No
+    completion can save it: the full preimage P' is a flat holding P with
+    P' & A = P, so cl_M(P) & A lies in P' & A = P.  Once every element is
+    assigned, A is the ground set and the test reads cl_M(P) = P, the
+    flat-preimage condition of `validate_morphism`; the spanning check
+    then runs on each full map.
+    """
+    closure = m.closure_table
+    flats = target.flats
+    rank, full = target.rank_table, target.rank
+    phi = [0] * m.n
+
+    def extend(k: int, pre: tuple[Mask, ...], image: Mask):
+        if k == m.n:
+            if rank[image] == full:
+                yield MatroidMorphism(m, target, tuple(phi))
+            return
+        bit = 1 << k
+        assigned = (bit << 1) - 1
+        for t in range(1, target.n + 1):
+            tb = 1 << (t - 1)
+            nxt = tuple(p | bit if f & tb else p for p, f in zip(pre, flats))
+            if all(closure[p] & assigned == p for p in nxt):
+                phi[k] = t
+                yield from extend(k + 1, nxt, image | tb)
+
+    return extend(0, (0,) * len(flats), 0)

@@ -23,21 +23,23 @@ the package's only Hessian: it compiles a polynomial's second
 derivatives once, in one walk over its terms with a few flat operations
 per contribution, into flat contributions grouped by x0 power, with no
 second-partial polynomials, and fills the upper triangle at each point
-from a table of subset products (`HessianPlan.upper`).  `jet`, the one
-fill that reads values, mirrors it and reads the gradient and value off
-it; `hessian_matrix` is its Hessian, as row lists.  A polynomial
-compiles its plan, builds the Gram matrix of its first partials (G G^T
-over the rows G of `gradient_matrix`) and takes that matrix's rank on
-first use, and keeps all three (`HomogPoly.plan`, `HomogPoly.gram`,
-`HomogPoly.grad_rank`, each a `matroids.kept` fact in the polynomial's
-`_cache`): every Hessian of one polynomial, at any number of points and
-from any caller, comes from one plan, and its gradient matrix is built
-at most once.  The point checks (`lefschetz.point_verdicts`) read
-`grad_rank` only at a point where the Hessian is singular, since a
-non-singular Hessian already proves full gradient rank.  Over the
-rationals rank G G^T = rank G, and the Gram matrix holds every dot
-product of two first partials, which is what the Hodge pair rows of
-`verify` read to decide proportionality.
+from a table of subset products (`HessianPlan.upper`).  `jet` mirrors
+that triangle and reads the gradient and value off it; `hessian_matrix`
+is its Hessian, as row lists.  The point checks
+(`lefschetz.point_verdicts`) take no jet: they read the bare triangle.
+A polynomial compiles its plan, builds the Gram matrix of its first
+partials (G G^T over the rows G of `gradient_matrix`) and takes its
+gradient rank on first use, and keeps all three (`HomogPoly.plan`,
+`HomogPoly.gram`, `HomogPoly.grad_rank`, each a `matroids.kept` fact in
+the polynomial's `_cache`): every Hessian of one polynomial, at any
+number of points and from any caller, comes from one plan, and its
+gradient matrix is built at most once.  A non-singular Hessian at any
+point proves full gradient rank, so `grad_rank` is m when the Hessian
+at (1, ..., 1) is non-singular and the Gram matrix's rank only
+otherwise, and the point checks read `grad_rank` only at a point where
+the Hessian is singular.  Over the rationals rank G G^T = rank G, and
+the Gram matrix holds every dot product of two first partials, which is
+what the Hodge pair rows of `verify` read to decide proportionality.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from math import factorial
 from operator import mul, or_
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import clear_denominators, matrix_rank
+from .linalg import clear_denominators, inertia, matrix_rank
 from .matroids import Matroid, Mask, bits_of, elems_of, kept, mask_of
 
 TermKey = tuple[int, Mask]  # (x0 exponent, support mask over {1..n})
@@ -68,8 +70,9 @@ class HomogPoly:
 
     `HomogPoly(active, degree, terms)` checks every term; the builders
     here whose terms are valid by construction (`basis_poly`,
-    `padded_poly`, `reduced_poly`, `partial`) pass `_trusted=True` to skip
-    the checks, as the named `Matroid` constructors do.
+    `padded_poly`, `reduced_poly`, `partial`, `linear_apply`,
+    `rename_vars`, `expand_class_sums`) pass `_trusted=True` to skip the
+    checks, as the named `Matroid` constructors do.
     """
 
     __slots__ = ("active", "degree", "terms", "_cache")
@@ -126,9 +129,19 @@ class HomogPoly:
     @property
     @kept
     def grad_rank(self) -> int:
-        """The dimension of the span of the first partials (degree >= 1):
-        the rank of `gram`, which over the rationals is the rank of
-        `gradient_matrix`."""
+        """The dimension of the span of the first partials (degree >= 1).
+
+        m, the number of active variables, when the degree is at least 2
+        and the Hessian at (1, ..., 1) is non-singular: every annihilator
+        of the first partials lies in the kernel of the Hessian at every
+        point (see `lefschetz.point_verdicts`).  Otherwise the rank of
+        `gram`, which over the rationals is the rank of `gradient_matrix`.
+        """
+        m = len(self.active)
+        if self.degree >= 2:
+            plan = self.plan
+            if not inertia(plan.upper((1,) * m), consume=plan.integral).zero:
+                return m
         return matrix_rank(self.gram)
 
     def __eq__(self, other) -> bool:
@@ -239,7 +252,10 @@ def partial(p: HomogPoly, i: int) -> HomogPoly:
 
 
 def linear_apply(p: HomogPoly, coeffs: Sequence) -> HomogPoly:
-    """(sum_i coeffs[pos] * d/dx_i) p, coefficients aligned with p.active."""
+    """(sum_i coeffs[pos] * d/dx_i) p, coefficients aligned with p.active.
+
+    A sum of `partial` terms with the zero sums dropped, so the result
+    skips the term checks."""
     if len(coeffs) != len(p.active):
         raise ValueError("coefficient vector length must match active variables")
     terms: dict[TermKey, object] = {}
@@ -252,7 +268,7 @@ def linear_apply(p: HomogPoly, coeffs: Sequence) -> HomogPoly:
                 terms.pop(key, None)
             else:
                 terms[key] = new
-    return HomogPoly(p.active, p.degree - 1, terms)
+    return HomogPoly(p.active, p.degree - 1, terms, _trusted=True)
 
 
 def evaluate(p: HomogPoly, point: Sequence):
@@ -304,10 +320,12 @@ class HessianPlan:
     only fill, writes the upper triangle alone: `inertia` reads no more,
     and `jet` mirrors it.  `integral` says every coefficient is
     an `int`, so a fill at an integer point gives `int` rows, which
-    `inertia` may eliminate in place.
+    `inertia` may eliminate in place; `positive` says every coefficient
+    is positive, so the sign of a value at a point with no negative
+    coordinate can be read off the term support.
     """
 
-    __slots__ = ("size", "x0", "chain", "groups", "integral")
+    __slots__ = ("size", "x0", "chain", "groups", "integral", "positive")
 
     def __init__(self, p: HomogPoly):
         if p.degree < 2:
@@ -378,6 +396,7 @@ class HessianPlan:
             (e, tuple(flat)) for e, flat in sorted(groups.items()) if flat
         )
         self.integral = set(map(type, p.terms.values())) <= {int}
+        self.positive = all(c > 0 for c in p.terms.values())
 
     def upper(self, point: Sequence) -> list[list]:
         """The Hessian at the point, given in active-variable order, as
@@ -487,7 +506,10 @@ def gradient_matrix(p: HomogPoly) -> list[list]:
 
 
 def rename_vars(p: HomogPoly, new_of_old: dict[int, int]) -> HomogPoly:
-    """Rename variables; x0 may only map to x0.  Used to undo the relabeling of a contraction."""
+    """Rename variables; x0 may only map to x0.  Used to undo the relabeling of a contraction.
+
+    A renaming that keeps every monomial's size keeps p's terms valid, so
+    the result skips the term checks."""
     new_active = []
     for i in p.active:
         j = new_of_old.get(i, i)
@@ -500,7 +522,7 @@ def rename_vars(p: HomogPoly, new_of_old: dict[int, int]) -> HomogPoly:
         if new_mask.bit_count() != mask.bit_count():
             raise ValueError("variable renaming collapsed a monomial")
         terms[(e0, new_mask)] = c
-    return HomogPoly(sorted(new_active), p.degree, terms)
+    return HomogPoly(sorted(new_active), p.degree, terms, _trusted=True)
 
 
 def expand_class_sums(
@@ -508,7 +530,10 @@ def expand_class_sums(
 ) -> HomogPoly:
     """Substitute x_k -> sum of x_e over groups[k-1] (disjoint groups); x0 stays.
 
-    The result is declared over {0..nvars} or {1..nvars} matching p.
+    The result is declared over {0..nvars} or {1..nvars} matching p.  The
+    groups are trusted to be disjoint subsets of {1..nvars}, so each
+    monomial expands into monomials of its own size and the result skips
+    the term checks.
     """
     group_elems = [tuple(g) for g in groups]
     terms: dict[TermKey, object] = {}
@@ -525,5 +550,6 @@ def expand_class_sums(
             key = (e0, new_mask)
             terms[key] = terms.get(key, 0) + c
     active = range(0, nvars + 1) if 0 in p.active else range(1, nvars + 1)
-    return HomogPoly(active, p.degree, {k: v for k, v in terms.items() if v != 0})
+    terms = {k: v for k, v in terms.items() if v != 0}
+    return HomogPoly(active, p.degree, terms, _trusted=True)
 

@@ -43,11 +43,12 @@ matrix of the first partials that the polynomial keeps
 A morphism's rows split in two.  Every row but the two seeded points of
 `reduced-point-verdicts` reads only the map's basis family, which holds
 the source and the loop preimage; those rows are a fact kept on
-the family (`_shared_rows`).  Per map, `morphism_suite` derives the
-map's stream, draws its two seeded points, stamps its scope on the
-shared rows and checks the points: `sampling.seeded_point` gives the
-text the row prints and the integers at which the reduced polynomial's
-plan fills the upper triangle that `point_verdicts` reads.
+the family (`_shared_rows`).  Per map, `morphism_suite` finds the
+family by its key (`morphisms.morphism_family`), derives the map's
+stream, draws its two seeded points, stamps its scope on the shared
+rows and checks the points: `sampling.seeded_point` gives the text the
+row prints and the integers at which the reduced polynomial's plan
+fills the upper triangle that `point_verdicts` reads.
 
 All decisions are exact rational comparisons; there is no tolerance
 anywhere.  Suites emit CheckRow records (pass / fail / skip / recorded);
@@ -680,7 +681,8 @@ def _shared_rows(family: mo.MorphismBases) -> _SharedRows:
     The rows read the family's levels, source (its bases, independent sets
     and simplicity) and loop preimage, all of them fields of the family,
     so they are a fact of the family: every map with an equal family gets
-    the same rows, and `basis_family.cache_clear()` drops them.
+    the same rows, and clearing `basis_family` and the key lookup
+    (`morphisms._keyed_family`) drops them.
     """
     rows = []
 
@@ -766,7 +768,7 @@ def _morphism_rows(
     """The map's basis family and its suite rows under `scope`: the shared
     rows stamped with the scope, then `reduced-point-verdicts` with the
     family's fixed points and the two points seeded by this map."""
-    family = mo.basis_family(mo.morphism_bases(phi))
+    family = mo.morphism_family(phi)
     m = phi.source
     shared = _shared_rows(family)
     rows = [CheckRow(scope, *row) for row in shared.rows]

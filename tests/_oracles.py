@@ -26,7 +26,10 @@ basis family as n - r derivatives of its x0-padded polynomial, one
 basis family's normalized count profile as products of `Fraction`s
 instead of the integer sides of `matroids.normalized_sides`, and the
 gradient rank of every point check from the polynomial's Gram matrix
-instead of the Hessian's inertia wherever that Hessian is non-singular.
+instead of the Hessian's inertia wherever that Hessian is non-singular,
+morphisms by validating every candidate map instead of backtracking
+over partial flat preimages, and point verdicts off the whole jet
+instead of the bare upper triangle and a support scan.
 """
 
 from __future__ import annotations
@@ -243,6 +246,22 @@ def rank_condition_holds(m, n, phi) -> bool:
                 break
             s1 = (s1 - 1) & s2
     return True
+
+
+def enumerate_morphisms_by_validation(m, targets):
+    """`morphisms.enumerate_morphisms` by validation instead of
+    backtracking: every candidate map in `itertools.product` order, kept
+    when `validate_morphism` accepts it."""
+    from itertools import product
+
+    from mlz.morphisms import MorphismError, validate_morphism
+
+    for target in targets:
+        for phi in product(range(1, target.n + 1), repeat=m.n):
+            try:
+                yield validate_morphism(m, target, phi)
+            except MorphismError:
+                continue
 
 
 def per_map_degeneracy(phi):
@@ -950,9 +969,9 @@ def hodge_pair_counts(p, points, pairs) -> tuple[int, int]:
 
 
 def gram_rank_verdicts(p, point):
-    """`lefschetz.point_verdicts` by the rule without its shortcut: g is
-    always the Gram rank the polynomial keeps (`HomogPoly.grad_rank`),
-    whether or not the Hessian at the point is singular; p(a) by
+    """`lefschetz.point_verdicts` by the rule without its shortcuts: g is
+    always the rank of the Gram matrix the polynomial keeps
+    (`HomogPoly.gram`), whether or not any Hessian is singular; p(a) by
     evaluation, the inertia by whole-matrix elimination of the mirrored
     Hessian."""
     from mlz.lefschetz import PointVerdicts
@@ -963,11 +982,32 @@ def gram_rank_verdicts(p, point):
         raise ValueError("point checks need degree >= 2")
     if evaluate(p, point) <= 0:
         return PointVerdicts(False, None, None, None)
-    g = p.grad_rank
+    g = gauss_rank(p.gram)
     ine = Inertia(*full_matrix_inertia(hessian_matrix(p, point)))
     slp1 = ine.pos + ine.neg == g
     hrr1 = ine.as_tuple() == (1, g - 1, len(p.active) - g)
     return PointVerdicts(True, ine, slp1, hrr1, g)
+
+
+def jet_point_verdicts(p, point):
+    """`lefschetz.point_verdicts` off the whole jet instead of the bare
+    upper triangle: the sign of p(a) is the sign of the jet's
+    s = A^T H A, the inertia that of its mirrored h."""
+    from mlz.lefschetz import PointVerdicts
+    from mlz.linalg import inertia
+    from mlz.polynomials import jet
+
+    if p.degree < 2:
+        raise ValueError("point checks need degree >= 2")
+    jt = jet(p, point)
+    if jt.s <= 0:
+        return PointVerdicts(False, None, None, None)
+    ine = inertia(jt.h)
+    m = len(p.active)
+    g = p.grad_rank if ine.zero else m
+    return PointVerdicts(
+        True, ine, ine.pos + ine.neg == g, ine.as_tuple() == (1, g - 1, m - g), g
+    )
 
 
 def _whole_hessian_verdicts(p, point) -> str:

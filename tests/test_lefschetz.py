@@ -89,6 +89,53 @@ def test_point_verdicts_match_the_gram_rank_oracle_on_catalog():
     assert routes["inertia"] and routes["gram"], routes
 
 
+def test_point_verdicts_match_the_oracles_at_zero_and_negative_coordinates():
+    """The bare fill against the jet and against the Gram-rank rule, on the
+    basis, independent-set and reduced polynomials of every matroid on at
+    most four elements: at seeded points with some coordinates 0, where the
+    support scan decides the sign, and at the same points with one
+    coordinate negated, where A^T H A does."""
+    from mlz.sampling import derive, seeded_point
+
+    from _oracles import jet_point_verdicts
+
+    seen = {"positive": 0, "inapplicable": 0}
+    for n in range(1, 5):
+        for idx, m in enumerate(catalog(n)):
+            rng = derive(29, n, idx)
+            for p in (basis_poly(m), indep_poly(m), reduced_indep_poly(m)):
+                if p.degree < 2:
+                    continue
+                k = len(p.active)
+                for _ in range(2):
+                    zeros = rng.next64() & ((1 << k) - 1)
+                    a = seeded_point(rng, k, zeros=zeros)[1]
+                    flip = rng.next64() % k
+                    negated = a[:flip] + (-a[flip] or -1,) + a[flip + 1 :]
+                    for point in (a, negated):
+                        v = point_verdicts(p, point)
+                        assert v == jet_point_verdicts(p, point), (m, p, point)
+                        assert v == gram_rank_verdicts(p, point), (m, p, point)
+                        seen["positive" if v.value_positive else "inapplicable"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_value_sign_needs_positive_coefficients_and_coordinates():
+    """Negative controls for the support scan: at each point below every
+    term's variables are non-zero, yet p(a) < 0, so a scan without its
+    guard would call the point applicable."""
+    from mlz.polynomials import evaluate
+
+    # x0 x1 - x1 x2: a negative coefficient
+    p = HomogPoly((0, 1, 2), 2, {(1, 0b01): 1, (0, 0b11): -1})
+    # x1 x2 + x1 x3 with x2 < 0: a negative coordinate
+    q = HomogPoly((1, 2, 3), 2, {(0, 0b011): 1, (0, 0b101): 1})
+    for poly, a in ((p, (1, 1, 2)), (q, (1, -2, 1)), (q, (1, -1, 0))):
+        assert evaluate(poly, a) < 0
+        assert point_verdicts(poly, a) == PointVerdicts(False, None, None, None)
+    assert point_verdicts(q, (1, 2, 0)).value_positive
+
+
 def test_inapplicable_point_has_no_verdicts():
     # a point where the value is 0: no inertia and neither verdict
     f = basis_poly(uniform(2, 3))

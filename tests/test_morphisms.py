@@ -398,6 +398,55 @@ def test_enumerate_no_duplicates_and_revalidates():
     assert seen
 
 
+def _five_element_sources():
+    """One simple matroid on five elements of each rank 2 to 5, as the
+    morphism sweep of the benchmark takes them, and a relabeling of the
+    two that are not symmetric."""
+    from itertools import combinations
+
+    from mlz.matroids import validate_bases
+
+    lines = [
+        c for c in combinations(range(1, 6), 3) if set(c) not in ({1, 2, 3}, {1, 4, 5})
+    ]
+    triangle = [(4, 5) + c for c in combinations((1, 2, 3), 2)]
+    relabel = (3, 5, 1, 4, 2)  # element e becomes relabel[e - 1]
+    out = [uniform(2, 5), uniform(5, 5)]
+    for bases in (lines, triangle):
+        out.append(validate_bases(5, bases))
+        out.append(validate_bases(5, [[relabel[e - 1] for e in b] for b in bases]))
+    return out
+
+
+def test_backtracking_enumeration_and_keyed_families_match_the_oracles():
+    # sources: every simple matroid on <= 4 elements and the five-element
+    # sources; targets: every matroid on <= 3 elements.  The backtracking
+    # enumeration gives the validating route's maps in its order, and each
+    # map's keyed family is the very family its own bases give
+    from mlz import morphisms as mo
+
+    from _oracles import enumerate_morphisms_by_validation
+
+    sources = [m for n in range(1, 5) for m in catalog(n) if m.is_simple]
+    sources += _five_element_sources()
+    targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
+    mo.basis_family.cache_clear()
+    mo._keyed_family.cache_clear()
+    maps = 0
+    for m in sources:
+        for target in targets:
+            got = list(enumerate_morphisms(m, [target]))
+            want = list(enumerate_morphisms_by_validation(m, [target]))
+            assert got == want, (m, target)
+            for phi in got:
+                family = mo.morphism_family(phi)
+                assert family is mo.basis_family(morphism_bases(phi)), phi
+            maps += len(got)
+    assert maps == 15619  # 5095 from the small sources
+    keys = mo._keyed_family.cache_info().currsize
+    assert mo.basis_family.cache_info().currsize < keys < maps // 10
+
+
 def test_enumerate_bounds():
     from mlz.matroids import MatroidError
 

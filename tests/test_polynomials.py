@@ -8,6 +8,7 @@ from mlz.matroids import (
     catalog,
     contract,
     direct_sum,
+    elems_of,
     graphic,
     mask_of,
     simplify,
@@ -569,6 +570,29 @@ def test_grad_rank_is_the_rank_of_the_gradient_matrix():
     assert ranks[-3:] == [2, 2, 2]
 
 
+def test_grad_rank_skips_the_gram_matrix_when_the_hessian_at_ones_is_non_singular():
+    # fresh basis, independent-set and reduced polynomials of every n <= 5
+    # catalog matroid: a non-singular Hessian at (1, ..., 1) gives m with
+    # no Gram matrix built, a singular one the Gram rank; either way the
+    # rank of the gradient matrix
+    routes = {"hessian": 0, "gram": 0}
+    for n in range(1, 6):
+        for m in catalog(n):
+            for p in (basis_poly(m), indep_poly(m), reduced_indep_poly(m)):
+                if p.degree < 2:
+                    continue
+                k = len(p.active)
+                g = p.grad_rank
+                if hessian_inertia(p, (1,) * k).zero:
+                    routes["gram"] += 1
+                    assert "gram" in p._cache, p
+                else:
+                    routes["hessian"] += 1
+                    assert "gram" not in p._cache and g == k, p
+                assert g == matrix_rank(gradient_matrix(p)), p
+    assert min(routes.values()) > 100, routes
+
+
 # -- parallel substitution ----------------------------------------------------------
 
 
@@ -664,14 +688,37 @@ def test_homog_poly_rejects_inhomogeneous():
 
 def test_trusted_builders_give_polynomials_the_checks_accept():
     # basis_poly, padded_poly (through indep_poly), reduced_poly (through
-    # reduced_indep_poly) and partial skip the term checks; the validating
-    # constructor must accept every polynomial they build
+    # reduced_indep_poly), partial, linear_apply, rename_vars and
+    # expand_class_sums skip the term checks; the validating constructor
+    # must accept every polynomial they build.  linear_apply is given the
+    # all-ones form and the suite's kernel form (-1, 1, ..., 1), which
+    # cancels terms; rename_vars and expand_class_sums what the theorem
+    # suite gives them: the polynomials of each contraction, renamed back,
+    # and of the simplification, expanded over the parallel classes
     built = 0
     for n in range(1, 5):
         for m in catalog(n):
+            outputs = []
             for p in (basis_poly(m), indep_poly(m), reduced_indep_poly(m)):
-                for q in (p, *(partial(p, i) for i in p.active)):
-                    checked = HomogPoly(q.active, q.degree, dict(q.terms))
-                    assert checked == q and checked.active == q.active, (m, q)
-                    built += 1
-    assert built > 1000
+                outputs += (p, *(partial(p, i) for i in p.active))
+                k = len(p.active)
+                outputs.append(linear_apply(p, [1] * k))
+                outputs.append(linear_apply(p, [-1] + [1] * (k - 1)))
+            for e in range(1, n + 1):
+                if m.loops >> (e - 1) & 1:
+                    continue
+                sub, old_of = contract(m, e)
+                back = {k + 1: old_of[k] for k in range(len(old_of))}
+                outputs.append(rename_vars(basis_poly(sub), back))
+                outputs.append(rename_vars(indep_poly(sub), {0: 0, **back}))
+            classes = m.parallel_decomposition.classes
+            if classes:
+                simp, _ = simplify(m)
+                groups = [elems_of(c) for c in classes]
+                outputs.append(expand_class_sums(basis_poly(simp), groups, n))
+                outputs.append(expand_class_sums(indep_poly(simp), groups, n))
+            for q in outputs:
+                checked = HomogPoly(q.active, q.degree, dict(q.terms))
+                assert checked == q and checked.active == q.active, (m, q)
+                built += 1
+    assert built > 1500
