@@ -16,12 +16,16 @@ from fractions import Fraction
 from . import matroids as mt
 from . import morphisms as mo
 from . import verify
-from .lefschetz import lorentzian_decide, lorentzian_witness, point_verdicts
-from .linalg import inertia
+from .lefschetz import (
+    hessian_inertia,
+    lorentzian_decide,
+    lorentzian_witness,
+    point_verdicts,
+)
 from .polynomials import (
     basis_poly,
+    hessian_matrix,
     indep_poly,
-    jet,
     poly_json,
     poly_str,
     reduced_indep_poly,
@@ -149,13 +153,11 @@ def _cmd_hessian(args) -> int:
     p = _POLYS[args.kind](m)
     if p.degree < 2:
         raise UsageError(f"the {args.kind} polynomial has degree {p.degree} < 2")
-    # the rows are the jet's integer h divided by lam^(d - 2), as
-    # `hessian_matrix` gives them; the inertia is h's own, eliminated in
-    # place once the rows are rendered
-    jt = jet(p, _point_for(args, p))
-    den = jt.lam ** (p.degree - 2)
-    rows = [[str(Fraction(v, den)) for v in row] for row in jt.h]
-    ine = inertia(jt.h, consume=p.plan.integral)
+    # the inertia comes from the plan's integer fill at the cleared
+    # point, not from the rows, whose denominators it would clear again
+    point = _point_for(args, p)
+    rows = [[str(v) for v in row] for row in hessian_matrix(p, point)]
+    ine = hessian_inertia(p, point)
     if args.format == "json":
         print(json.dumps({"rows": rows, "inertia": ine.to_json_dict()}, sort_keys=True))
     else:

@@ -22,20 +22,18 @@ taken: every polynomial here is homogeneous, so a positive rescaling
 multiplies the Hessian by a positive scalar and changes neither inertia
 nor rank nor value signs.  Both checks read one fill of the plan the
 polynomial keeps (`HomogPoly.plan`), its upper rows
-(`HessianPlan.upper`), with no jet: the sign of p(a) comes from the
-term support when every coefficient is positive and no coordinate is
-negative, and otherwise from A^T H A summed off the upper triangle, and
-H's rank comes from its inertia (rank = pos + neg for symmetric
-matrices), so one symmetric elimination serves both checks.  g comes
-from that same inertia when H(a) is non-singular (then g = m; the proof
-is in `point_verdicts`), and otherwise from the rank the polynomial
-keeps (`HomogPoly.grad_rank`, m again when the Hessian at (1, ..., 1) is
-non-singular), so checking one polynomial at many points compiles it
-once and builds its Gram matrix at most once, and only when its Hessian
-at (1, ..., 1) is singular too.  `hessian_inertia` reads no value and
-eliminates the upper rows alone.  The elimination reads H's upper
-triangle only, and consumes the filled rows when the plan's
-coefficients, and so its rows, are integers.
+(`HessianPlan.upper`), with no jet: the sign of p(a) is that of
+A^T H A, summed off the upper triangle, and H's rank comes from its
+inertia (rank = pos + neg for symmetric matrices), so one symmetric
+elimination serves both checks.  g comes from that same inertia when
+H(a) is non-singular (then g = m; the proof is in `point_verdicts`), and
+otherwise from the rank the polynomial keeps (`HomogPoly.grad_rank`),
+so checking one polynomial at many points compiles it once and builds
+its Gram matrix at most once, and only when some point's Hessian is
+singular.  `hessian_inertia` reads no value and eliminates the upper
+rows alone.  The elimination reads H's upper triangle only, and consumes
+the filled rows when the plan's coefficients, and so its rows, are
+integers.
 
 `lorentzian_witness` checks every derivative d^alpha p of order <= d - 2
 without building one.  Per point it fills one integer table of the
@@ -96,15 +94,11 @@ def point_verdicts(p: HomogPoly, point: Sequence) -> PointVerdicts:
 
     With (lam, A) = clear_denominators(point), the plan's upper triangle is
     filled at A and eliminated in place; no jet is taken.  The sign of p(a)
-    is that of p(A) (lam > 0).  When every coefficient is positive
-    (`HessianPlan.positive`) and no coordinate of A is negative, each term
-    is >= 0 at A and > 0 exactly when all of its variables are non-zero
-    there, so p(A) > 0 exactly when some term's variables are; the scan
-    stops at the first such term.  Otherwise the sign is that of
-    A^T H A = d (d - 1) p(A) (Euler), summed off the upper triangle.
+    is that of A^T H A = d (d - 1) p(A) (Euler; lam > 0), summed off the
+    upper triangle.
 
     g is read off the inertia when H(a) is non-singular, and taken from the
-    polynomial's gradient rank (`gradient_rank`) only when it is singular.
+    polynomial's Gram rank (`gradient_rank`) only when it is singular.
     Proof: call v an annihilator when D_v p = 0 identically.  Then
     H(x) v = grad(D_v p)(x) = 0 at every x, so the annihilators, a space of
     dimension m - g, lie in ker H(a), and rank H(a) <= g <= m for the m
@@ -116,7 +110,7 @@ def point_verdicts(p: HomogPoly, point: Sequence) -> PointVerdicts:
     plan = p.plan
     a = clear_denominators(point)[1]
     h = plan.upper(a)
-    if not _value_positive(p, a, h):
+    if _quadratic_form(h, a) <= 0:
         return PointVerdicts(False, None, None, None)
     ine = inertia(h, consume=plan.integral)
     m = len(p.active)
@@ -130,25 +124,14 @@ def point_verdicts(p: HomogPoly, point: Sequence) -> PointVerdicts:
     )
 
 
-def _value_positive(p: HomogPoly, a: Sequence[int], h: list[list]) -> bool:
-    """Whether p(A) > 0 at the integer point A, given the upper triangle h
-    of p's Hessian there (see `point_verdicts`)."""
-    if p.plan.positive and min(a, default=0) >= 0:
-        x0 = True  # whether x0 is non-zero at A
-        zeros = 0  # the bits of the multilinear variables that are 0 at A
-        for v, c in zip(p.active, a):
-            if not c:
-                if v:
-                    zeros |= 1 << (v - 1)
-                else:
-                    x0 = False
-        return any(not mask & zeros and (x0 or not e0) for e0, mask in p.terms)
-    # A^T H A: each diagonal entry once, each entry above it twice
+def _quadratic_form(h: list[list], a: Sequence[int]):
+    """a^T H a from the upper triangle h of the symmetric H: each diagonal
+    entry once, each entry above it twice."""
     s = 0
     for i, row in enumerate(h):
         if a[i]:
             s += a[i] * (row[i] * a[i] + 2 * sum(map(mul, row[i + 1 :], a[i + 1 :])))
-    return s > 0
+    return s
 
 
 @dataclass(frozen=True)

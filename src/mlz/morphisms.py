@@ -23,10 +23,10 @@ construction.
 Many maps share one basis family, one hashable MorphismBases value: the
 source, the target rank, the loop preimage and the levels.
 `basis_family` hands out the first family equal to a given one, and
-`morphism_family` finds a map's family by a key that needs no levels
-(`_FamilyKey`: the source, the target rank, the loop preimage and the
-preimages of the target's hyperplanes), so the levels are built once
-per key, not once per map.  What
+`morphism_family` finds a map's family in the same cache by a key that
+needs no levels (`_FamilyKey`: the source, the target rank, the loop
+preimage and the preimages of the target's hyperplanes), so the levels
+are built once per key, not once per map.  What
 depends on those fields alone (polynomials, level exchange checks, count
 profile, the degeneracy verdict with its checked annihilator, and the
 morphism suite's map-free rows, `verify._shared_rows`) is a fact of the
@@ -339,8 +339,9 @@ class MorphismBases:
 def morphism_bases(phi: MatroidMorphism) -> MorphismBases:
     """Independent sets of the source whose image spans the target.
 
-    Not cached: `morphism_family` calls it once per family key and keeps
-    the first equal family (`basis_family`), with everything kept on it."""
+    Not cached: `morphism_family` calls it once per family key, and
+    `basis_family` keeps the first equal family, with everything kept on
+    it."""
     rank_n = phi.target.rank_table
     r_prime = phi.r_prime
     by_size: dict[int, set[Mask]] = {}
@@ -350,13 +351,6 @@ def morphism_bases(phi: MatroidMorphism) -> MorphismBases:
             by_size.setdefault(s.bit_count(), set()).add(s)
     levels = tuple((k, frozenset(v)) for k, v in sorted(by_size.items()))
     return MorphismBases(phi.source, r_prime, phi.phi_loops, levels)
-
-
-@functools.cache
-def basis_family(bases: MorphismBases) -> MorphismBases:
-    """The first family equal to `bases`, shared with its kept facts by
-    every morphism with these bases."""
-    return bases
 
 
 @dataclass(frozen=True, slots=True)
@@ -381,8 +375,16 @@ class _FamilyKey:
 
 
 @functools.cache
-def _keyed_family(key: _FamilyKey) -> MorphismBases:
-    return basis_family(morphism_bases(key.phi))
+def basis_family(bases: MorphismBases | _FamilyKey) -> MorphismBases:
+    """The first family equal to `bases`, shared with its kept facts by
+    every morphism with these bases.
+
+    Given a map's `_FamilyKey` instead (`morphism_family`), the family of
+    the map's bases, built on the first map with the key.  Keys and
+    families share this one cache, so `cache_clear()` drops both."""
+    if isinstance(bases, _FamilyKey):
+        return basis_family(morphism_bases(bases.phi))
+    return bases
 
 
 def _family_key(phi: MatroidMorphism) -> _FamilyKey:
@@ -404,7 +406,7 @@ def _family_key(phi: MatroidMorphism) -> _FamilyKey:
 def morphism_family(phi: MatroidMorphism) -> MorphismBases:
     """The basis family of phi, `basis_family(morphism_bases(phi))`, built
     once per family key (`_FamilyKey`) rather than once per map."""
-    return _keyed_family(_family_key(phi))
+    return basis_family(_family_key(phi))
 
 
 def morphism_poly(phi: MatroidMorphism) -> tuple[HomogPoly, HomogPoly]:

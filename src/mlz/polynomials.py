@@ -28,18 +28,17 @@ that triangle and reads the gradient and value off it; `hessian_matrix`
 is its Hessian, as row lists.  The point checks
 (`lefschetz.point_verdicts`) take no jet: they read the bare triangle.
 A polynomial compiles its plan, builds the Gram matrix of its first
-partials (G G^T over the rows G of `gradient_matrix`) and takes its
-gradient rank on first use, and keeps all three (`HomogPoly.plan`,
+partials (G G^T over the rows G of `gradient_matrix`) and takes that
+matrix's rank on first use, and keeps all three (`HomogPoly.plan`,
 `HomogPoly.gram`, `HomogPoly.grad_rank`, each a `matroids.kept` fact in
 the polynomial's `_cache`): every Hessian of one polynomial, at any
 number of points and from any caller, comes from one plan, and its
-gradient matrix is built at most once.  A non-singular Hessian at any
-point proves full gradient rank, so `grad_rank` is m when the Hessian
-at (1, ..., 1) is non-singular and the Gram matrix's rank only
-otherwise, and the point checks read `grad_rank` only at a point where
-the Hessian is singular.  Over the rationals rank G G^T = rank G, and
-the Gram matrix holds every dot product of two first partials, which is
-what the Hodge pair rows of `verify` read to decide proportionality.
+gradient matrix is built at most once.  They read
+`grad_rank` only at a point where the Hessian is singular, since a
+non-singular Hessian already proves full gradient rank.  Over the
+rationals rank G G^T = rank G, and the Gram matrix holds every dot
+product of two first partials, which is what the Hodge pair rows of
+`verify` read to decide proportionality.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from math import factorial
 from operator import mul, or_
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import clear_denominators, inertia, matrix_rank
+from .linalg import clear_denominators, matrix_rank
 from .matroids import Matroid, Mask, bits_of, elems_of, kept, mask_of
 
 TermKey = tuple[int, Mask]  # (x0 exponent, support mask over {1..n})
@@ -129,19 +128,9 @@ class HomogPoly:
     @property
     @kept
     def grad_rank(self) -> int:
-        """The dimension of the span of the first partials (degree >= 1).
-
-        m, the number of active variables, when the degree is at least 2
-        and the Hessian at (1, ..., 1) is non-singular: every annihilator
-        of the first partials lies in the kernel of the Hessian at every
-        point (see `lefschetz.point_verdicts`).  Otherwise the rank of
-        `gram`, which over the rationals is the rank of `gradient_matrix`.
-        """
-        m = len(self.active)
-        if self.degree >= 2:
-            plan = self.plan
-            if not inertia(plan.upper((1,) * m), consume=plan.integral).zero:
-                return m
+        """The dimension of the span of the first partials (degree >= 1):
+        the rank of `gram`, which over the rationals is the rank of
+        `gradient_matrix`."""
         return matrix_rank(self.gram)
 
     def __eq__(self, other) -> bool:
@@ -320,12 +309,10 @@ class HessianPlan:
     only fill, writes the upper triangle alone: `inertia` reads no more,
     and `jet` mirrors it.  `integral` says every coefficient is
     an `int`, so a fill at an integer point gives `int` rows, which
-    `inertia` may eliminate in place; `positive` says every coefficient
-    is positive, so the sign of a value at a point with no negative
-    coordinate can be read off the term support.
+    `inertia` may eliminate in place.
     """
 
-    __slots__ = ("size", "x0", "chain", "groups", "integral", "positive")
+    __slots__ = ("size", "x0", "chain", "groups", "integral")
 
     def __init__(self, p: HomogPoly):
         if p.degree < 2:
@@ -396,7 +383,6 @@ class HessianPlan:
             (e, tuple(flat)) for e, flat in sorted(groups.items()) if flat
         )
         self.integral = set(map(type, p.terms.values())) <= {int}
-        self.positive = all(c > 0 for c in p.terms.values())
 
     def upper(self, point: Sequence) -> list[list]:
         """The Hessian at the point, given in active-variable order, as

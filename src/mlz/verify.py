@@ -681,8 +681,7 @@ def _shared_rows(family: mo.MorphismBases) -> _SharedRows:
     The rows read the family's levels, source (its bases, independent sets
     and simplicity) and loop preimage, all of them fields of the family,
     so they are a fact of the family: every map with an equal family gets
-    the same rows, and clearing `basis_family` and the key lookup
-    (`morphisms._keyed_family`) drops them.
+    the same rows, and `basis_family.cache_clear()` drops them.
     """
     rows = []
 
@@ -718,7 +717,8 @@ def _shared_rows(family: mo.MorphismBases) -> _SharedRows:
     p_phi, reduced = family.polys
     # the fixed points' verdicts come first: at (1, ..., 1), where the
     # reduced polynomial (positive coefficients) is positive, g is read off
-    # the inertia, and the Gram matrix is built only if H is singular there
+    # the inertia when H is non-singular there; the verdict at
+    # (0, 1, ..., 1) takes the Gram rank when H is singular there
     if reduced.degree >= 2:
         points = ((1,) * (n + 1), (0,) + (1,) * n)
         verdicts = [point_verdicts(reduced, a) for a in points]

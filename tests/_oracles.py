@@ -29,7 +29,7 @@ gradient rank of every point check from the polynomial's Gram matrix
 instead of the Hessian's inertia wherever that Hessian is non-singular,
 morphisms by validating every candidate map instead of backtracking
 over partial flat preimages, and point verdicts off the whole jet
-instead of the bare upper triangle and a support scan.
+instead of the bare upper triangle.
 """
 
 from __future__ import annotations
@@ -969,9 +969,9 @@ def hodge_pair_counts(p, points, pairs) -> tuple[int, int]:
 
 
 def gram_rank_verdicts(p, point):
-    """`lefschetz.point_verdicts` by the rule without its shortcuts: g is
-    always the rank of the Gram matrix the polynomial keeps
-    (`HomogPoly.gram`), whether or not any Hessian is singular; p(a) by
+    """`lefschetz.point_verdicts` by the rule without its shortcut: g is
+    always the Gram rank the polynomial keeps (`HomogPoly.grad_rank`),
+    whether or not the Hessian at the point is singular; p(a) by
     evaluation, the inertia by whole-matrix elimination of the mirrored
     Hessian."""
     from mlz.lefschetz import PointVerdicts
@@ -982,7 +982,7 @@ def gram_rank_verdicts(p, point):
         raise ValueError("point checks need degree >= 2")
     if evaluate(p, point) <= 0:
         return PointVerdicts(False, None, None, None)
-    g = gauss_rank(p.gram)
+    g = p.grad_rank
     ine = Inertia(*full_matrix_inertia(hessian_matrix(p, point)))
     slp1 = ine.pos + ine.neg == g
     hrr1 = ine.as_tuple() == (1, g - 1, len(p.active) - g)

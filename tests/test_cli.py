@@ -444,6 +444,15 @@ def test_hessian_at_fractional_point_text_and_json(capsys, u23_file):
     ) + "\n"
 
 
+def test_hessian_inertia_is_taken_at_the_given_point(capsys, u23_file):
+    # singular at (0, 1/2, 0, 1), unlike at (1, ..., 1)
+    argv = ["hessian", u23_file, "--kind", "indep", "--at", "0,1/2,0,1"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (
+        "3 1 3/2 1/2\n1 0 0 0\n3/2 0 0 0\n1/2 0 0 0\ninertia=(1,1,2)\n"
+    )
+
+
 @pytest.mark.parametrize("kind", ["basis", "indep"])
 def test_lorentz_exact_on_u49(capsys, tmp_path, kind):
     path = tmp_path / "U4_9.json"

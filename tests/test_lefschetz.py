@@ -92,9 +92,8 @@ def test_point_verdicts_match_the_gram_rank_oracle_on_catalog():
 def test_point_verdicts_match_the_oracles_at_zero_and_negative_coordinates():
     """The bare fill against the jet and against the Gram-rank rule, on the
     basis, independent-set and reduced polynomials of every matroid on at
-    most four elements: at seeded points with some coordinates 0, where the
-    support scan decides the sign, and at the same points with one
-    coordinate negated, where A^T H A does."""
+    most four elements: at seeded points with some coordinates 0, and at
+    the same points with one coordinate negated."""
     from mlz.sampling import derive, seeded_point
 
     from _oracles import jet_point_verdicts
@@ -120,10 +119,10 @@ def test_point_verdicts_match_the_oracles_at_zero_and_negative_coordinates():
     assert min(seen.values()) > 100, seen
 
 
-def test_value_sign_needs_positive_coefficients_and_coordinates():
-    """Negative controls for the support scan: at each point below every
-    term's variables are non-zero, yet p(a) < 0, so a scan without its
-    guard would call the point applicable."""
+def test_value_sign_is_not_read_off_the_term_support():
+    """Negative controls for the value sign: at each point below every
+    term's variables are non-zero, yet p(a) < 0, so a sign read off the
+    term support would call the point applicable."""
     from mlz.polynomials import evaluate
 
     # x0 x1 - x1 x2: a negative coefficient

@@ -431,8 +431,7 @@ def test_backtracking_enumeration_and_keyed_families_match_the_oracles():
     sources += _five_element_sources()
     targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
     mo.basis_family.cache_clear()
-    mo._keyed_family.cache_clear()
-    maps = 0
+    maps, keys, families = 0, set(), set()
     for m in sources:
         for target in targets:
             got = list(enumerate_morphisms(m, [target]))
@@ -441,10 +440,27 @@ def test_backtracking_enumeration_and_keyed_families_match_the_oracles():
             for phi in got:
                 family = mo.morphism_family(phi)
                 assert family is mo.basis_family(morphism_bases(phi)), phi
+                keys.add(mo._family_key(phi))
+                families.add(id(family))
             maps += len(got)
     assert maps == 15619  # 5095 from the small sources
-    keys = mo._keyed_family.cache_info().currsize
-    assert mo.basis_family.cache_info().currsize < keys < maps // 10
+    assert len(families) < len(keys) < maps // 10
+    # the one cache holds every key and every family
+    assert mo.basis_family.cache_info().currsize == len(keys) + len(families)
+
+
+def test_clearing_basis_family_leaves_no_stale_family():
+    # the keys live in the families' cache: after the clear a map's
+    # family is a fresh one, with no kept facts, and the first equal one
+    from mlz import morphisms as mo
+
+    phi = validate_morphism(uniform(2, 3), uniform(1, 2), [1, 2, 2])
+    old = mo.morphism_family(phi)
+    assert old.polys and old._cache
+    mo.basis_family.cache_clear()
+    new = mo.morphism_family(phi)
+    assert new == old and new is not old and not new._cache
+    assert new is mo.basis_family(morphism_bases(phi))
 
 
 def test_enumerate_bounds():

@@ -570,29 +570,6 @@ def test_grad_rank_is_the_rank_of_the_gradient_matrix():
     assert ranks[-3:] == [2, 2, 2]
 
 
-def test_grad_rank_skips_the_gram_matrix_when_the_hessian_at_ones_is_non_singular():
-    # fresh basis, independent-set and reduced polynomials of every n <= 5
-    # catalog matroid: a non-singular Hessian at (1, ..., 1) gives m with
-    # no Gram matrix built, a singular one the Gram rank; either way the
-    # rank of the gradient matrix
-    routes = {"hessian": 0, "gram": 0}
-    for n in range(1, 6):
-        for m in catalog(n):
-            for p in (basis_poly(m), indep_poly(m), reduced_indep_poly(m)):
-                if p.degree < 2:
-                    continue
-                k = len(p.active)
-                g = p.grad_rank
-                if hessian_inertia(p, (1,) * k).zero:
-                    routes["gram"] += 1
-                    assert "gram" in p._cache, p
-                else:
-                    routes["hessian"] += 1
-                    assert "gram" not in p._cache and g == k, p
-                assert g == matrix_rank(gradient_matrix(p)), p
-    assert min(routes.values()) > 100, routes
-
-
 # -- parallel substitution ----------------------------------------------------------
 
 

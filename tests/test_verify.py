@@ -23,7 +23,6 @@ from mlz.matroids import (
     validate_bases,
 )
 from mlz.morphisms import (
-    _keyed_family,
     basis_family,
     enumerate_morphisms,
     morphism_bases,
@@ -471,12 +470,6 @@ def test_morphism_suite_non_simple_source_checks_sufficiency_only():
 # -- basis-family memo ----------------------------------------------------------------
 
 
-def _clear_families():
-    """Drop every basis family: the families and the keys that find them."""
-    basis_family.cache_clear()
-    _keyed_family.cache_clear()
-
-
 def test_morphism_suite_memo_matches_cold_runs():
     # every morphism from a simple source on <= 4 elements to a target on
     # <= 3, run warm in sweep order and cold, against the per-map oracle
@@ -489,7 +482,7 @@ def test_morphism_suite_memo_matches_cold_runs():
         for phi in enumerate_morphisms(m, targets)
     ]
     assert len(maps) == 5095
-    _clear_families()
+    basis_family.cache_clear()
     warm = [morphism_suite(phi, seed=5).rows for phi in maps]
     assert basis_family.cache_info().currsize < len(maps) // 10
     for phi, rows in zip(maps, warm):
@@ -499,7 +492,7 @@ def test_morphism_suite_memo_matches_cold_runs():
             phi.map,
         )
     for phi, rows in zip(maps, warm):
-        _clear_families()
+        basis_family.cache_clear()
         assert morphism_suite(phi, seed=5).rows == rows, (phi.source, phi.target, phi.map)
 
 
@@ -535,7 +528,7 @@ def test_equal_sources_share_one_morphism_family():
     copy = validate_bases(3, [[1, 2], [1, 3], [2, 3]])
     assert copy is not source
     phis = [validate_morphism(m, uniform(1, 2), [1, 2, 2]) for m in (source, copy)]
-    _clear_families()
+    basis_family.cache_clear()
     family = basis_family(morphism_bases(phis[0]))
     assert basis_family(morphism_bases(phis[1])) is family
     rows = [morphism_suite(phi, seed=3).rows for phi in phis]
@@ -635,17 +628,19 @@ def test_survey_looks_up_each_morphism_once(monkeypatch):
     # builds a family only for the first map with a key
     import mlz.morphisms as mo
 
-    calls = []
-    lookup = mo.morphism_bases
+    calls, keys = [], []
+    lookup, key_of = mo.morphism_bases, mo._family_key
     monkeypatch.setattr(
         mo, "morphism_bases", lambda phi: calls.append(phi) or lookup(phi)
     )
-    mo._keyed_family.cache_clear()
+    monkeypatch.setattr(
+        mo, "_family_key", lambda phi: keys.append(key_of(phi)) or keys[-1]
+    )
+    mo.basis_family.cache_clear()
     rep = survey(3, seed=1)
-    info = mo._keyed_family.cache_info()
-    assert info.hits + info.misses == rep.morphism_count
-    assert 0 < len(calls) == info.misses == info.currsize < rep.morphism_count
-    assert len({mo._family_key(phi) for phi in calls}) == len(calls)
+    assert len(keys) == rep.morphism_count
+    assert 0 < len(calls) == len(set(keys)) < len(keys)
+    assert len({key_of(phi) for phi in calls}) == len(calls)
 
 
 def test_survey_calls_theorem_suite_through_the_module_once_per_matroid(monkeypatch):
