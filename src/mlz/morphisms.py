@@ -20,16 +20,15 @@ element; loop-preimage part uniform and spanning complement), each with an
 explicit annihilating linear form that is verified exactly on
 construction.
 
-Many maps share one basis family, one hashable MorphismBases value: the
-source, the target rank, the loop preimage and the levels.
-`basis_family` hands out the first family equal to a given one, and
-`morphism_family` finds a map's family in the same cache by a key that
-needs no levels (`_FamilyKey`: the source, the target rank, the loop
-preimage and the preimages of the target's hyperplanes), so the levels
-are built once per key, not once per map.  What
-depends on those fields alone (polynomials, level exchange checks, count
-profile, the degeneracy verdict with its checked annihilator, and the
-morphism suite's map-free rows, `verify._shared_rows`) is a fact of the
+Many maps share one basis family, one hashable MorphismBases value that
+`morphism_bases` reads off a map without building any basis: the
+source, the target rank, the loop preimage and the maximal preimages of
+the target's hyperplanes.  `basis_family` hands out the first family
+equal to a given one, so the levels, the bases bucketed by size, are
+built once per family, not once per map.  What depends on those fields
+alone (levels, polynomials, level exchange checks, count profile, the
+degeneracy verdict with its checked annihilator, and the morphism
+suite's map-free rows, `verify._shared_rows`) is a fact of the
 family, computed on first use and kept in its `_cache` (`matroids.kept`,
 as a matroid keeps its tables).  The polynomials come from the builders
 of the independent-set polynomials (`polynomials.padded_poly` and
@@ -55,7 +54,6 @@ from .matroids import (
     Matroid,
     MatroidError,
     check_exchange,
-    check_table_size,
     elems_of,
     from_json_dict,
     kept,
@@ -142,16 +140,6 @@ def morphism_from_json_dict(data: dict) -> MatroidMorphism:
     return validate_morphism(*ends, data["map"])
 
 
-def _image_table(m: Matroid, phi: Sequence[int]) -> list[Mask]:
-    """phi(S) for every source subset S, built bottom-up."""
-    check_table_size(m.n)
-    table = [0] * (1 << m.n)
-    for s in range(1, 1 << m.n):
-        low = s & -s
-        table[s] = table[s ^ low] | (1 << (phi[low.bit_length() - 1] - 1))
-    return table
-
-
 def validate_morphism(m: Matroid, n: Matroid, phi: Sequence[int]) -> MatroidMorphism:
     """Check the flat-preimage condition on every flat of the target.
 
@@ -208,21 +196,22 @@ class DegeneracyVerdict:
 
 @dataclass(frozen=True)
 class MorphismBases:
-    """Bases of a morphism, bucketed by size (r' .. r), with the source and
-    the loop preimage of the map they were read from: a basis family.
+    """A basis family: the source, the target rank, the loop preimage and
+    the maximal preimages of the target's hyperplanes, shared by the maps
+    that give them, with their bases bucketed by size (`levels`).
 
     Hashable and compared by those four fields, so it keys its own memo:
     `basis_family` hands out the first family equal to a given one, and
-    every morphism with equal sources, target ranks, loop preimages and
-    buckets shares it.  The facts below read the fields alone, never a map
-    or a target; each is computed on first use and kept in `_cache`, which
-    takes no part in equality, hashing or the repr.
+    every morphism with equal fields shares it.  The facts below read the
+    fields alone, never a map or a target; each is computed on first use
+    and kept in `_cache`, which takes no part in equality, hashing or the
+    repr.
     """
 
     source: Matroid
     r_prime: int
     loops: Mask  # source elements whose image is a loop of the target
-    levels: tuple[tuple[int, frozenset[Mask]], ...]  # (size, bases), by size
+    hyperplanes: frozenset[Mask]  # maximal preimages of the target's hyperplanes
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -232,6 +221,38 @@ class MorphismBases:
     @property
     def r(self) -> int:
         return self.source.rank
+
+    @property
+    @kept
+    def levels(self) -> tuple[tuple[int, frozenset[Mask]], ...]:
+        """(size, bases) by size: the independent sets of the source that
+        lie in none of `hyperplanes`, the bases of every map with this
+        family.
+
+        A set spans the target exactly when it lies in no hyperplane, since
+        every proper flat lies in one (at rank 0 there is none, and every
+        set spans).  So an independent S is a basis of a map exactly when
+        it lies in no hyperplane preimage, and only the maximal preimages
+        matter.
+
+        For one source, target rank and loop preimage, the maximal
+        preimages and the levels determine each other, so maps share a
+        family exactly when their levels are equal.  Preimages of flats
+        under a morphism are flats of the source, and the maximal ones
+        form an antichain.  Take two different antichains A and A' of
+        flats.  Some H in A lies in no member of A', or the other way
+        round (if each member of either lay in a member of the other, the
+        two would be equal); say H is in A.  A basis B_H of M|H has
+        cl(B_H) = H, so B_H inside a flat H' would force H inside H'.
+        Hence B_H lies in no member of A' and is in the levels of A', and
+        it lies in H, so it is not in those of A.
+        """
+        hyperplanes = self.hyperplanes
+        by_size: dict[int, set[Mask]] = {}
+        for s in self.source.independent_masks:
+            if not any(s & h == s for h in hyperplanes):
+                by_size.setdefault(s.bit_count(), set()).add(s)
+        return tuple((k, frozenset(v)) for k, v in sorted(by_size.items()))
 
     @property
     def by_size(self) -> dict[int, frozenset[Mask]]:
@@ -337,82 +358,42 @@ class MorphismBases:
 
 
 def morphism_bases(phi: MatroidMorphism) -> MorphismBases:
-    """Independent sets of the source whose image spans the target.
+    """The basis family of phi: its source, the target rank, the loop
+    preimage and the maximal preimages of the target's hyperplanes.
 
-    Not cached: `morphism_family` calls it once per family key, and
-    `basis_family` keeps the first equal family, with everything kept on
-    it."""
-    rank_n = phi.target.rank_table
-    r_prime = phi.r_prime
-    by_size: dict[int, set[Mask]] = {}
-    img = _image_table(phi.source, phi.map)
-    for s in phi.source.independent_masks:
-        if rank_n[img[s]] == r_prime:
-            by_size.setdefault(s.bit_count(), set()).add(s)
-    levels = tuple((k, frozenset(v)) for k, v in sorted(by_size.items()))
-    return MorphismBases(phi.source, r_prime, phi.phi_loops, levels)
-
-
-@dataclass(frozen=True, slots=True)
-class _FamilyKey:
-    """What fixes a map's basis family: its source, the target rank, the
-    loop preimage and the set of preimages of the target's hyperplanes.
-    The map rides along to build the family on a miss and takes no part
-    in equality or hashing.
-
-    A set spans the target exactly when it lies in no hyperplane, since
-    every proper flat lies in one (at rank 0 there is none, and every set
-    spans).  So an independent S of the source is a basis of the map
-    exactly when S lies in none of the hyperplane preimages, and equal
-    keys give equal levels, hence equal `MorphismBases`.
-    """
-
-    source: Matroid
-    r_prime: int
-    loops: Mask
-    hyperplanes: frozenset[Mask]
-    phi: MatroidMorphism = field(compare=False, repr=False)
-
-
-@functools.cache
-def basis_family(bases: MorphismBases | _FamilyKey) -> MorphismBases:
-    """The first family equal to `bases`, shared with its kept facts by
-    every morphism with these bases.
-
-    Given a map's `_FamilyKey` instead (`morphism_family`), the family of
-    the map's bases, built on the first map with the key.  Keys and
-    families share this one cache, so `cache_clear()` drops both."""
-    if isinstance(bases, _FamilyKey):
-        return basis_family(morphism_bases(bases.phi))
-    return bases
-
-
-def _family_key(phi: MatroidMorphism) -> _FamilyKey:
+    Cheap, with no levels built: `basis_family` hands out the first equal
+    family, whose levels are built on first read, once per family.  A
+    preimage inside another excludes no further set, so it is dropped, and
+    maps with equal levels get equal families (`MorphismBases.levels`)."""
     target = phi.target
-    rank, top = target.rank_table, target.rank - 1
+    rank, r_prime = target.rank_table, target.rank
     inverse = [0] * (target.n + 1)  # image -> the source elements sent to it
     for i, t in enumerate(phi.map):
         inverse[t] |= 1 << i
     preimages = []
     for flat in target.flats:
-        if rank[flat] == top:
+        if rank[flat] == r_prime - 1:
             pre = 0
             for t in elems_of(flat):
                 pre |= inverse[t]
             preimages.append(pre)
-    return _FamilyKey(phi.source, phi.r_prime, phi.phi_loops, frozenset(preimages), phi)
+    maximal = frozenset(
+        p for p in preimages if all(p & q != p or p == q for q in preimages)
+    )
+    return MorphismBases(phi.source, r_prime, phi.phi_loops, maximal)
 
 
-def morphism_family(phi: MatroidMorphism) -> MorphismBases:
-    """The basis family of phi, `basis_family(morphism_bases(phi))`, built
-    once per family key (`_FamilyKey`) rather than once per map."""
-    return basis_family(_family_key(phi))
+@functools.cache
+def basis_family(bases: MorphismBases) -> MorphismBases:
+    """The first family equal to `bases`, shared with its kept facts by
+    every morphism with these bases; `cache_clear()` drops them all."""
+    return bases
 
 
 def morphism_poly(phi: MatroidMorphism) -> tuple[HomogPoly, HomogPoly]:
     """(P, reduced P): x0-padded sum over morphism bases and its
     (n - r)-fold x0 derivative."""
-    return morphism_family(phi).polys
+    return basis_family(morphism_bases(phi)).polys
 
 
 def degeneracy_class(phi: MatroidMorphism) -> DegeneracyVerdict:
@@ -438,13 +419,13 @@ def degeneracy_class(phi: MatroidMorphism) -> DegeneracyVerdict:
     |I| < r' because phi(E) spans N.  S1 = I, S2 = I + f keeps I
     independent, and the growth ends at |I| = r' with phi(I) spanning N.
     """
-    return morphism_family(phi).degeneracy
+    return basis_family(morphism_bases(phi)).degeneracy
 
 
 def eur_huh_profile(phi: MatroidMorphism) -> tuple[EurHuhEntry, ...]:
     """Normalized log-concavity profile of the basis counts (see
     MorphismBases.eur_huh)."""
-    return morphism_family(phi).eur_huh
+    return basis_family(morphism_bases(phi)).eur_huh
 
 
 def enumerate_morphisms(

@@ -43,9 +43,10 @@ matrix of the first partials that the polynomial keeps
 A morphism's rows split in two.  Every row but the two seeded points of
 `reduced-point-verdicts` reads only the map's basis family, which holds
 the source and the loop preimage; those rows are a fact kept on
-the family (`_shared_rows`).  Per map, `morphism_suite` finds the
-family by its key (`morphisms.morphism_family`), derives the map's
-stream, draws its two seeded points, stamps its scope on the shared
+the family (`_shared_rows`).  Per map, `morphism_suite` reads the
+family off the map (`morphisms.morphism_bases`, interned by
+`basis_family`, so its levels are built once per family), derives the
+map's stream, draws its two seeded points, stamps its scope on the shared
 rows and checks the points: `sampling.seeded_point` gives the text the
 row prints and the integers at which the reduced polynomial's plan
 fills the upper triangle that `point_verdicts` reads.
@@ -202,10 +203,12 @@ def _weights(m: Matroid, point: Optional[Sequence]) -> Optional[tuple]:
     if point is None:
         return None
     at = tuple(point)
+    if len(at) != m.n:
+        raise ValueError(
+            f"point needs {m.n} weights (one per element), got {len(at)}"
+        )
     if any(v <= 0 for v in at):
         raise ValueError("weights must be strictly positive")
-    if len(at) != m.n:
-        raise ValueError("point length must match active variables")
     return at
 
 
@@ -679,9 +682,10 @@ def _shared_rows(family: mo.MorphismBases) -> _SharedRows:
     with this basis family.
 
     The rows read the family's levels, source (its bases, independent sets
-    and simplicity) and loop preimage, all of them fields of the family,
-    so they are a fact of the family: every map with an equal family gets
-    the same rows, and `basis_family.cache_clear()` drops them.
+    and simplicity) and loop preimage, all of them read off the family's
+    fields, so they are a fact of the family: every map with an equal
+    family gets the same rows, and `basis_family.cache_clear()` drops
+    them.
     """
     rows = []
 
@@ -768,7 +772,7 @@ def _morphism_rows(
     """The map's basis family and its suite rows under `scope`: the shared
     rows stamped with the scope, then `reduced-point-verdicts` with the
     family's fixed points and the two points seeded by this map."""
-    family = mo.morphism_family(phi)
+    family = mo.basis_family(mo.morphism_bases(phi))
     m = phi.source
     shared = _shared_rows(family)
     rows = [CheckRow(scope, *row) for row in shared.rows]

@@ -375,6 +375,21 @@ def test_at_value_with_a_leading_minus_reads_either_way(capsys, u23_file, argv, 
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["mason", "indep", "--uniform", "2,3", "--k", "1", "--at", "1,1"],
+        ["mason", "basis", "--uniform", "2,3", "--i", "1", "--j", "2", "--at", "0,1"],
+    ],
+)
+def test_mason_weights_of_the_wrong_length_name_the_count(capsys, argv):
+    # the length is checked before the signs: `0,1` is short, whatever its signs
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: point needs 3 weights (one per element), got 2\n"
+
+
+@pytest.mark.parametrize(
     "argv, code",
     [
         (["matroid-info", "--format", "json"], 0),

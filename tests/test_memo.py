@@ -24,6 +24,7 @@ MATROID_FACTS = (
 )
 POLY_FACTS = ("plan", "gram", "grad_rank")
 FAMILY_FACTS = (
+    "levels",
     "polys",
     "levels_are_matroids",
     "eur_huh",
@@ -88,7 +89,13 @@ def test_family_facts_are_built_once_and_kept_under_their_names():
     for name in FAMILY_FACTS:
         _assert_kept(family, name, lambda: getattr(family, name))
     _assert_kept(family, "_shared_rows", lambda: _shared_rows(family))
-    assert set(vars(family)) == {"source", "r_prime", "loops", "levels", "_cache"}
+    assert set(vars(family)) == {
+        "source",
+        "r_prime",
+        "loops",
+        "hyperplanes",
+        "_cache",
+    }
 
 
 def _dict_attributes(init: ast.FunctionDef) -> set:

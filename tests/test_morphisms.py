@@ -421,44 +421,48 @@ def _five_element_sources():
 def test_backtracking_enumeration_and_keyed_families_match_the_oracles():
     # sources: every simple matroid on <= 4 elements and the five-element
     # sources; targets: every matroid on <= 3 elements.  The backtracking
-    # enumeration gives the validating route's maps in its order, and each
-    # map's keyed family is the very family its own bases give
+    # enumeration gives the validating route's maps in its order, each
+    # map's family has the levels of the image-table route, and two maps
+    # share one family exactly when their sources, target ranks, loop
+    # preimages and levels are equal
     from mlz import morphisms as mo
 
-    from _oracles import enumerate_morphisms_by_validation
+    from _oracles import enumerate_morphisms_by_validation, morphism_levels_by_image
 
     sources = [m for n in range(1, 5) for m in catalog(n) if m.is_simple]
     sources += _five_element_sources()
     targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
     mo.basis_family.cache_clear()
-    maps, keys, families = 0, set(), set()
+    maps, by_facts, families = 0, {}, set()
     for m in sources:
         for target in targets:
             got = list(enumerate_morphisms(m, [target]))
             want = list(enumerate_morphisms_by_validation(m, [target]))
             assert got == want, (m, target)
             for phi in got:
-                family = mo.morphism_family(phi)
-                assert family is mo.basis_family(morphism_bases(phi)), phi
-                keys.add(mo._family_key(phi))
+                family = mo.basis_family(morphism_bases(phi))
+                levels = morphism_levels_by_image(phi)
+                assert family.levels == levels, phi
+                facts = (m, phi.r_prime, phi.phi_loops, levels)
+                assert by_facts.setdefault(facts, family) is family, phi
                 families.add(id(family))
             maps += len(got)
     assert maps == 15619  # 5095 from the small sources
-    assert len(families) < len(keys) < maps // 10
-    # the one cache holds every key and every family
-    assert mo.basis_family.cache_info().currsize == len(keys) + len(families)
+    assert len(families) == len(by_facts) < maps // 10
+    # the one cache holds exactly the families
+    assert mo.basis_family.cache_info().currsize == len(families)
 
 
 def test_clearing_basis_family_leaves_no_stale_family():
-    # the keys live in the families' cache: after the clear a map's
-    # family is a fresh one, with no kept facts, and the first equal one
+    # after the clear a map's family is a fresh one, with no kept facts,
+    # and the first equal one
     from mlz import morphisms as mo
 
     phi = validate_morphism(uniform(2, 3), uniform(1, 2), [1, 2, 2])
-    old = mo.morphism_family(phi)
+    old = mo.basis_family(morphism_bases(phi))
     assert old.polys and old._cache
     mo.basis_family.cache_clear()
-    new = mo.morphism_family(phi)
+    new = mo.basis_family(morphism_bases(phi))
     assert new == old and new is not old and not new._cache
     assert new is mo.basis_family(morphism_bases(phi))
 

@@ -342,10 +342,11 @@ def test_single_basis_checks_compile_one_plan(monkeypatch):
 
 
 def test_mason_point_length_is_checked():
-    with pytest.raises(ValueError, match="point length"):
+    needs_3 = r"point needs 3 weights \(one per element\), got 2"
+    with pytest.raises(ValueError, match=needs_3):
         mason_basis_check(uniform(2, 3), 1, 2, (1, 2))
     # the free matroid's top level compares 0 with 0 but still reads the point
-    with pytest.raises(ValueError, match="point length"):
+    with pytest.raises(ValueError, match=needs_3):
         mason_indep_check(uniform(3, 3), 3, (1, 2))
 
 
@@ -497,18 +498,20 @@ def test_morphism_suite_memo_matches_cold_runs():
 
 
 def test_shared_morphism_rows_key_on_source_and_loop_preimage():
-    # real maps cannot give a key whose source or loop preimage disagrees
-    # with its levels, so such keys are made from a real one by hand
+    # real maps cannot give a family whose loop preimage or hyperplane
+    # preimages disagree with its source, so such families are made from
+    # a real one by hand
     m = uniform(2, 3)
     bases = morphism_bases(validate_morphism(m, uniform(1, 1), [1, 1, 1]))
     assert bases.source is m and bases.loops == 0
-    other = validate_bases(3, [[1, 2], [1, 3]])  # rank 2 on three elements
     basis_family.cache_clear()
     family = basis_family(bases)
     changed = {
         # element 1 lies in the bottom-level basis {1}
         "morphism-bases-extension": replace(bases, loops=0b001),
-        "morphism-bases-levels": replace(bases, source=other),
+        # the source basis {1, 2} lies in this "hyperplane", so the top
+        # level misses a basis of the source
+        "morphism-bases-levels": replace(bases, hyperplanes=frozenset({0b011})),
     }
 
     def statuses(family):
@@ -624,23 +627,26 @@ def test_survey_matroid_half_bytes_at_n5():
 
 
 def test_survey_looks_up_each_morphism_once(monkeypatch):
-    # each map's family is looked up once, by its key; `morphism_bases`
-    # builds a family only for the first map with a key
+    # each map reads its family off `morphism_bases` once; the levels are
+    # built once per distinct family, on the first map with it
     import mlz.morphisms as mo
+    from mlz.matroids import kept
 
-    calls, keys = [], []
-    lookup, key_of = mo.morphism_bases, mo._family_key
+    calls, built = [], []
+    lookup, build = mo.morphism_bases, mo.MorphismBases.levels.fget.__wrapped__
+
+    def levels(family):
+        built.append(family)
+        return build(family)
+
     monkeypatch.setattr(
-        mo, "morphism_bases", lambda phi: calls.append(phi) or lookup(phi)
+        mo, "morphism_bases", lambda phi: calls.append(lookup(phi)) or calls[-1]
     )
-    monkeypatch.setattr(
-        mo, "_family_key", lambda phi: keys.append(key_of(phi)) or keys[-1]
-    )
+    monkeypatch.setattr(mo.MorphismBases, "levels", property(kept(levels)))
     mo.basis_family.cache_clear()
     rep = survey(3, seed=1)
-    assert len(keys) == rep.morphism_count
-    assert 0 < len(calls) == len(set(keys)) < len(keys)
-    assert len({key_of(phi) for phi in calls}) == len(calls)
+    assert len(calls) == rep.morphism_count
+    assert 0 < len(built) == len(set(built)) == len(set(calls)) < len(calls)
 
 
 def test_survey_calls_theorem_suite_through_the_module_once_per_matroid(monkeypatch):
