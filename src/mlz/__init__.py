@@ -23,8 +23,6 @@ from .matroids import (
     UnequalCardinalityError,
     catalog,
     contract,
-    delete,
-    direct_sum,
     elems_of,
     from_json_dict,
     graphic,

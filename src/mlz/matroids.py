@@ -15,9 +15,9 @@ labeled matroid on up to six elements, which is what the verification
 suites iterate over.  It extends each matroid on {1..n-1} by element n as
 a loop, a coloop or neither, pairing a deletion with a contraction and
 keeping the pairs that pass the basis-exchange test.  Constructors
-(uniform, graphic, direct sums, minors) work at any size that fits in
-memory; the tables over all 2^n subsets (rank, closure, flats) and the
-list of independent sets, with the counts and the girth read off it,
+(uniform, graphic, minors) work at any size that fits in memory; the
+tables over all 2^n subsets (rank, closure, flats) and the list of
+independent sets, with the counts and the girth read off it,
 refuse ground sets above TABLE_MAX_GROUND elements.
 """
 
@@ -549,13 +549,6 @@ def graphic(vertices: int, edges: Sequence[tuple[int, int]]) -> Matroid:
     return Matroid(n, bases, _trusted=True)
 
 
-def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
-    """Direct sum; the second summand's elements are shifted by m1.n."""
-    shift = m1.n
-    bases = frozenset(b1 | (b2 << shift) for b1 in m1.bases for b2 in m2.bases)
-    return Matroid(m1.n + m2.n, bases, _trusted=True)
-
-
 # -- minors ------------------------------------------------------------------
 
 
@@ -591,14 +584,6 @@ def restrict(m: Matroid, subset: Mask) -> tuple[Matroid, tuple[int, ...]]:
         s for s in m.independent_masks if s & ~subset == 0 and s.bit_count() == r
     }
     return _relabel(m.n, subset, new_bases)
-
-
-def delete(m: Matroid, e: int) -> tuple[Matroid, tuple[int, ...]]:
-    if not 1 <= e <= m.n:
-        raise MatroidError(f"element {e} out of range")
-    if m.n == 1:
-        raise MatroidError("cannot delete the last element")
-    return restrict(m, m.ground_mask & ~(1 << (e - 1)))
 
 
 def truncate(m: Matroid, steps: int = 1) -> Matroid:

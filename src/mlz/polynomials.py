@@ -51,7 +51,7 @@ from operator import mul, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import clear_denominators, matrix_rank
-from .matroids import Matroid, Mask, bits_of, elems_of, kept, mask_of
+from .matroids import Matroid, Mask, bits_of, elems_of, kept
 
 TermKey = tuple[int, Mask]  # (x0 exponent, support mask over {1..n})
 
@@ -69,9 +69,9 @@ class HomogPoly:
 
     `HomogPoly(active, degree, terms)` checks every term; the builders
     here whose terms are valid by construction (`basis_poly`,
-    `padded_poly`, `reduced_poly`, `partial`, `linear_apply`,
-    `rename_vars`, `expand_class_sums`) pass `_trusted=True` to skip the
-    checks, as the named `Matroid` constructors do.
+    `padded_poly`, `reduced_poly`, `partial`, `linear_apply`) pass
+    `_trusted=True` to skip the checks, as the named `Matroid`
+    constructors do.
     """
 
     __slots__ = ("active", "degree", "terms", "_cache")
@@ -486,56 +486,3 @@ def gradient_matrix(p: HomogPoly) -> list[list]:
             row[pos[k]] = c
         rows.append(row)
     return rows
-
-
-# -- structural helpers -------------------------------------------------------
-
-
-def rename_vars(p: HomogPoly, new_of_old: dict[int, int]) -> HomogPoly:
-    """Rename variables; x0 may only map to x0.  Used to undo the relabeling of a contraction.
-
-    A renaming that keeps every monomial's size keeps p's terms valid, so
-    the result skips the term checks."""
-    new_active = []
-    for i in p.active:
-        j = new_of_old.get(i, i)
-        if (i == 0) != (j == 0):
-            raise ValueError("x0 cannot be renamed to a multilinear variable")
-        new_active.append(j)
-    terms: dict[TermKey, object] = {}
-    for (e0, mask), c in p.terms.items():
-        new_mask = mask_of(new_of_old.get(e, e) for e in elems_of(mask))
-        if new_mask.bit_count() != mask.bit_count():
-            raise ValueError("variable renaming collapsed a monomial")
-        terms[(e0, new_mask)] = c
-    return HomogPoly(sorted(new_active), p.degree, terms, _trusted=True)
-
-
-def expand_class_sums(
-    p: HomogPoly, groups: Sequence[Iterable[int]], nvars: int
-) -> HomogPoly:
-    """Substitute x_k -> sum of x_e over groups[k-1] (disjoint groups); x0 stays.
-
-    The result is declared over {0..nvars} or {1..nvars} matching p.  The
-    groups are trusted to be disjoint subsets of {1..nvars}, so each
-    monomial expands into monomials of its own size and the result skips
-    the term checks.
-    """
-    group_elems = [tuple(g) for g in groups]
-    terms: dict[TermKey, object] = {}
-
-    def expand(mask: Mask) -> list[Mask]:
-        outs = [0]
-        for b in bits_of(mask):
-            choices = group_elems[b]
-            outs = [o | (1 << (e - 1)) for o in outs for e in choices]
-        return outs
-
-    for (e0, mask), c in p.terms.items():
-        for new_mask in expand(mask):
-            key = (e0, new_mask)
-            terms[key] = terms.get(key, 0) + c
-    active = range(0, nvars + 1) if 0 in p.active else range(1, nvars + 1)
-    terms = {k: v for k, v in terms.items() if v != 0}
-    return HomogPoly(active, p.degree, terms, _trusted=True)
-

@@ -33,12 +33,17 @@ matroid (`matroids.kept`, in its `_cache` beside its tables), so the
 theorem suite and the count rows of one matroid compile f_M's plan once.
 Catalog matroids outlive the survey, so `survey` drops f_M and `_pairs`
 from each one once its suite and count rows are out; the seed key stays,
-since every map's seed reads it.  No jet is kept, and a suite's minors
-get their f_M from `basis_poly`, so nothing is kept on a minor.  The
-independent-set polynomial and its reduced form are built per suite and
-dropped with it.  The Hodge pair rows decide proportionality on the Gram
-matrix of the first partials that the polynomial keeps
-(`HomogPoly.gram`), by Cauchy-Schwarz equality.
+since every map's seed reads it.  No jet is kept, and nothing is kept
+on a minor.  The minor identities are decided on masks: the term maps
+of the first partials of f_M and P_M, and of f_M and P_M themselves,
+against the bases and independent sets of `contract`'s and `simplify`'s
+matroids, carried to M's labels through a deposit table or an expansion
+over the parallel classes; the only minor polynomial built is the
+truncation's reduced one.  The independent-set polynomial and its
+reduced form are built per suite and dropped with it.  The Hodge pair
+rows decide proportionality on the Gram matrix of the first partials
+that the polynomial keeps (`HomogPoly.gram`), by Cauchy-Schwarz
+equality.
 
 A morphism's rows split in two.  Every row but the two seeded points of
 `reduced-point-verdicts` reads only the map's basis family, which holds
@@ -79,13 +84,11 @@ from .polynomials import (
     HomogPoly,
     Jet,
     basis_poly,
-    expand_class_sums,
     indep_poly,
     jet,
     linear_apply,
     partial,
     reduced_indep_poly,
-    rename_vars,
 )
 from .sampling import derive, seeded_point
 
@@ -359,6 +362,22 @@ def _fmt_point(point: Sequence) -> str:
 # -- per-matroid theorem suite --------------------------------------------------
 
 
+def _deposit_table(old_of: Sequence[int]) -> list[int]:
+    """dep[s] for every mask s of a minor on {1..len(old_of)}: the mask of
+    the elements old_of[k - 1] over the elements k of s."""
+    dep = [0] * (1 << len(old_of))
+    for s in range(1, len(dep)):
+        low = s & -s
+        dep[s] = dep[s ^ low] | 1 << (old_of[low.bit_length() - 1] - 1)
+    return dep
+
+
+def _is_unit_sum(terms: dict, keys: list) -> bool:
+    """Whether a term map is the sum of one monomial per key, each with
+    coefficient 1 (a key listed twice would sum to 2)."""
+    return len(keys) == len(terms) and terms == dict.fromkeys(keys, 1)
+
+
 def _kernel_vector_annihilates(p: HomogPoly) -> bool:
     """(-1, 1, ..., 1) over x0..xn kills the polynomial exactly."""
     coeffs = [-1] + [1] * (len(p.active) - 1)
@@ -508,16 +527,20 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
     loop_ok = all(df[e].is_zero and dp[e].is_zero for e in elems_of(m.loops))
     report.check("loop-partials-vanish", loop_ok, f"loops={m.loops.bit_count()}")
 
+    # d_e f_M and d_e P_M against the bases and independent sets of M/e,
+    # each carried to M's labels by a deposit table read off `contract`'s
+    # relabeling
     contract_f_ok = True
     contract_p_ok = True
     for e in range(1, n + 1):
         if m.loops & (1 << (e - 1)):
             continue
         sub, old_of = mt.contract(m, e)
-        back = {k + 1: old_of[k] for k in range(len(old_of))}
-        if df[e] != rename_vars(basis_poly(sub), back):
+        dep = _deposit_table(old_of)
+        if not _is_unit_sum(df[e].terms, [(0, dep[b]) for b in sub.bases]):
             contract_f_ok = False
-        if dp[e] != rename_vars(indep_poly(sub), {0: 0, **back}):
+        keys = [(n - 1 - s.bit_count(), dep[s]) for s in sub.independent_masks]
+        if not _is_unit_sum(dp[e].terms, keys):
             contract_p_ok = False
     report.check("contraction-partial-basis", contract_f_ok)
     report.check("contraction-partial-indep", contract_p_ok)
@@ -531,19 +554,21 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
                 par_ok = False
     report.check("parallel-partials-equal", par_ok)
 
+    # f_M and P_M are the simplification's with x_k -> the sum of the x_e
+    # over class k: element k of `simplify`'s matroid stands for class k,
+    # and its mask T for every choice of one element from each class in T
     if pd.classes:
-        simp, reps = mt.simplify(m)
-        groups = [elems_of(c) for c in pd.classes]
-        sub_ok = expand_class_sums(basis_poly(simp), groups, n) == f
-        s = len(groups)
-        lifted = expand_class_sums(indep_poly(simp), groups, n)
-        shifted = HomogPoly(
-            range(0, n + 1),
-            n,
-            {(e0 + n - s, mask): c for (e0, mask), c in lifted.terms.items()},
-        )
-        sub_ok = sub_ok and shifted == p
-        report.check("parallel-substitution", sub_ok, f"classes={s}")
+        simp, _ = mt.simplify(m)
+        choices = [[1 << (e - 1) for e in elems_of(c)] for c in pd.classes]
+        expand = {0: [0]}
+        for t in sorted(simp.independent_masks)[1:]:  # t minus its low bit first
+            low = t & -t
+            picks = choices[low.bit_length() - 1]
+            expand[t] = [x | b for x in expand[t ^ low] for b in picks]
+        keys_f = [(0, x) for t in simp.bases for x in expand[t]]
+        keys_p = [(n - t.bit_count(), x) for t, xs in expand.items() for x in xs]
+        sub_ok = _is_unit_sum(f.terms, keys_f) and _is_unit_sum(p.terms, keys_p)
+        report.check("parallel-substitution", sub_ok, f"classes={len(choices)}")
     else:
         report.add("parallel-substitution", "skip", "every element is a loop")
 

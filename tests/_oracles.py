@@ -29,8 +29,10 @@ gradient rank of every point check from the polynomial's Gram matrix
 instead of the Hessian's inertia wherever that Hessian is non-singular,
 morphisms by validating every candidate map instead of backtracking
 over partial flat preimages, a morphism's bases from the image of every
-source subset instead of the maximal hyperplane preimages, and point
-verdicts off the whole jet instead of the bare upper triangle.
+source subset instead of the maximal hyperplane preimages, point
+verdicts off the whole jet instead of the bare upper triangle, and the
+minor identities from each minor's polynomial, renamed back or expanded
+over the parallel classes, instead of term maps compared on masks.
 """
 
 from __future__ import annotations
@@ -222,6 +224,84 @@ def closure_axiom_matroids(n: int) -> set[tuple[int, frozenset[int]]]:
         bases = frozenset(s for s in indep if popcount(s) == rank)
         found.add((n, bases))
     return found
+
+
+# -- minor identities, one polynomial per minor ----------------------------------
+
+
+def rename_vars(p, new_of_old: dict):
+    """p with x_i renamed to x_(new_of_old[i]) (x0 only to x0), built
+    through the validating `HomogPoly` constructor."""
+    from mlz.polynomials import HomogPoly
+
+    new = [new_of_old.get(i, i) for i in p.active]
+    if any((i == 0) != (j == 0) for i, j in zip(p.active, new)):
+        raise ValueError("x0 cannot be renamed to a multilinear variable")
+    terms = {}
+    for (e0, mask), c in p.terms.items():
+        new_mask = 0
+        for e in range(1, mask.bit_length() + 1):
+            if mask >> (e - 1) & 1:
+                new_mask |= 1 << (new_of_old.get(e, e) - 1)
+        if popcount(new_mask) != popcount(mask):
+            raise ValueError("variable renaming collapsed a monomial")
+        terms[(e0, new_mask)] = c
+    return HomogPoly(sorted(new), p.degree, terms)
+
+
+def expand_class_sums(p, groups, nvars: int):
+    """p with x_k replaced by the sum of x_e over groups[k - 1]; x0 stays.
+    Declared over {0..nvars} or {1..nvars} as p is, and built through the
+    validating `HomogPoly` constructor."""
+    from mlz.polynomials import HomogPoly
+
+    terms = {}
+    for (e0, mask), c in p.terms.items():
+        outs = [0]
+        for k in range(mask.bit_length()):
+            if mask >> k & 1:
+                outs = [o | (1 << (e - 1)) for o in outs for e in groups[k]]
+        for new_mask in outs:
+            terms[(e0, new_mask)] = terms.get((e0, new_mask), 0) + c
+    terms = {key: c for key, c in terms.items() if c}
+    first = 0 if 0 in p.active else 1
+    return HomogPoly(range(first, nvars + 1), p.degree, terms)
+
+
+def minor_identities_by_polys(m):
+    """The verdicts of the theorem suite's `contraction-partial-basis`,
+    `contraction-partial-indep` and `parallel-substitution` rows (None for
+    a skip) from the polynomials of each minor: d_e f_M and d_e P_M against
+    f and P of M/e renamed back to M's labels, and f_M and P_M against the
+    simplification's polynomials expanded over the parallel classes, with
+    x0's power shifted from s - |T| to n - |T|."""
+    from mlz import matroids as mt
+    from mlz.polynomials import HomogPoly, basis_poly, indep_poly, partial
+
+    n = m.n
+    f, p = basis_poly(m), indep_poly(m)
+    basis_ok = indep_ok = True
+    for e in range(1, n + 1):
+        if m.loops >> (e - 1) & 1:
+            continue
+        sub, old_of = mt.contract(m, e)
+        back = {k + 1: old for k, old in enumerate(old_of)}
+        basis_ok &= partial(f, e) == rename_vars(basis_poly(sub), back)
+        indep_ok &= partial(p, e) == rename_vars(indep_poly(sub), {0: 0, **back})
+    classes = m.parallel_decomposition.classes
+    if not classes:
+        return basis_ok, indep_ok, None
+    simp, _ = mt.simplify(m)
+    groups = [[e for e in range(1, n + 1) if c >> (e - 1) & 1] for c in classes]
+    lifted = expand_class_sums(indep_poly(simp), groups, n)
+    shift = n - len(groups)
+    shifted = HomogPoly(
+        range(0, n + 1),
+        n,
+        {(e0 + shift, mask): c for (e0, mask), c in lifted.terms.items()},
+    )
+    parallel_ok = expand_class_sums(basis_poly(simp), groups, n) == f and shifted == p
+    return basis_ok, indep_ok, parallel_ok
 
 
 # -- morphisms, one map at a time ------------------------------------------------

@@ -23,13 +23,11 @@ from mlz.linalg import inertia
 from mlz.matroids import catalog, elems_of, uniform
 from mlz.polynomials import (
     basis_poly,
-    expand_class_sums,
     hessian_matrix,
     indep_poly,
     linear_apply,
     partial,
     reduced_indep_poly,
-    rename_vars,
 )
 from mlz.sampling import SplitMix64, derive
 from mlz.verify import (
@@ -41,8 +39,10 @@ from mlz.verify import (
 from _oracles import (
     closure_axiom_matroids,
     congruence,
+    expand_class_sums,
     fraction_point,
     random_unimodular,
+    rename_vars,
 )
 
 SEED = 1

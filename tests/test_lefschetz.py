@@ -12,9 +12,10 @@ from mlz.lefschetz import (
     lorentzian_witness,
     point_verdicts,
 )
-from mlz.matroids import catalog, direct_sum, uniform, validate_bases
+from mlz.matroids import catalog, uniform, validate_bases
 from mlz.polynomials import HomogPoly, basis_poly, indep_poly, reduced_indep_poly
 
+from _constructors import direct_sum
 from _oracles import gram_rank_verdicts
 
 

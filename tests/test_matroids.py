@@ -5,6 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
+from _constructors import delete, direct_sum
 from _oracles import brute_circuits, exchange_violations, m_convex_violations
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +19,6 @@ from mlz.matroids import (
     UnequalCardinalityError,
     catalog,
     contract,
-    delete,
-    direct_sum,
     elems_of,
     graphic,
     mask_of,
@@ -470,6 +469,14 @@ def test_delete_uniform():
     sub, old_of = delete(uniform(2, 3), 3)
     assert sub == uniform(2, 2)
     assert old_of == (1, 2)
+
+
+def test_delete_rejects_bad_elements():
+    for e in (0, 4):
+        with pytest.raises(MatroidError, match=f"element {e} out of range"):
+            delete(uniform(2, 3), e)
+    with pytest.raises(MatroidError, match="cannot delete the last element"):
+        delete(uniform(1, 1), 1)
 
 
 def test_restrict_to_summand():

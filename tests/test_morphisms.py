@@ -5,7 +5,6 @@ import pytest
 
 from mlz.matroids import (
     catalog,
-    direct_sum,
     elems_of,
     mask_of,
     truncate,
@@ -25,6 +24,7 @@ from mlz.morphisms import (
 )
 from mlz.polynomials import linear_apply, partial, poly_str
 
+from _constructors import direct_sum
 from _oracles import per_map_degeneracy, rank_condition_holds
 
 LOOP_COLOOP = direct_sum(uniform(0, 1), uniform(1, 1))  # one loop, one coloop

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from mlz.matroids import (
     catalog,
     contract,
-    direct_sum,
     elems_of,
     graphic,
     mask_of,
@@ -21,7 +20,6 @@ from mlz.polynomials import (
     HomogPoly,
     basis_poly,
     evaluate,
-    expand_class_sums,
     gradient_matrix,
     hessian_matrix,
     indep_poly,
@@ -31,18 +29,20 @@ from mlz.polynomials import (
     poly_json,
     poly_str,
     reduced_indep_poly,
-    rename_vars,
 )
 from mlz.lefschetz import hessian_inertia
 from mlz.linalg import inertia, matrix_rank
 from mlz.sampling import derive, seeded_point
 
+from _constructors import direct_sum
 from _oracles import (
     berkowitz_inertia,
+    expand_class_sums,
     f_slice,
     fraction_point,
     partial_gradient_matrix,
     reduced_by_derivatives,
+    rename_vars,
     second_partials_hessian,
 )
 
@@ -665,13 +665,10 @@ def test_homog_poly_rejects_inhomogeneous():
 
 def test_trusted_builders_give_polynomials_the_checks_accept():
     # basis_poly, padded_poly (through indep_poly), reduced_poly (through
-    # reduced_indep_poly), partial, linear_apply, rename_vars and
-    # expand_class_sums skip the term checks; the validating constructor
-    # must accept every polynomial they build.  linear_apply is given the
-    # all-ones form and the suite's kernel form (-1, 1, ..., 1), which
-    # cancels terms; rename_vars and expand_class_sums what the theorem
-    # suite gives them: the polynomials of each contraction, renamed back,
-    # and of the simplification, expanded over the parallel classes
+    # reduced_indep_poly), partial and linear_apply skip the term checks;
+    # the validating constructor must accept every polynomial they build.
+    # linear_apply is given the all-ones form and the suite's kernel form
+    # (-1, 1, ..., 1), which cancels terms
     built = 0
     for n in range(1, 5):
         for m in catalog(n):
@@ -681,19 +678,6 @@ def test_trusted_builders_give_polynomials_the_checks_accept():
                 k = len(p.active)
                 outputs.append(linear_apply(p, [1] * k))
                 outputs.append(linear_apply(p, [-1] + [1] * (k - 1)))
-            for e in range(1, n + 1):
-                if m.loops >> (e - 1) & 1:
-                    continue
-                sub, old_of = contract(m, e)
-                back = {k + 1: old_of[k] for k in range(len(old_of))}
-                outputs.append(rename_vars(basis_poly(sub), back))
-                outputs.append(rename_vars(indep_poly(sub), {0: 0, **back}))
-            classes = m.parallel_decomposition.classes
-            if classes:
-                simp, _ = simplify(m)
-                groups = [elems_of(c) for c in classes]
-                outputs.append(expand_class_sums(basis_poly(simp), groups, n))
-                outputs.append(expand_class_sums(indep_poly(simp), groups, n))
             for q in outputs:
                 checked = HomogPoly(q.active, q.degree, dict(q.terms))
                 assert checked == q and checked.active == q.active, (m, q)

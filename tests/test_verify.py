@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from _constructors import direct_sum
 from _oracles import (
     fraction_point,
     hodge_pair_counts,
@@ -12,13 +13,14 @@ from _oracles import (
     jet_mason_rows,
     mason_basis_report,
     mason_indep_report,
+    minor_identities_by_polys,
     per_map_morphism_suite,
 )
 
+from mlz import matroids as mt
 from mlz.matroids import (
     Matroid,
     catalog,
-    direct_sum,
     uniform,
     validate_bases,
 )
@@ -423,6 +425,101 @@ def test_theorem_suite_deterministic():
     rows1 = theorem_suite(uniform(2, 4), seed=5).rows
     rows2 = theorem_suite(uniform(2, 4), seed=5).rows
     assert rows1 == rows2
+
+
+MINOR_ROWS = (
+    "contraction-partial-basis",
+    "contraction-partial-indep",
+    "parallel-substitution",
+)
+
+
+def _minor_verdicts(m):
+    """The three minor rows of the theorem suite: True, False or None (skip)."""
+    by_name = {r.name: r.status for r in theorem_suite(m, 1).rows}
+    return tuple(
+        None if by_name[name] == "skip" else by_name[name] == "pass"
+        for name in MINOR_ROWS
+    )
+
+
+def _fresh(m):
+    # a copy, so that nothing the suite keeps lands on a catalog matroid
+    return Matroid(m.n, m.bases, _trusted=True)
+
+
+def test_minor_rows_match_polynomial_oracle_on_catalog():
+    for n in range(1, 6):
+        for m in catalog(n):
+            m = _fresh(m)
+            verdicts = _minor_verdicts(m)
+            assert verdicts == minor_identities_by_polys(m), m
+            assert False not in verdicts, m
+
+
+def test_contraction_rows_fail_on_a_minor_missing_a_basis(monkeypatch):
+    contract = mt.contract
+
+    def dropped(m, e):
+        sub, old_of = contract(m, e)
+        return Matroid(sub.n, sub.bases - {min(sub.bases)}, _trusted=True), old_of
+
+    monkeypatch.setattr(mt, "contract", dropped)
+    m = uniform(2, 4)
+    assert _minor_verdicts(m) == (False, False, True)
+    assert minor_identities_by_polys(m) == (False, False, True)
+
+
+def test_contraction_rows_fail_on_a_shifted_relabeling(monkeypatch):
+    contract = mt.contract
+
+    def shifted(m, e):
+        sub, old_of = contract(m, e)
+        return sub, tuple(old % m.n + 1 for old in old_of)
+
+    monkeypatch.setattr(mt, "contract", shifted)
+    for m in (uniform(2, 4), TWO_CLASS):
+        assert _minor_verdicts(m)[:2] == (False, False), m
+        assert minor_identities_by_polys(m)[:2] == (False, False), m
+
+
+def test_parallel_substitution_fails_on_an_expansion_missing_an_element():
+    m = _fresh(TWO_CLASS)  # classes {1, 2} and {3, 4}
+    pd = m.parallel_decomposition
+    # the class of element 1 loses element 2 to the expansion
+    m._cache["parallel_decomposition"] = replace(
+        pd, classes=(pd.classes[0] & ~0b10, *pd.classes[1:])
+    )
+    assert _minor_verdicts(m) == (True, True, False)
+    assert minor_identities_by_polys(m) == (True, True, False)
+
+
+def test_parallel_substitution_fails_on_a_wrong_simplification(monkeypatch):
+    simplify = mt.simplify
+
+    def dropped(m):
+        simp, reps = simplify(m)
+        return Matroid(simp.n, simp.bases - {min(simp.bases)}, _trusted=True), reps
+
+    monkeypatch.setattr(mt, "simplify", dropped)
+    m = validate_bases(4, [[1, 3], [1, 4], [2, 3], [2, 4], [3, 4]])  # U(2, 3), 1 doubled
+    assert _minor_verdicts(m) == (True, True, False)
+    assert minor_identities_by_polys(m) == (True, True, False)
+
+
+def test_theorem_suite_makes_no_validated_polynomial(monkeypatch):
+    init = HomogPoly.__init__
+    validated = []
+
+    def counted(self, active, degree, terms, *, _trusted=False):
+        if not _trusted:
+            validated.append((tuple(active), degree))
+        init(self, active, degree, terms, _trusted=_trusted)
+
+    monkeypatch.setattr(HomogPoly, "__init__", counted)
+    for m in catalog(4):
+        theorem_suite(_fresh(m), 1)
+    assert validated == []
 
 
 def test_morphism_suite_final_example():
