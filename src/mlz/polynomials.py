@@ -35,7 +35,8 @@ the polynomial's `_cache`): every Hessian of one polynomial, at any
 number of points and from any caller, comes from one plan, and its
 gradient matrix is built at most once.  They read
 `grad_rank` only at a point where the Hessian is singular, since a
-non-singular Hessian already proves full gradient rank.  Over the
+non-singular Hessian already proves full gradient rank, and the first
+such proof fills `grad_rank` without the Gram matrix.  Over the
 rationals rank G G^T = rank G, and the Gram matrix holds every dot
 product of two first partials, which is what the Hodge pair rows of
 `verify` read to decide proportionality.

@@ -28,22 +28,23 @@ k + 1 < girth and the weights are all equal, or when k + 1 > n
 exit code of `mlz mason`, and all three survey count rows.  A `Fraction`
 is built only for what is printed: a survey equality entry, and the
 sides of the one report of `mason_basis_check` or `mason_indep_check`.
-f_M, the pair table `_pairs` and the matroid's seed key are kept on the
-matroid (`matroids.kept`, in its `_cache` beside its tables), so the
-theorem suite and the count rows of one matroid compile f_M's plan once.
-Catalog matroids outlive the survey, so `survey` drops f_M and `_pairs`
-from each one once its suite and count rows are out; the seed key stays,
-since every map's seed reads it.  No jet is kept, and nothing is kept
-on a minor.  The minor identities are decided on masks: the term maps
-of the first partials of f_M and P_M, and of f_M and P_M themselves,
-against the bases and independent sets of `contract`'s and `simplify`'s
-matroids, carried to M's labels through a deposit table or an expansion
-over the parallel classes; the only minor polynomial built is the
-truncation's reduced one.  The independent-set polynomial and its
-reduced form are built per suite and dropped with it.  The Hodge pair
-rows decide proportionality on the Gram matrix of the first partials
-that the polynomial keeps (`HomogPoly.gram`), by Cauchy-Schwarz
-equality.
+f_M, its jet at (1, ..., 1), the pair table `_pairs` and the matroid's
+seed key are kept on the matroid (`matroids.kept`, in its `_cache`
+beside its tables), so the theorem suite and the count rows of one
+matroid compile f_M's plan once and fill it at (1, ..., 1) once; both
+only read the jet.  Catalog matroids outlive the survey, so `survey`
+drops f_M, its jet and `_pairs` from each one once its suite and count
+rows are out; the seed key stays, since every map's seed reads it.  No
+other jet is kept, and nothing is kept on a minor.  The minor identities
+are decided on masks: the term maps of the first partials of f_M and
+P_M, and of f_M and P_M themselves, against the bases and independent
+sets of `contract`'s and `simplify`'s matroids, carried to M's labels
+through a deposit table or an expansion over the parallel classes; the
+only minor polynomial built is the truncation's reduced one.  The
+independent-set polynomial and its reduced form are built per suite and
+dropped with it.  The Hodge pair rows decide proportionality on the
+Gram matrix of the first partials that the polynomial keeps
+(`HomogPoly.gram`), by Cauchy-Schwarz equality.
 
 A morphism's rows split in two.  Every row but the two seeded points of
 `reduced-point-verdicts` reads only the map's basis family, which holds
@@ -103,6 +104,13 @@ SEEDED_MASON_POINTS = 5
 def _fm(m: Matroid) -> HomogPoly:
     """f_M, kept on the matroid with the plan and rank it computes."""
     return basis_poly(m)
+
+
+@kept
+def _fm_jet(m: Matroid) -> Jet:
+    """f_M's jet at (1, ..., 1) (rank >= 2), kept on the matroid for the
+    `hodge-pair-det-basis` row and the count rows, which only read it."""
+    return jet(_fm(m), (1,) * m.n)
 
 
 @kept
@@ -406,10 +414,11 @@ def _hodge_pair_rows(
     report: SuiteReport,
     name: str,
     p: HomogPoly,
-    points: Sequence[Sequence],
+    jets: Sequence[Jet],
     pairs: Sequence[tuple[int, int]],
 ):
-    """Exact 2x2 Hodge determinant check against each (point, pair, t).
+    """Exact 2x2 Hodge determinant check against each (point, pair, t), with
+    p's jet given at each point.
 
     With l1 the directional derivative along the point a itself and
     l2 = di + t*dj, whenever l1 p and l2 p are not proportional the
@@ -428,8 +437,7 @@ def _hodge_pair_rows(
     pos = {v: k for k, v in enumerate(p.active)}
     bad = 0
     tested = 0
-    for point in points:
-        _, a, h, g, s = jet(p, point)
+    for _, a, h, g, s in jets:
         if s <= 0:  # p(a) <= 0
             continue
         ga = [sum(map(mul, row, a)) for row in gram]
@@ -662,7 +670,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
                 report,
                 "hodge-pair-det-basis",
                 f,
-                [(1,) * n, seeded_point(rng, n)[1]],
+                [_fm_jet(m), jet(f, seeded_point(rng, n)[1])],
                 pairs,
             )
         # for the reduced polynomial, pair x0 with every non-loop plus a
@@ -677,7 +685,7 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
             report,
             "hodge-pair-det-reduced",
             reduced,
-            [(1,) + (1,) * n, (0,) + (1,) * n],
+            [jet(reduced, (1,) + (1,) * n), jet(reduced, (0,) + (1,) * n)],
             pairs_red,
         )
     return report
@@ -746,8 +754,9 @@ def _shared_rows(family: mo.MorphismBases) -> _SharedRows:
     p_phi, reduced = family.polys
     # the fixed points' verdicts come first: at (1, ..., 1), where the
     # reduced polynomial (positive coefficients) is positive, g is read off
-    # the inertia when H is non-singular there; the verdict at
-    # (0, 1, ..., 1) takes the Gram rank when H is singular there
+    # the inertia when H is non-singular there, and the verdict at
+    # (0, 1, ..., 1) reuses that proof; it takes the Gram rank only when
+    # both Hessians are singular
     if reduced.degree >= 2:
         points = ((1,) * (n + 1), (0,) + (1,) * n)
         verdicts = [point_verdicts(reduced, a) for a in points]
@@ -927,7 +936,7 @@ def survey(n_max: int, seed: int = 1, *, morphisms: bool = True) -> SurveyReport
                 rows.extend(
                     _mason_rows(m, scope, seed, equality_star, equality_star2)
                 )
-            for fact in (_fm, _pairs):  # kept for this matroid's rows only
+            for fact in (_fm, _fm_jet, _pairs):  # for this matroid's rows only
                 m._cache.pop(fact.__name__, None)
 
     if morphisms:
@@ -1020,7 +1029,7 @@ def _mason_rows(
             yield k, lhs, rhs, True, _holds(lhs, rhs, True, predicted)
 
     sums = [*m.indep_counts, 0]
-    ones = list(rows_at((1,) * n, jet(f, (1,) * n), sums))
+    ones = list(rows_at((1,) * n, _fm_jet(m), sums))
     basis, levels = ones[: len(pairs)], ones[len(pairs) :]
     den = _pair_den(r, 1)
     for (x, y), lhs, rhs, applicable, _ in basis:

@@ -10,8 +10,8 @@ plain fraction Gaussian elimination instead of Bareiss, one second-partial
 polynomial per entry instead of the compiled Hessian plan, one
 polynomial per derivative or level, evaluated on its own, instead of the
 second-order jet behind the count inequalities and Hodge determinants,
-one derivative polynomial and Hessian plan per multi-index instead of the
-Lorentzian witness's table of derivative values,
+one derivative polynomial and Hessian plan per multi-index, sampled at
+points above degree 2, instead of the Lorentzian witness's exact decision,
 the rank-difference form over all nested pairs instead of flat preimages,
 each map's own loop preimage and restriction instead of the
 degeneracy verdict of its basis family, and each map's morphism suite
@@ -40,6 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
+from typing import NamedTuple
 
 
 def popcount(x: int) -> int:
@@ -639,10 +640,23 @@ def _multi_indices(nvars: int, budget: int):
             yield (head,) + tail
 
 
+class SampledFailure(NamedTuple):
+    """A derivative d^orders p whose Hessian at the point does not have
+    exactly one positive eigenvalue."""
+
+    orders: tuple[int, ...]
+    point: tuple
+    pos_eigenvalues: int
+
+
 def derivative_witness(p, points):
-    """The Lorentzian witness with one derivative polynomial per multi-index:
-    every d^alpha p of order <= deg - 2 is built by repeated `partial`, and
-    its Hessian comes from its own plan, over all active variables."""
+    """The sampled Lorentzian witness, with one derivative polynomial per
+    multi-index: every d^alpha p of order <= deg - 2 is built by repeated
+    `partial`, and its Hessian comes from its own plan, over all active
+    variables.  Degree-2 derivatives are checked once (at most one positive
+    eigenvalue), the others at each point (exactly one); a failure at a
+    point is a `SampledFailure`.  It reads no coefficient sign and no
+    support, so on a Lorentzian p its report is `lorentzian_witness`'s."""
     from mlz.lefschetz import WitnessFailure, WitnessReport
     from mlz.linalg import clear_denominators, inertia
     from mlz.polynomials import hessian_matrix
@@ -672,13 +686,13 @@ def derivative_witness(p, points):
             report.exact_degree2 += 1
             pos = inertia(hessian_matrix(q, (1,) * len(q.active))).pos
             if pos > 1:
-                report.failures.append(WitnessFailure(orders, None, pos))
+                report.failures.append(WitnessFailure("degree-2", orders, pos))
             continue
         for raw, point in zip(points, scaled):
             report.sampled += 1
             pos = inertia(hessian_matrix(q, point)).pos
             if pos != 1:
-                report.failures.append(WitnessFailure(orders, tuple(raw), pos))
+                report.failures.append(SampledFailure(orders, tuple(raw), pos))
     return report
 
 
@@ -1068,19 +1082,19 @@ def hodge_pair_counts(p, points, pairs) -> tuple[int, int]:
 
 def gram_rank_verdicts(p, point):
     """`lefschetz.point_verdicts` by the rule without its shortcut: g is
-    always the Gram rank the polynomial keeps (`HomogPoly.grad_rank`),
-    whether or not the Hessian at the point is singular; p(a) by
-    evaluation, the inertia by whole-matrix elimination of the mirrored
-    Hessian."""
+    always the rank of the Gram matrix the polynomial keeps
+    (`HomogPoly.gram`), taken here, whether or not the Hessian at the point
+    is singular; p(a) by evaluation, the inertia by whole-matrix
+    elimination of the mirrored Hessian."""
     from mlz.lefschetz import PointVerdicts
-    from mlz.linalg import Inertia
+    from mlz.linalg import Inertia, matrix_rank
     from mlz.polynomials import evaluate, hessian_matrix
 
     if p.degree < 2:
         raise ValueError("point checks need degree >= 2")
     if evaluate(p, point) <= 0:
         return PointVerdicts(False, None, None, None)
-    g = p.grad_rank
+    g = matrix_rank(p.gram)
     ine = Inertia(*full_matrix_inertia(hessian_matrix(p, point)))
     slp1 = ine.pos + ine.neg == g
     hrr1 = ine.as_tuple() == (1, g - 1, len(p.active) - g)
@@ -1123,6 +1137,7 @@ def per_map_morphism_suite(phi, seed: int):
     the basis family's facts, and all four point verdicts of the reduced
     polynomial from `_whole_hessian_verdicts`."""
     from mlz import morphisms as mo
+    from mlz.linalg import matrix_rank
     from mlz.sampling import derive, seeded_point
     from mlz.polynomials import indep_poly
     from mlz.verify import SuiteReport, _matroid_key
@@ -1162,7 +1177,7 @@ def per_map_morphism_suite(phi, seed: int):
 
     p_phi, reduced = family.polys
     verdict = family.degeneracy
-    g = reduced.grad_rank
+    g = matrix_rank(reduced.gram)
     deficient = g < n + 1
     detail = f"grad_rank={g} classes={''.join(sorted(verdict.classes)) or '-'}"
     if m.is_simple:

@@ -8,7 +8,7 @@ from pathlib import Path
 from mlz.matroids import Matroid, catalog, uniform, validate_bases
 from mlz.morphisms import MorphismBases, morphism_bases, validate_morphism
 from mlz.polynomials import HomogPoly, basis_poly
-from mlz.verify import _fm, _matroid_key, _pairs, _shared_rows, survey
+from mlz.verify import _fm, _fm_jet, _matroid_key, _pairs, _shared_rows, survey
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mlz"
 
@@ -61,17 +61,19 @@ def test_matroid_facts_are_built_once_and_kept_under_their_names():
     for name in MATROID_FACTS:
         _assert_kept(m, name, lambda: getattr(m, name))
     _assert_kept(m, "_fm", lambda: _fm(m))
+    _assert_kept(m, "_fm_jet", lambda: _fm_jet(m))
     _assert_kept(m, "_matroid_key", lambda: _matroid_key(m))
     _assert_kept(m, "_pairs", lambda: _pairs(m))
 
 
 def test_survey_drops_the_suite_facts_of_each_catalog_matroid():
-    # f_M and the pair table live as long as one matroid's rows; the seed
-    # key stays, since the morphism seeds read it too
+    # f_M, its jet at (1, ..., 1) and the pair table live as long as one
+    # matroid's rows; the seed key stays, since the morphism seeds read it
     survey(4, seed=1, morphisms=False)
     for n in range(1, 5):
         for m in catalog(n):
-            assert "_fm" not in m._cache and "_pairs" not in m._cache, m
+            for fact in ("_fm", "_fm_jet", "_pairs"):
+                assert fact not in m._cache, (m, fact)
             assert "_matroid_key" in m._cache, m
 
 

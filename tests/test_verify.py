@@ -30,7 +30,8 @@ from mlz.morphisms import (
     morphism_bases,
     validate_morphism,
 )
-from mlz.polynomials import HomogPoly, basis_poly, reduced_indep_poly
+from mlz.lefschetz import hessian_inertia
+from mlz.polynomials import HomogPoly, basis_poly, jet, reduced_indep_poly
 from mlz.sampling import derive
 from mlz.verify import (
     SuiteReport,
@@ -264,7 +265,7 @@ def test_hodge_pair_rows_match_polynomial_proportionality():
             pairs = [(i, j) for i in p.active for j in p.active if i < j]
             for a in points:
                 report = SuiteReport("test", 0)
-                _hodge_pair_rows(report, "hodge", p, [a], pairs)
+                _hodge_pair_rows(report, "hodge", p, [jet(p, a)], pairs)
                 want = hodge_pair_counts(p, [a], pairs)
                 assert report.rows[0].detail == "tested={} nonneg={}".format(*want)
                 assert report.rows[0].status == "pass"
@@ -317,7 +318,7 @@ def test_hodge_pair_rows_count_nonnegative_determinants():
     pairs = [(i, j) for i in p.active for j in p.active if i < j]
     points = [(1, 1, 1, 1), (1, 2, 3, 4)]
     report = SuiteReport("test", 0)
-    _hodge_pair_rows(report, "hodge", p, points, pairs)
+    _hodge_pair_rows(report, "hodge", p, [jet(p, a) for a in points], pairs)
     tested, nonneg = hodge_pair_counts(p, points, pairs)
     assert nonneg > 0
     assert report.rows[0].status == "fail"
@@ -341,6 +342,60 @@ def test_single_basis_checks_compile_one_plan(monkeypatch):
     theorem_suite(m, 1)
     _mason_rows(m, "matroid", 1, [], [])
     assert compiled.count(basis_poly(m)) == 1
+
+
+def test_fm_jet_at_ones_is_filled_once_per_matroid(monkeypatch):
+    # the hodge-pair-det-basis row and the count rows share f_M's jet at
+    # (1, ..., 1), and neither changes it
+    import mlz.verify as verify
+
+    filled = []
+    real = verify.jet
+    monkeypatch.setattr(
+        verify, "jet", lambda p, a: filled.append((p, tuple(a))) or real(p, a)
+    )
+    shared = 0
+    for n in range(2, 6):
+        for m in catalog(n):
+            if m.rank < 2:
+                continue
+            m = Matroid(n, m.bases, _trusted=True)  # no facts kept yet
+            f, ones = basis_poly(m), (1,) * n
+            filled.clear()
+            theorem_suite(m, 1)
+            _mason_rows(m, "matroid", 1, [], [])
+            assert filled.count((f, ones)) == 1, m
+            assert m._cache["_fm_jet"] == real(f, ones), m
+            shared += any(independent for *_, independent in _pairs(m))
+    assert shared > 100
+
+
+def test_fixed_verdicts_reuse_the_proved_gradient_rank():
+    # a reduced polynomial whose Hessian is non-singular at (1, ..., 1) has
+    # g = n + 1, and its verdict at (0, 1, ..., 1) reads that: no family
+    # whose first verdict proves it builds a Gram matrix
+    targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
+    seen = set()
+    proved = singular_face = 0
+    for n in range(1, 5):
+        for m in catalog(n):
+            if not m.is_simple:
+                continue
+            for phi in enumerate_morphisms(m, targets):
+                family = morphism_bases(phi)  # not interned: nothing kept yet
+                reduced = family.polys[1]
+                if reduced.degree < 2 or family in seen:
+                    continue
+                seen.add(family)
+                nonsingular = not hessian_inertia(reduced, (1,) * (n + 1)).zero
+                _shared_rows(family)
+                if nonsingular:
+                    proved += 1
+                    assert "gram" not in reduced._cache, phi
+                    assert reduced.grad_rank == n + 1, phi
+                    face = hessian_inertia(reduced, (0,) + (1,) * n)
+                    singular_face += face.zero > 0
+    assert proved and singular_face, (proved, singular_face)
 
 
 def test_mason_point_length_is_checked():
