@@ -55,6 +55,19 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"bad rational {text!r}: {exc}") from exc
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer with 0 <= seed < 2^64.  The sampler reads
+    a seed modulo 2^64 (`sampling.derive`), so a seed outside that range
+    would print a header of its own over the rows of another seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must lie in 0..2^64-1, got {seed}")
+    return seed
+
+
 def _parse_point(text: str) -> tuple[Fraction, ...]:
     return tuple(_parse_rational(part) for part in text.split(","))
 
@@ -340,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         vp.add_argument("--at", help="evaluation point (comma-separated rationals)")
         if what == "lorentz-witness":
             vp.add_argument(
-                "--seed", type=int, default=1, help="seed for sampled points"
+                "--seed", type=_seed, default=1, help="seed for sampled points"
             )
         vp.set_defaults(func=_cmd_check)
 
@@ -364,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("survey", help="exhaustive catalog verification")
     sp.add_argument("--n", type=int, required=True, help="max ground-set size")
-    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--seed", type=_seed, default=1)
     sp.add_argument("--format", choices=("text", "json", "tsv"), default="text")
     sp.add_argument(
         "--no-morphisms", action="store_true", help="skip the morphism sweep"

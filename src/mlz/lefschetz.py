@@ -47,6 +47,13 @@ Lorentzian the log-concavity of each at every positive point follows,
 so the higher-order checks at the supplied points are counted, not
 taken.  A matroid's basis, independent-set and reduced polynomials are
 all Lorentzian (the proof is in `lorentzian_witness`).
+
+`constant_verdict_strata` proves a lemma on Lorentzian polynomials: the
+kernel of the Hessian at a >= 0 depends only on the support of a, once
+the derivatives the lemma names are positive at a.  So `point_verdicts`
+gives one verdict on the whole open orthant, and one on the whole open
+face x0 = 0 when every term's mask lies in that of an x0-free term; a
+verdict at one point of such a stratum is the verdict at all of them.
 """
 
 from __future__ import annotations
@@ -237,6 +244,68 @@ def lorentzian_decide(p: HomogPoly) -> bool:
     if p.degree < 2:
         raise ValueError("the Lorentzian condition needs degree >= 2")
     return not _exact_layer(p)[1]
+
+
+def constant_verdict_strata(p: HomogPoly) -> tuple[bool, bool]:
+    """(interior, face): whether `point_verdicts(p, a)` is proved to be one
+    verdict at every a of the open orthant, and at every a of the open
+    face x0 = 0 (every other active coordinate positive).  Both need
+    `lorentzian_decide(p)`; the face also needs x0 active and condition C:
+    every term's mask lies inside the mask of some x0-free term.
+
+    Lemma.  Let p be Lorentzian of degree d >= 2 and a >= 0 with support
+    S, such that every non-zero derivative d^gamma p with gamma supported
+    in S and 1 <= |gamma| <= d - 2 is positive at a.  Then ker H_p(a) is
+    the intersection of the ker Hess(d^beta p) over the beta supported in
+    S with |beta| = d - 2, a space that depends on S alone.
+
+    Proof, by induction on d.  At d = 2, H is constant.  At d >= 3,
+    Euler's identity for the second partials (homogeneous of degree
+    d - 2) gives (d - 2) H_p(a) = sum over j in S of a_j Q_j, with
+    Q_j = H_(p_j)(a) for the first partial p_j, and
+    Q_j a = (d - 2) grad p_j(a) = (d - 2) H_p(a) e_j.  Take v in
+    ker H_p(a); then a^T Q_j v = 0 for every j in S.  If p_j = 0, Q_j = 0.
+    Otherwise p_j is Lorentzian (the class is closed under derivatives),
+    so Q_j has at most one positive eigenvalue, on the closed orthant too
+    by continuity, and a^T Q_j a = (d - 1)(d - 2) p_j(a) > 0.  So Q_j is
+    negative semidefinite on W = {w : a^T Q_j w = 0} (a w in W with
+    w^T Q_j w > 0 would make it positive definite on span(a, w)), and
+    R^m = W + span(a).  Each v^T Q_j v is then <= 0, and their sum with
+    weights a_j > 0 is (d - 2) v^T H_p(a) v = 0, so each is 0.  v lies in
+    W, where Q_j is semidefinite, so Q_j v is orthogonal to W, and to a:
+    Q_j v = 0.  Conversely the sum puts the intersection of the ker Q_j
+    in ker H_p(a).  So ker H_p(a) is the intersection of the ker H_(p_j)(a)
+    over j in S, and each p_j meets the hypothesis at degree d - 1.
+    Induct.
+
+    The stratum of a, its zero coordinates, fixes S, and p(a) > 0 on it
+    exactly when some term of p is supported in S (the coefficients are
+    positive).  Where p(a) = 0, `point_verdicts` gives "inapplicable" on
+    the whole stratum.  Where p(a) > 0, a^T H a = d (d - 1) p(a) > 0 gives
+    H_p(a) a positive eigenvalue and Lorentzian p at most one, so its
+    inertia is (1, m - 1 - k, k) with k = dim ker H_p(a), one value on the
+    stratum; slp1 and hrr1 read that inertia and the gradient rank g of
+    p, so the verdict is one value too.
+
+    The hypothesis holds in two cases.  In the open orthant every
+    non-zero polynomial with positive coefficients is positive.  The
+    space is then the annihilator space, and the inertia (1, g - 1, m - g):
+    Hess(d^beta p) v = grad(d^beta D_v p) = 0 for every beta of order
+    d - 2 makes every (d - 1)-th derivative of D_v p vanish, so D_v p = 0.
+    On the face x0 = 0, under C: a non-zero d_T p (T a set of multilinear
+    variables; x0 is not in S) has a term whose mask holds T, that mask
+    lies in the mask of an x0-free term, and d_T of that term is an
+    x0-free term of d_T p, positive at a.  Nothing cancels, since
+    differentiation sends distinct monomials to distinct ones.  A non-zero
+    p under C has an x0-free term, so p(a) > 0 on the face.
+    """
+    if not lorentzian_decide(p):
+        return False, False
+    free = [mask for e0, mask in p.terms if not e0]
+    face = 0 in p.active and all(
+        any(mask & f == mask for f in free) for _, mask in p.terms
+    )
+    return True, face
 
 
 def lorentzian_witness(p: HomogPoly, points: Sequence[Sequence]) -> WitnessReport:

@@ -49,13 +49,20 @@ Gram matrix of the first partials that the polynomial keeps
 A morphism's rows split in two.  Every row but the two seeded points of
 `reduced-point-verdicts` reads only the map's basis family, which holds
 the source and the loop preimage; those rows are a fact kept on
-the family (`_shared_rows`).  Per map, `morphism_suite` reads the
-family off the map (`morphisms.morphism_bases`, interned by
-`basis_family`, so its levels are built once per family), derives the
-map's stream, draws its two seeded points, stamps its scope on the shared
-rows and checks the points: `sampling.seeded_point` gives the text the
-row prints and the integers at which the reduced polynomial's plan
-fills the upper triangle that `point_verdicts` reads.
+the family (`_shared_rows`).  So are the verdicts of the seeded points:
+the reduced polynomial is Lorentzian, and the kernel of its Hessian is
+the same at every point of the open orthant, and at every point of the
+open face x0 = 0 when each term's mask lies in that of an x0-free term
+(the lemma and its proof are in `lefschetz.constant_verdict_strata`,
+which decides both conditions).  The family's verdicts at (1, ..., 1)
+and (0, 1, ..., 1) are then the verdicts of every interior and every
+face point.  Per map, `morphism_suite` reads the family off the map
+(`morphisms.morphism_bases`, interned by `basis_family`, so its levels
+are built once per family), derives the map's stream, draws its two
+seeded points for the text the row prints (`sampling.seeded_point`),
+stamps its scope on the shared rows and the family's verdicts on the
+points, and fills and eliminates a seeded point's Hessian only in a
+stratum where the family's certificate does not hold.
 
 All decisions are exact rational comparisons; there is no tolerance
 anywhere.  Suites emit CheckRow records (pass / fail / skip / recorded);
@@ -78,7 +85,12 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import matroids as mt
 from . import morphisms as mo
-from .lefschetz import hessian_inertia, lorentzian_witness, point_verdicts
+from .lefschetz import (
+    constant_verdict_strata,
+    hessian_inertia,
+    lorentzian_witness,
+    point_verdicts,
+)
 from .linalg import Inertia, clear_denominators
 from .matroids import Matroid, elems_of, kept, submasks
 from .polynomials import (
@@ -694,25 +706,31 @@ def theorem_suite(m: Matroid, seed: int) -> SuiteReport:
 # -- per-morphism suite ----------------------------------------------------------
 
 
-def _render_point_verdicts(text: str, v) -> str:
-    """One verdict of the `reduced-point-verdicts` row at the point whose
-    coordinates render as text."""
+def _render_verdict(v) -> str:
+    """One verdict of the `reduced-point-verdicts` row, after the
+    "@(point):" that names its point."""
     if not v.value_positive:
-        return f"@({text}):inapplicable"
-    return f"@({text}):slp1={v.slp1},hrr1={v.hrr1},inertia={v.inertia.render()}"
+        return "inapplicable"
+    return f"slp1={v.slp1},hrr1={v.hrr1},inertia={v.inertia.render()}"
 
 
 class _SharedRows(NamedTuple):
-    """The rows of a morphism's suite that do not depend on the map."""
+    """The rows of a morphism's suite that do not depend on the map, and the
+    rendered verdicts its seeded points get without an elimination."""
 
     rows: tuple[tuple[str, str, str], ...]  # (name, status, detail), in order
     fixed: Optional[str]  # fixed-point verdicts; None below degree 2
+    # the verdict at every interior point, then at every point of the face
+    # x0 = 0; None where `constant_verdict_strata` proves no such verdict
+    interior: Optional[str]
+    face: Optional[str]
 
 
 @kept
 def _shared_rows(family: mo.MorphismBases) -> _SharedRows:
     """Every row of `morphism_suite` but its seeded points, for the maps
-    with this basis family.
+    with this basis family, and the rendered verdicts those points get
+    where `constant_verdict_strata` proves them constant.
 
     The rows read the family's levels, source (its bases, independent sets
     and simplicity) and loop preimage, all of them read off the family's
@@ -756,11 +774,21 @@ def _shared_rows(family: mo.MorphismBases) -> _SharedRows:
     # reduced polynomial (positive coefficients) is positive, g is read off
     # the inertia when H is non-singular there, and the verdict at
     # (0, 1, ..., 1) reuses that proof; it takes the Gram rank only when
-    # both Hessians are singular
+    # both Hessians are singular.  Each is also the verdict of its stratum,
+    # the open orthant and the open face x0 = 0, where
+    # `constant_verdict_strata` proves the verdict constant
+    stamps = [None, None]
     if reduced.degree >= 2:
         points = ((1,) * (n + 1), (0,) + (1,) * n)
         verdicts = [point_verdicts(reduced, a) for a in points]
-        fixed = " ".join(map(_render_point_verdicts, map(_fmt_point, points), verdicts))
+        rendered = list(map(_render_verdict, verdicts))
+        fixed = " ".join(
+            f"@({_fmt_point(a)}):{v}" for a, v in zip(points, rendered)
+        )
+        stamps = [
+            v if proved else None
+            for v, proved in zip(rendered, constant_verdict_strata(reduced))
+        ]
         g = verdicts[0].grad_rank
     else:
         fixed, g = None, reduced.grad_rank
@@ -797,7 +825,7 @@ def _shared_rows(family: mo.MorphismBases) -> _SharedRows:
         f"levels={len(profile)} equalities={sum(1 for e in profile if e.equal)}",
     )
 
-    return _SharedRows(tuple(rows), fixed)
+    return _SharedRows(tuple(rows), fixed, *stamps)
 
 
 def _morphism_rows(
@@ -805,7 +833,13 @@ def _morphism_rows(
 ) -> tuple[mo.MorphismBases, list[CheckRow]]:
     """The map's basis family and its suite rows under `scope`: the shared
     rows stamped with the scope, then `reduced-point-verdicts` with the
-    family's fixed points and the two points seeded by this map."""
+    family's fixed points and the two points seeded by this map.
+
+    Each seeded point is drawn for its text.  Its verdict is the family's
+    verdict at the fixed point of its stratum (an interior point, then one
+    on the face x0 = 0) where `_shared_rows` holds one, proved constant on
+    that stratum; only where none is proved is the Hessian filled and
+    eliminated at the point."""
     family = mo.basis_family(mo.morphism_bases(phi))
     m = phi.source
     shared = _shared_rows(family)
@@ -814,11 +848,12 @@ def _morphism_rows(
         detail = "degree<2"
     else:
         rng = derive(seed, m.n, _matroid_key(m), _matroid_key(phi.target), *phi.map)
-        reduced = family.polys[1]
         verdicts = [shared.fixed]
-        for zeros in (0, 1):
+        for zeros, stamp in ((0, shared.interior), (1, shared.face)):
             text, a = seeded_point(rng, m.n + 1, zeros=zeros)
-            verdicts.append(_render_point_verdicts(text, point_verdicts(reduced, a)))
+            if stamp is None:
+                stamp = _render_verdict(point_verdicts(family.polys[1], a))
+            verdicts.append(f"@({text}):{stamp}")
         detail = " ".join(verdicts)
     rows.append(CheckRow(scope, "reduced-point-verdicts", "recorded", detail))
     return family, rows
@@ -827,11 +862,13 @@ def _morphism_rows(
 def morphism_suite(phi: mo.MatroidMorphism, seed: int) -> SuiteReport:
     """The checks of one morphism of matroids.
 
-    Every row but the two seeded points of `reduced-point-verdicts` is a
-    function of the map's basis family, which holds the source and the
-    loop preimage, and is kept once per family (`_shared_rows`); per map
-    only the seeded points are drawn from the map's own stream and
-    checked."""
+    Every row is a function of the map's basis family, which holds the
+    source and the loop preimage, and is kept once per family
+    (`_shared_rows`), but for the two seeded points of
+    `reduced-point-verdicts`.  Per map those points are drawn from the
+    map's own stream, for their text, and get the family's verdict of
+    their stratum, proved constant there by `constant_verdict_strata`; a
+    point is eliminated only where no such proof holds."""
     scope = f"morphism(n={phi.source.n},map={','.join(map(str, phi.map))})"
     return SuiteReport(scope, seed, _morphism_rows(phi, seed, scope)[1])
 

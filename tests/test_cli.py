@@ -484,6 +484,34 @@ def test_lorentz_exact_takes_no_point(capsys, u23_file):
     assert captured.err == "error: lorentz-exact is point-free and takes no --at\n"
 
 
+@pytest.mark.parametrize(
+    "seed, code",
+    [
+        ("-1", 2),
+        (str(1 << 64), 2),
+        (str(1 - (1 << 64)), 2),
+        ("0", 0),
+        (str((1 << 64) - 1), 0),
+    ],
+)
+def test_seed_outside_64_bits_exits_2(capsys, u23_file, seed, code):
+    # the sampler reads a seed modulo 2^64, so -1 and 2^64 - 1 would print
+    # different headers over the same rows; a seed outside 0..2^64-1 is
+    # malformed input, in `survey` and in `check`
+    for argv in (
+        ["survey", "--n", "1", "--format", "json"],
+        ["check", "lorentz-witness", u23_file],
+    ):
+        assert run(argv + [f"--seed={seed}"]) == code, argv
+        out, err = capsys.readouterr()
+        if code:
+            line = f"error: argument --seed: seed must lie in 0..2^64-1, got {seed}\n"
+            assert err == line
+            assert out == ""
+        else:
+            assert err == "" and (f'"seed":{seed}' in out or f"seed={seed}" in out)
+
+
 def test_lorentz_witness_at_point_prints_no_seed(capsys, u23_file):
     # --at gives the point, so the seed chooses nothing and is not printed
     argv = ["check", "lorentz-witness", u23_file, "--kind", "indep", "--at", "1,1,1,1"]

@@ -5,6 +5,7 @@ import pytest
 from mlz.lefschetz import (
     PointVerdicts,
     WitnessFailure,
+    constant_verdict_strata,
     gradient_rank,
     hessian_inertia,
     hessian_matrix,
@@ -485,6 +486,75 @@ def test_lorentzian_decide_matches_exchange_on_every_family():
 def test_lorentzian_decide_needs_degree_2():
     with pytest.raises(ValueError):
         lorentzian_decide(basis_poly(uniform(1, 2)))
+
+
+# -- the constant-kernel lemma ---------------------------------------------------
+
+# 3x0^4 + 3x0^3x2 + 2x0^2x1x2: positive coefficients, but not Lorentzian,
+# and its Hessian's inertia moves inside the open orthant
+NOT_LORENTZIAN_QUARTIC = HomogPoly(
+    (0, 1, 2), 4, {(4, 0): 3, (3, 0b10): 3, (2, 0b11): 2}
+)
+
+
+def test_constant_verdicts_need_a_lorentzian_polynomial():
+    p = NOT_LORENTZIAN_QUARTIC
+    assert hessian_inertia(p, (1, 1, 1)).as_tuple() == (2, 1, 0)
+    at = (Fraction(1, 6), Fraction(5, 4), Fraction(4, 5))
+    assert hessian_inertia(p, at).as_tuple() == (1, 2, 0)
+    assert not lorentzian_decide(p)
+    assert constant_verdict_strata(p) == (False, False)
+
+
+def test_point_verdicts_are_constant_on_the_proved_strata():
+    # the lemma of `constant_verdict_strata`: on random polynomials that
+    # pass `lorentzian_decide`, every seeded interior point gets the verdict
+    # at (1, ..., 1), and on those that also meet condition C every seeded
+    # point of the face x0 = 0 gets the verdict at (0, 1, ..., 1), where
+    # every non-zero derivative the lemma names is positive
+    import random
+    from functools import reduce
+    from itertools import combinations
+
+    from mlz.polynomials import evaluate, partial
+    from mlz.sampling import derive, seeded_point
+
+    rng, stream = random.Random(33), derive(33)
+    interior = face = moved = 0
+    for _ in range(10000):
+        p = _random_poly(rng)
+        proved = constant_verdict_strata(p)
+        assert proved[0] == lorentzian_decide(p), p
+        m = len(p.active)
+        ones = point_verdicts(p, (1,) * m)
+        seeded = [point_verdicts(p, seeded_point(stream, m)[1]) for _ in range(3)]
+        if not proved[0]:
+            moved += any(v != ones for v in seeded)
+            continue
+        if p.is_zero:
+            continue
+        # the annihilator space: inertia (1, g - 1, m - g)
+        assert ones.value_positive and ones.slp1 and ones.hrr1, p
+        assert seeded == [ones] * 3, p
+        interior += p.degree >= 3
+        if not proved[1]:
+            continue
+        face_point = (0,) + (1,) * (m - 1)
+        for k in range(1, p.degree - 1):
+            for orders in combinations(p.active[1:], k):
+                d = reduce(partial, orders, p)
+                assert d.is_zero or evaluate(d, face_point) > 0, (p, orders)
+        at = point_verdicts(p, face_point)
+        assert at.value_positive, p
+        for _ in range(3):
+            assert point_verdicts(p, seeded_point(stream, m, zeros=1)[1]) == at, p
+        face += p.degree >= 3
+    # over a thousand interiors of degree >= 3 (1743), dozens of faces
+    # (60), and over a thousand refused polynomials whose verdict does move
+    # between seeded interior points (2003)
+    assert interior >= 1500, interior
+    assert face >= 50, face
+    assert moved >= 1500, moved
 
 
 # -- independent route for the quotient checks -----------------------------------

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 from dataclasses import replace
 from fractions import Fraction
@@ -30,7 +31,7 @@ from mlz.morphisms import (
     morphism_bases,
     validate_morphism,
 )
-from mlz.lefschetz import hessian_inertia
+from mlz.lefschetz import constant_verdict_strata, hessian_inertia
 from mlz.polynomials import HomogPoly, basis_poly, jet, reduced_indep_poly
 from mlz.sampling import derive
 from mlz.verify import (
@@ -623,21 +624,59 @@ def test_morphism_suite_non_simple_source_checks_sufficiency_only():
 # -- basis-family memo ----------------------------------------------------------------
 
 
-def test_morphism_suite_memo_matches_cold_runs():
-    # every morphism from a simple source on <= 4 elements to a target on
-    # <= 3, run warm in sweep order and cold, against the per-map oracle
+@functools.cache
+def _sweep_maps():
+    """Every morphism from a simple source on <= 4 elements to a target on
+    <= 3, in sweep order."""
     targets = [t for tn in (1, 2, 3) for t in catalog(tn)]
-    maps = [
+    return [
         phi
         for n in range(1, 5)
         for m in catalog(n)
         if m.is_simple
         for phi in enumerate_morphisms(m, targets)
     ]
-    assert len(maps) == 5095
+
+
+def _counting_point_verdicts(monkeypatch):
+    """The points at which `verify.point_verdicts` runs from now on."""
+    import mlz.verify as verify
+
+    points, real = [], verify.point_verdicts
+    monkeypatch.setattr(
+        verify, "point_verdicts", lambda p, a: points.append(a) or real(p, a)
+    )
+    return points
+
+
+def _families_of_degree_2(maps):
+    families = {basis_family(morphism_bases(phi)) for phi in maps}
+    return {family for family in families if family.polys[1].degree >= 2}
+
+
+@pytest.fixture
+def cold_families():
+    """A cleared family memo, cleared again afterwards: the kept rows of a
+    test's families do not outlive it."""
     basis_family.cache_clear()
+    yield
+    basis_family.cache_clear()
+
+
+def test_morphism_suite_memo_matches_cold_runs(monkeypatch, cold_families):
+    # every morphism from a simple source on <= 4 elements to a target on
+    # <= 3, run warm in sweep order and cold, against the per-map oracle,
+    # which eliminates every seeded point.  Warm, the seeded verdicts are
+    # stamped: the Hessian is eliminated only at the two fixed points of
+    # each family of degree >= 2
+    maps = _sweep_maps()
+    assert len(maps) == 5095
+    points = _counting_point_verdicts(monkeypatch)
     warm = [morphism_suite(phi, seed=5).rows for phi in maps]
     assert basis_family.cache_info().currsize < len(maps) // 10
+    families = _families_of_degree_2(maps)
+    assert len(points) == 2 * len(families) > 300
+    assert all(constant_verdict_strata(f.polys[1]) == (True, True) for f in families)
     for phi, rows in zip(maps, warm):
         assert per_map_morphism_suite(phi, seed=5).rows == rows, (
             phi.source,
@@ -647,6 +686,37 @@ def test_morphism_suite_memo_matches_cold_runs():
     for phi, rows in zip(maps, warm):
         basis_family.cache_clear()
         assert morphism_suite(phi, seed=5).rows == rows, (phi.source, phi.target, phi.map)
+
+
+@pytest.mark.parametrize("refused", ["lorentzian", "face"])
+def test_unproved_strata_take_the_elimination_path(monkeypatch, cold_families, refused):
+    # a family whose reduced polynomial fails `lorentzian_decide` stamps
+    # neither seeded verdict, and one that fails condition C does not stamp
+    # the face's; those points are eliminated, and the rows still equal the
+    # oracle's
+    import mlz.lefschetz as lefschetz
+    import mlz.verify as verify
+
+    if refused == "lorentzian":
+        monkeypatch.setattr(lefschetz, "lorentzian_decide", lambda p: False)
+    else:
+        monkeypatch.setattr(
+            verify, "constant_verdict_strata", lambda p: (True, False)
+        )
+    maps = _sweep_maps()[::7]
+    points = _counting_point_verdicts(monkeypatch)
+    for phi in maps:
+        rows = morphism_suite(phi, seed=5).rows
+        assert per_map_morphism_suite(phi, seed=5).rows == rows, (
+            phi.source,
+            phi.target,
+            phi.map,
+        )
+    families = _families_of_degree_2(maps)
+    seeded = sum(basis_family(morphism_bases(phi)).polys[1].degree >= 2 for phi in maps)
+    per_map = 2 if refused == "lorentzian" else 1
+    assert len(points) == 2 * len(families) + per_map * seeded
+    assert seeded > 500
 
 
 def test_shared_morphism_rows_key_on_source_and_loop_preimage():
